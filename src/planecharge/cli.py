@@ -18,7 +18,12 @@ from typing import Optional, Sequence
 from . import discharging, matcher, reducibility
 from .catalog import CATALOG_ORDER
 from .choosability import ListAssignment, is_k_choosable, l_coloring
-from .corpus import enumerate_class, named_examples, random_class_member
+from .corpus import (
+    ENUMERATION_SIZES,
+    enumerate_class,
+    named_examples,
+    random_class_member,
+)
 from .errors import GraphError
 from .plane_graph import (
     PlaneGraph,
@@ -220,13 +225,12 @@ def _cmd_match(args) -> RunReport:
             "count": len(matches),
         }
     else:
-        first = matcher.find_any_reducible(g)
+        found = {cid: matcher.find_configuration(g, cid) for cid in CATALOG_ORDER}
+        # the first match over the catalog order, as find_any_reducible gives it
+        first = next((m[0] for m in found.values() if m), None)
         payload = {
             "first_reducible": None if first is None else _match_dict(first),
-            "counts": {
-                cid: len(matcher.find_configuration(g, cid))
-                for cid in CATALOG_ORDER
-            },
+            "counts": {cid: len(m) for cid, m in found.items()},
         }
     return RunReport(
         "match", {"graph": args.graph, "config": args.config}, "info", payload
@@ -297,8 +301,9 @@ def _cmd_discharge(args) -> RunReport:
 
 
 def _cmd_enumerate(args) -> RunReport:
-    if not 2 <= args.n <= 8:
-        raise CliInputError(f"--n must be in 2..8, got {args.n}")
+    if args.n not in ENUMERATION_SIZES:
+        lo, hi = ENUMERATION_SIZES[0], ENUMERATION_SIZES[-1]
+        raise CliInputError(f"--n must be in {lo}..{hi}, got {args.n}")
     os.makedirs(args.out, exist_ok=True)
     written = []
     for i, g in enumerate(enumerate_class(args.n)):

@@ -27,6 +27,9 @@ from .plane_graph import (
 
 Adjacency = tuple[frozenset[int], ...]
 
+# The vertex counts enumerate_class accepts.
+ENUMERATION_SIZES = range(2, 9)
+
 
 @dataclass(frozen=True)
 class NamedGraph:
@@ -323,10 +326,10 @@ def _class_candidates(n: int) -> Iterator[Adjacency]:
 
 def enumerate_class(n_max: int) -> Iterator[PlaneGraph]:
     """Every connected class member with 2..n_max vertices, one embedding
-    per isomorphism class."""
-    if not 2 <= n_max <= 8:
-        raise NOutOfRange(n_max)
-    for n in range(2, n_max + 1):
+    per isomorphism class; n_max must lie in ENUMERATION_SIZES."""
+    if n_max not in ENUMERATION_SIZES:
+        raise NOutOfRange(n_max, ENUMERATION_SIZES)
+    for n in range(ENUMERATION_SIZES[0], n_max + 1):
         for adjacency in _class_candidates(n):
             graph = find_planar_embedding(adjacency)
             if graph is not None:

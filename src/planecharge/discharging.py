@@ -111,35 +111,44 @@ def _touches_three_face(graph: PlaneGraph, i: int) -> bool:
     return False
 
 
-def rule_transfers(graph: PlaneGraph) -> list[Transfer]:
-    """The four global rules, computed from the incidence structure alone.
+_VERTEX_DRAWS = {2: ("R1", ONE), 3: ("R2", HALF)}  # by vertex degree
 
-    Degree-2 vertices draw 1 and degree-3 vertices draw 1/2 from each
-    big-face incidence (per occurrence on the walk); 3-faces draw 1/2 (if
-    they touch another 3-face) or 1/3 from each big face they share an edge
-    with, once per shared edge.
-    """
+
+def _rule_draw(graph: PlaneGraph, sink: ElementKey) -> Optional[tuple[str, Charge]]:
+    """The rule and amount by which ``sink`` draws from a 6+-face, per
+    incidence: R1 = 1 for a degree-2 vertex and R2 = 1/2 for a degree-3
+    vertex, per occurrence on the face's walk; R3 = 1/2 for a 3-face that
+    touches another 3-face and R4 = 1/3 for any other 3-face, per shared
+    edge.  None when the element draws nothing."""
+    kind, key = sink
+    if kind == "vertex":
+        return _VERTEX_DRAWS.get(graph.degree(key))
+    if not _is_three_face(graph, key):
+        return None
+    return ("R3", HALF) if _touches_three_face(graph, key) else ("R4", THIRD)
+
+
+def rule_transfers(graph: PlaneGraph) -> list[Transfer]:
+    """The four global rules, computed from the incidence structure alone:
+    first the vertex draws of each big face along its walk, then the draws
+    of each 3-face from the big faces across its edges (see ``_rule_draw``)."""
     transfers: list[Transfer] = []
     for i, walk in enumerate(graph.faces):
         if len(walk) < 6:
             continue
         for h in walk:
-            v = graph.origin[h]
-            d = graph.degree(v)
-            if d == 2:
-                transfers.append(Transfer("R1", ("face", i), ("vertex", v), ONE))
-            elif d == 3:
-                transfers.append(Transfer("R2", ("face", i), ("vertex", v), HALF))
+            sink = ("vertex", graph.origin[h])
+            draw = _rule_draw(graph, sink)
+            if draw is not None:
+                transfers.append(Transfer(draw[0], ("face", i), sink, draw[1]))
     for i, walk in enumerate(graph.faces):
-        if not _is_three_face(graph, i):
+        draw = _rule_draw(graph, ("face", i))
+        if draw is None:
             continue
-        rule, amount = (
-            ("R3", HALF) if _touches_three_face(graph, i) else ("R4", THIRD)
-        )
         for h in walk:
             j = graph.opposite_face(h)
             if graph.face_length(j) >= 6:
-                transfers.append(Transfer(rule, ("face", j), ("face", i), amount))
+                transfers.append(Transfer(draw[0], ("face", j), ("face", i), draw[1]))
     return transfers
 
 
@@ -298,9 +307,11 @@ def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
     sub-rules equals what it draws from the face under the global rules."""
     audit = edge_level_audit(graph, face)
     draws: dict[ElementKey, Charge] = {}
-    for t in rule_transfers(graph):
-        if t.source == ("face", face):
-            draws[t.sink] = draws.get(t.sink, ZERO) + t.amount
+    for h in graph.faces[face]:
+        for sink in (("vertex", graph.origin[h]), ("face", graph.opposite_face(h))):
+            draw = _rule_draw(graph, sink)
+            if draw is not None:
+                draws[sink] = draws.get(sink, ZERO) + draw[1]
     keys = set(audit.sink_received) | set(draws)
     mismatched = tuple(
         sorted(

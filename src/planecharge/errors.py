@@ -82,6 +82,8 @@ class NotBigFace(GraphError):
 
 
 class NOutOfRange(GraphError):
-    def __init__(self, n: int):
-        super().__init__(f"enumeration size {n} outside supported range 2..8")
+    def __init__(self, n: int, sizes: range):
+        super().__init__(
+            f"enumeration size {n} outside supported range {sizes[0]}..{sizes[-1]}"
+        )
         self.n = n

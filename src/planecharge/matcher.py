@@ -1,17 +1,39 @@
 """Detect catalog configurations inside a concrete plane graph.
 
-Each configuration gets a small handwritten detector plus a predicate that
-re-validates a candidate embedding against the host.  Degree requirements
-follow the forbidden structures' statements, with derived degrees (for
-example the degree-4 middle of a 2-2 path) required exactly; the degenerate
-variants those requirements exclude are owned by earlier entries in the
-catalog scan order, so the union over the order stays exhaustive.
+Each configuration is stated once, as a declarative spec in ``_SPEC_TEXT``.
+One generic backtracking search finds every embedding of a spec, and one
+generic validator re-checks a reported embedding by running the same spec
+with its roles and faces fixed.  Degree requirements follow the forbidden
+structures' statements, with derived degrees (for example the degree-4
+middle of a 2-2 path) required exactly; the degenerate variants those
+requirements exclude are owned by earlier entries in the catalog scan order,
+so the union over the order stays exhaustive.
+
+A spec is a list of clauses separated by ``;``:
+
+- ``role NAME [DEGREE]``: a vertex, of exactly that degree if one is given;
+- ``face NAME LENGTH``: a witness face of exactly that length;
+- ``edge A B`` / ``nonedge A B``: roles A and B are adjacent, or not;
+- ``on R F`` / ``off R F``: role R lies on face F, or not;
+- ``share F G A B``: the edge between roles A and B lies on faces F and G;
+- ``meet F G R``: faces F and G have exactly the vertex R in common;
+- ``lt X Y``: a tie-break, the id of X is below that of Y.
+
+Roles are distinct vertices and faces are distinct faces.  The search binds
+roles and faces in the order the spec lists them, and a report lists the
+faces in that order.  Each slot draws its candidates from the first
+constraint that ties it to a slot already bound (the neighbours of a role,
+the vertices of a face, the faces at a vertex, the two faces beside an
+edge), else from every vertex of its degree or every face of its length; so
+a spec that lists a 3-face first is done at once on a triangle-free host.
+The two structural entries that have no fixed shape add one predicate each,
+which returns the report's trailing faces, or None when there is no match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .catalog import CATALOG_ORDER
 from .errors import UnknownConfig
@@ -28,454 +50,253 @@ class MatchEmbedding:
         return dict(self.roles)[name]
 
 
-def _emb(config_id: str, faces: tuple[int, ...] = (), **roles: int) -> MatchEmbedding:
-    return MatchEmbedding(config_id, tuple(sorted(roles.items())), faces)
-
-
-def _face_indices(g: PlaneGraph, length: int) -> list[int]:
-    return [i for i, f in enumerate(g.faces) if len(f) == length]
-
-
-def _distinct_faces_at(g: PlaneGraph, v: int) -> list[int]:
-    return sorted(set(g.faces_at(v)))
-
-
-def _triangles_flanking(g: PlaneGraph, u: int, w: int) -> Optional[tuple[int, int]]:
-    """The two distinct 3-faces on the sides of edge uw, if both exist."""
-    h = g.half_edge(u, w)
-    fa, fb = g.face_of[h], g.face_of[g.twin[h]]
-    if fa != fb and g.face_length(fa) == 3 and g.face_length(fb) == 3:
-        return tuple(sorted((fa, fb)))
-    return None
-
-
-# -- detectors ---------------------------------------------------------------
-
-
-def _find_conn(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    if not g.is_connected():
-        yield _emb("conn")
-
-
-def _find_no1v(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for v in range(g.vertex_count):
-        if g.degree(v) == 1:
-            yield _emb("no1v", leaf=v)
-
-
-def _deg2_on_face(g: PlaneGraph, length: int, config_id: str) -> Iterator[MatchEmbedding]:
-    for fi in _face_indices(g, length):
-        for v in sorted(g.face_vertex_set(fi)):
-            if g.degree(v) == 2:
-                yield _emb(config_id, faces=(fi,), deg2=v)
-
-
-def _find_no2v3f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    yield from _deg2_on_face(g, 3, "no2v3f")
-
-
-def _find_no2v4f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    yield from _deg2_on_face(g, 4, "no2v4f")
-
-
-def _find_no22v(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for u, v in g.edges():
-        if g.degree(u) == 2 and g.degree(v) == 2:
-            yield _emb("no22v", deg2_a=u, deg2_b=v)
-
-
-def _find_no23v(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for u, v in g.edges():
-        for a, b in ((u, v), (v, u)):
-            if g.degree(a) == 2 and g.degree(b) == 3:
-                yield _emb("no23v", deg2=a, deg3=b)
-
-
-def _find_no33v(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for u, v in g.edges():
-        if g.degree(u) == 3 and g.degree(v) == 3:
-            yield _emb("no33v", deg3_a=u, deg3_b=v)
-
-
-def _find_no242v(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for mid in range(g.vertex_count):
-        if g.degree(mid) != 4:
-            continue
-        nbrs = sorted(u for u in g.neighbors(mid) if g.degree(u) == 2)
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1 :]:
-                if not g.has_edge(u, w):
-                    yield _emb("no242v", deg2_a=u, middle=mid, deg2_b=w)
-
-
-def _find_no243v(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for mid in range(g.vertex_count):
-        if g.degree(mid) != 4:
-            continue
-        for u in sorted(g.neighbors(mid)):
-            if g.degree(u) != 2:
-                continue
-            for w in sorted(g.neighbors(mid)):
-                if g.degree(w) == 3 and not g.has_edge(u, w):
-                    yield _emb("no243v", deg2=u, middle=mid, deg3=w)
-
-
-def _find_no2v_3f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for fi in _face_indices(g, 3):
-        on_face = g.face_vertex_set(fi)
-        for anchor in sorted(on_face):
-            if g.degree(anchor) != 4:
-                continue
-            for u in sorted(g.neighbors(anchor)):
-                if g.degree(u) == 2 and u not in on_face:
-                    yield _emb("no2v_3f", faces=(fi,), deg2=u, anchor=anchor)
-
-
-def _two_faces_at_vertex(
-    g: PlaneGraph, length: int, config_id: str
-) -> Iterator[MatchEmbedding]:
-    for v in range(g.vertex_count):
-        if g.degree(v) != 3:
-            continue
-        here = [fi for fi in _distinct_faces_at(g, v) if g.face_length(fi) == length]
-        for i, fa in enumerate(here):
-            for fb in here[i + 1 :]:
-                shared = [
-                    e
-                    for e in g.face_edge_set(fa) & g.face_edge_set(fb)
-                    if v in e
-                ]
-                if not shared:
-                    continue
-                (end,) = sorted(shared[0] - {v})
-                yield _emb(config_id, faces=(fa, fb), deg3=v, shared_end=end)
-
-
-def _find_no3v_33f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    yield from _two_faces_at_vertex(g, 3, "no3v_33f")
-
-
-def _find_no3v_44f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    yield from _two_faces_at_vertex(g, 4, "no3v_44f")
-
-
-def _find_no333f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for fi in _face_indices(g, 3):
-        partners = []
-        for h in g.faces[fi]:
-            fj = g.opposite_face(h)
-            if fj != fi and g.face_length(fj) == 3:
-                partners.append(fj)
-        if len(partners) >= 2:
-            yield _emb("no333f", faces=(fi,) + tuple(sorted(partners)))
-
-
-def _find_no34f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for fi in _face_indices(g, 3):
-        for h in g.faces[fi]:
-            fj = g.opposite_face(h)
-            if g.face_length(fj) == 4:
-                u, v = sorted((g.origin[h], g.target[h]))
-                yield _emb("no34f", faces=(fi, fj), shared_u=u, shared_v=v)
-
-
-def _find_no3v3f3f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for v in range(g.vertex_count):
-        if g.degree(v) != 3:
-            continue
-        for fi in _distinct_faces_at(g, v):
-            if g.face_length(fi) != 3:
-                continue
-            for h in g.faces[fi]:
-                a, b = g.origin[h], g.target[h]
-                if v in (a, b):
-                    continue  # only the edge of the 3-face opposite v
-                fj = g.opposite_face(h)
-                if (
-                    fj != fi
-                    and g.face_length(fj) == 3
-                    and v not in g.face_vertex_set(fj)
-                ):
-                    yield _emb(
-                        "no3v3f3f",
-                        faces=(fi, fj),
-                        deg3=v,
-                        shared_a=min(a, b),
-                        shared_b=max(a, b),
-                    )
-
-
-def _find_no3v3f_3f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    three_faces = _face_indices(g, 3)
-    for v in range(g.vertex_count):
-        if g.degree(v) != 3:
-            continue
-        for fi in _distinct_faces_at(g, v):
-            if g.face_length(fi) != 3:
-                continue
-            for pivot in sorted(g.face_vertex_set(fi) - {v}):
-                for fj in three_faces:
-                    if fj == fi:
-                        continue
-                    if g.face_vertex_set(fi) & g.face_vertex_set(fj) == {pivot}:
-                        yield _emb(
-                            "no3v3f_3f", faces=(fi, fj), deg3=v, pivot=pivot
-                        )
-
-
-def _find_no3v_3f3v(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for fi in _face_indices(g, 3):
-        on_face = g.face_vertex_set(fi)
-        for anchor in sorted(on_face):
-            if g.degree(anchor) != 4:
-                continue
-            for w in sorted(on_face - {anchor}):
-                if g.degree(w) != 3:
-                    continue
-                for v in sorted(g.neighbors(anchor)):
-                    if g.degree(v) == 3 and v not in on_face:
-                        yield _emb(
-                            "no3v_3f3v",
-                            faces=(fi,),
-                            deg3_off=v,
-                            anchor=anchor,
-                            deg3_on=w,
-                        )
-
-
-def _shared_triangle_edges(g: PlaneGraph) -> Iterator[tuple[int, int, tuple[int, int]]]:
-    for u, w in g.edges():
-        flank = _triangles_flanking(g, u, w)
-        if flank is not None:
-            yield u, w, flank
-
-
-def _find_no3v_m3f3f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for u, w, (fa, fb) in _shared_triangle_edges(g):
-        blocked = g.face_vertex_set(fa) | g.face_vertex_set(fb)
-        for near, far in ((u, w), (w, u)):
-            for v in sorted(g.neighbors(near)):
-                if g.degree(v) == 3 and v not in blocked:
-                    yield _emb(
-                        "no3v_m3f3f",
-                        faces=(fa, fb),
-                        deg3=v,
-                        near_end=near,
-                        far_end=far,
-                    )
-
-
-def _find_no2v__m3f3f(g: PlaneGraph) -> Iterator[MatchEmbedding]:
-    for u, w, (fa, fb) in _shared_triangle_edges(g):
-        blocked = g.face_vertex_set(fa) | g.face_vertex_set(fb)
-        for near, far in ((u, w), (w, u)):
-            for mid in sorted(g.neighbors(near)):
-                if g.degree(mid) != 4 or mid in blocked:
-                    continue
-                for d2 in sorted(g.neighbors(mid)):
-                    if g.degree(d2) == 2 and d2 not in blocked:
-                        yield _emb(
-                            "no2v__m3f3f",
-                            faces=(fa, fb),
-                            deg2=d2,
-                            middle=mid,
-                            near_end=near,
-                            far_end=far,
-                        )
-
-
-_DETECTORS: dict[str, Callable[[PlaneGraph], Iterator[MatchEmbedding]]] = {
-    "conn": _find_conn,
-    "no1v": _find_no1v,
-    "no2v3f": _find_no2v3f,
-    "no2v4f": _find_no2v4f,
-    "no22v": _find_no22v,
-    "no23v": _find_no23v,
-    "no33v": _find_no33v,
-    "no242v": _find_no242v,
-    "no243v": _find_no243v,
-    "no2v_3f": _find_no2v_3f,
-    "no3v_33f": _find_no3v_33f,
-    "no333f": _find_no333f,
-    "no34f": _find_no34f,
-    "no3v_44f": _find_no3v_44f,
-    "no3v3f3f": _find_no3v3f3f,
-    "no3v3f_3f": _find_no3v3f_3f,
-    "no3v_3f3v": _find_no3v_3f3v,
-    "no3v_m3f3f": _find_no3v_m3f3f,
-    "no2v__m3f3f": _find_no2v__m3f3f,
+_SPEC_TEXT = {
+    "conn": "",
+    "no1v": "role leaf 1",
+    "no2v3f": "face f 3; role deg2 2; on deg2 f",
+    "no2v4f": "face f 4; role deg2 2; on deg2 f",
+    "no22v": "role deg2_a 2; role deg2_b 2; edge deg2_a deg2_b; lt deg2_a deg2_b",
+    "no23v": "role deg2 2; role deg3 3; edge deg2 deg3",
+    "no33v": "role deg3_a 3; role deg3_b 3; edge deg3_a deg3_b; lt deg3_a deg3_b",
+    "no242v": "role middle 4; role deg2_a 2; role deg2_b 2; edge deg2_a middle;"
+    " edge middle deg2_b; nonedge deg2_a deg2_b; lt deg2_a deg2_b",
+    "no243v": "role middle 4; role deg2 2; role deg3 3; edge deg2 middle;"
+    " edge middle deg3; nonedge deg2 deg3",
+    "no2v_3f": "face f 3; role anchor 4; role deg2 2; on anchor f;"
+    " edge deg2 anchor; off deg2 f",
+    "no3v_33f": "face fa 3; role deg3 3; role shared_end; face fb 3; lt fa fb;"
+    " share fa fb deg3 shared_end",
+    "no333f": "face f 3",
+    "no34f": "face f 3; role shared_u; role shared_v; face g 4;"
+    " share f g shared_u shared_v; lt shared_u shared_v",
+    "no3v_44f": "face fa 4; role deg3 3; role shared_end; face fb 4; lt fa fb;"
+    " share fa fb deg3 shared_end",
+    "no3v3f3f": "face f 3; role deg3 3; role shared_a; role shared_b; face g 3;"
+    " on deg3 f; off deg3 g; share f g shared_a shared_b; lt shared_a shared_b",
+    "no3v3f_3f": "face f 3; role deg3 3; role pivot; face g 3; on deg3 f;"
+    " meet f g pivot",
+    "no3v_3f3v": "face f 3; role anchor 4; role deg3_on 3; role deg3_off 3;"
+    " on anchor f; on deg3_on f; edge deg3_off anchor; off deg3_off f",
+    "no3v_m3f3f": "face fa 3; role near_end; role far_end; face fb 3; role deg3 3;"
+    " lt fa fb; share fa fb near_end far_end; edge deg3 near_end;"
+    " off deg3 fa; off deg3 fb",
+    "no2v__m3f3f": "face fa 3; role near_end; role far_end; face fb 3;"
+    " role middle 4; role deg2 2; lt fa fb; share fa fb near_end far_end;"
+    " edge near_end middle; edge middle deg2; off middle fa; off middle fb;"
+    " off deg2 fa; off deg2 fb",
 }
 
 
-# -- validation --------------------------------------------------------------
+def _disconnected(g: PlaneGraph, faces: tuple) -> Optional[tuple]:
+    """conn: the host itself is the match when it is disconnected."""
+    return None if g.is_connected() else ()
+
+
+def _three_face_partners(g: PlaneGraph, faces: tuple) -> Optional[tuple]:
+    """no333f: the other 3-faces across the edges of 3-face ``faces[0]``,
+    one per shared edge and sorted, when there are at least two."""
+    fi = faces[0]
+    partners = sorted(
+        fj
+        for fj in map(g.opposite_face, g.faces[fi])
+        if fj != fi and g.face_length(fj) == 3
+    )
+    return tuple(partners) if len(partners) >= 2 else None
+
+
+_PREDICATES = {"conn": _disconnected, "no333f": _three_face_partners}
+
+
+# -- spec compilation ----------------------------------------------------------
+#
+# A slot is (is_face, index): the role or face is read as ``r[index]`` or
+# ``f[index]``.  Checks and candidate sources take ``(g, r, f)``.
+
+
+def _flank(g: PlaneGraph, u: int, w: int) -> tuple[int, ...]:
+    """The faces on the two sides of edge uw, or none if uw is no edge."""
+    if w not in g.rotation[u]:
+        return ()
+    h = g.half_edge(u, w)
+    return (g.face_of[h], g.opposite_face(h))
+
+
+def _shares(g: PlaneGraph, fa: int, fb: int, u: int, w: int) -> bool:
+    sides = _flank(g, u, w)
+    return fa in sides and fb in sides
+
+
+def _check(kind: str, slots: list) -> Callable:
+    """The test of one constraint clause over its slots."""
+    i = [index for _, index in slots]
+    if kind in ("edge", "nonedge"):
+        a, b, want = i[0], i[1], kind == "edge"
+        return lambda g, r, f: (r[b] in g.rotation[r[a]]) == want
+    if kind in ("on", "off"):
+        a, b, want = i[0], i[1], kind == "on"
+        return lambda g, r, f: (r[a] in g.face_vertex_set(f[b])) == want
+    if kind == "share":
+        return lambda g, r, f: _shares(g, f[i[0]], f[i[1]], r[i[2]], r[i[3]])
+    if kind == "meet":
+        return lambda g, r, f: g.face_vertex_set(f[i[0]]) & g.face_vertex_set(
+            f[i[1]]
+        ) == {r[i[2]]}
+    if kind == "lt":
+        a, b = i
+        if slots[0][0]:
+            return lambda g, r, f: f[a] < f[b]
+        return lambda g, r, f: r[a] < r[b]
+    raise ValueError(f"unknown spec clause {kind!r}")
+
+
+def _source(kind: str, slots: list, slot: tuple, bound: set) -> Optional[Callable]:
+    """Candidates for ``slot`` that one constraint implies from its bound
+    slots: every host element that can satisfy the constraint is among them."""
+    if slot not in slots:
+        return None
+    faces = [i for is_face, i in slots if is_face and (True, i) in bound]
+    roles = [i for is_face, i in slots if not is_face and (False, i) in bound]
+    if not slot[0]:
+        if faces and kind in ("on", "share", "meet"):
+            return lambda g, r, f: g.face_vertex_set(f[faces[0]])
+        if roles and kind in ("edge", "share"):
+            return lambda g, r, f: g.rotation[r[roles[0]]]
+    elif kind == "share" and len(roles) == 2:
+        return lambda g, r, f: _flank(g, r[roles[0]], r[roles[1]])
+    elif roles and kind in ("on", "meet"):
+        return lambda g, r, f: set(g.faces_at(r[roles[0]]))
+    return None
+
+
+def _every(is_face: bool, size: Optional[int]) -> Callable:
+    """The source of a slot tied to no bound slot: all elements of its size."""
+    if is_face:
+        return lambda g, r, f: [i for i, w in enumerate(g.faces) if len(w) == size]
+    return lambda g, r, f: [
+        v for v, nbrs in enumerate(g.rotation) if size is None or len(nbrs) == size
+    ]
+
+
+@dataclass(frozen=True)
+class _Spec:
+    names: tuple[str, ...]  # role names, sorted as in a report
+    face_count: int
+    # per slot, in binding order: (is_face, index, exact size, source, checks)
+    steps: tuple[tuple[bool, int, Optional[int], Callable, tuple], ...]
+    predicate: Optional[Callable]
+
+
+def _compile(text: str, predicate: Optional[Callable]) -> _Spec:
+    """Give each slot its source and the checks it completes; roles are
+    indexed in name order, faces in the order they are listed."""
+    clauses = [c.split() for c in text.split(";") if c.strip()]
+    declared = [c for c in clauses if c[0] in ("role", "face")]
+    names = sorted(c[1] for c in declared if c[0] == "role")
+    face_names = [c[1] for c in declared if c[0] == "face"]
+    slots = {n: (False, i) for i, n in enumerate(names)}
+    slots.update({n: (True, i) for i, n in enumerate(face_names)})
+    constraints = [
+        (c[0], [slots[a] for a in c[1:]])
+        for c in clauses
+        if c[0] not in ("role", "face")
+    ]
+    steps = []
+    bound: set = set()
+    for _, name, *size_arg in declared:
+        slot = slots[name]
+        size = int(size_arg[0]) if size_arg else None
+        sources = [
+            src for kind, s in constraints if (src := _source(kind, s, slot, bound))
+        ]
+        bound.add(slot)
+        checks = [
+            _check(kind, s) for kind, s in constraints if slot in s and bound >= set(s)
+        ]
+        source = sources[0] if sources else _every(slot[0], size)
+        steps.append((*slot, size, source, tuple(checks)))
+    return _Spec(tuple(names), len(face_names), tuple(steps), predicate)
+
+
+_SPECS = {cid: _compile(_SPEC_TEXT[cid], _PREDICATES.get(cid)) for cid in CATALOG_ORDER}
+
+
+# -- search and validation -----------------------------------------------------
+
+
+def _extend(g: PlaneGraph, steps: tuple, k: int, bound: tuple, found: list) -> None:
+    """Bind slot k and every later one in all ways that pass each slot's
+    size, distinctness and constraint checks as it is bound."""
+    roles, faces = bound
+    is_face, index, size, source, checks = steps[k]
+    values, sized = (faces, g.faces) if is_face else (roles, g.rotation)
+    for x in source(g, roles, faces):
+        # values[index] still holds this slot's previous candidate, which x
+        # equals only when a source repeats an element
+        if (size is not None and len(sized[x]) != size) or x in values:
+            continue
+        values[index] = x
+        for check in checks:
+            if not check(g, roles, faces):
+                break
+        else:
+            if k + 1 < len(steps):
+                _extend(g, steps, k + 1, bound, found)
+            else:
+                found.append((tuple(roles), tuple(faces)))
+    values[index] = -1
+
+
+def _bindings(g: PlaneGraph, spec: _Spec) -> list[tuple[tuple, tuple]]:
+    """All (roles, faces) bindings of a spec, trailing faces included."""
+    found: list = []
+    if spec.steps:
+        bound = ([-1] * len(spec.names), [-1] * spec.face_count)
+        _extend(g, spec.steps, 0, bound, found)
+    else:
+        found.append(((), ()))
+    if spec.predicate is None:
+        return found
+    return [
+        (roles, faces + tail)
+        for roles, faces in found
+        if (tail := spec.predicate(g, faces)) is not None
+    ]
+
+
+def _spec_of(config_id: str) -> _Spec:
+    try:
+        return _SPECS[config_id]
+    except KeyError:
+        raise UnknownConfig(config_id) from None
 
 
 def validate_embedding(g: PlaneGraph, emb: MatchEmbedding) -> bool:
-    """Re-check every constraint of a reported embedding against the host."""
-    roles = dict(emb.roles)
+    """Re-check every constraint of a reported embedding against the host:
+    the spec's size, distinctness and constraint checks, with each role and
+    face fixed to the report's."""
+    spec = _spec_of(emb.config_id)
     faces = emb.faces
-    face_set = lambda i: g.face_vertex_set(faces[i])  # noqa: E731
-    cid = emb.config_id
-    try:
-        if cid == "conn":
-            return not g.is_connected()
-        if cid == "no1v":
-            return g.degree(roles["leaf"]) == 1
-        if cid in ("no2v3f", "no2v4f"):
-            want = 3 if cid == "no2v3f" else 4
-            return (
-                g.degree(roles["deg2"]) == 2
-                and g.face_length(faces[0]) == want
-                and roles["deg2"] in face_set(0)
-            )
-        if cid == "no22v":
-            a, b = roles["deg2_a"], roles["deg2_b"]
-            return a < b and g.degree(a) == 2 and g.degree(b) == 2 and g.has_edge(a, b)
-        if cid == "no23v":
-            a, b = roles["deg2"], roles["deg3"]
-            return g.degree(a) == 2 and g.degree(b) == 3 and g.has_edge(a, b)
-        if cid == "no33v":
-            a, b = roles["deg3_a"], roles["deg3_b"]
-            return a < b and g.degree(a) == 3 and g.degree(b) == 3 and g.has_edge(a, b)
-        if cid == "no242v":
-            a, m, b = roles["deg2_a"], roles["middle"], roles["deg2_b"]
-            return (
-                a < b
-                and g.degree(a) == 2
-                and g.degree(b) == 2
-                and g.degree(m) == 4
-                and g.has_edge(a, m)
-                and g.has_edge(m, b)
-                and not g.has_edge(a, b)
-            )
-        if cid == "no243v":
-            a, m, b = roles["deg2"], roles["middle"], roles["deg3"]
-            return (
-                g.degree(a) == 2
-                and g.degree(b) == 3
-                and g.degree(m) == 4
-                and g.has_edge(a, m)
-                and g.has_edge(m, b)
-                and not g.has_edge(a, b)
-            )
-        if cid == "no2v_3f":
-            u, anchor = roles["deg2"], roles["anchor"]
-            return (
-                g.degree(u) == 2
-                and g.degree(anchor) == 4
-                and g.has_edge(u, anchor)
-                and g.face_length(faces[0]) == 3
-                and anchor in face_set(0)
-                and u not in face_set(0)
-            )
-        if cid in ("no3v_33f", "no3v_44f"):
-            want = 3 if cid == "no3v_33f" else 4
-            v, end = roles["deg3"], roles["shared_end"]
-            fa, fb = faces
-            shared = frozenset((v, end))
-            return (
-                g.degree(v) == 3
-                and fa != fb
-                and g.face_length(fa) == want
-                and g.face_length(fb) == want
-                and all(v in face_set(i) for i in (0, 1))
-                and shared in g.face_edge_set(fa)
-                and shared in g.face_edge_set(fb)
-            )
-        if cid == "no333f":
-            fi = faces[0]
-            if g.face_length(fi) != 3:
-                return False
-            partners = [
-                g.opposite_face(h)
-                for h in g.faces[fi]
-                if g.opposite_face(h) != fi
-                and g.face_length(g.opposite_face(h)) == 3
-            ]
-            return len(partners) >= 2 and faces == (fi,) + tuple(sorted(partners))
-        if cid == "no34f":
-            fi, fj = faces
-            shared = frozenset((roles["shared_u"], roles["shared_v"]))
-            return (
-                g.face_length(fi) == 3
-                and g.face_length(fj) == 4
-                and shared in g.face_edge_set(fi)
-                and shared in g.face_edge_set(fj)
-            )
-        if cid == "no3v3f3f":
-            v, a, b = roles["deg3"], roles["shared_a"], roles["shared_b"]
-            fi, fj = faces
-            shared = frozenset((a, b))
-            return (
-                a < b
-                and g.degree(v) == 3
-                and fi != fj
-                and g.face_length(fi) == 3
-                and g.face_length(fj) == 3
-                and v in face_set(0)
-                and v not in face_set(1)
-                and shared in g.face_edge_set(fi)
-                and shared in g.face_edge_set(fj)
-            )
-        if cid == "no3v3f_3f":
-            v, pivot = roles["deg3"], roles["pivot"]
-            fi, fj = faces
-            return (
-                g.degree(v) == 3
-                and fi != fj
-                and g.face_length(fi) == 3
-                and g.face_length(fj) == 3
-                and v in face_set(0)
-                and pivot != v
-                and face_set(0) & face_set(1) == {pivot}
-            )
-        if cid == "no3v_3f3v":
-            v, anchor, w = roles["deg3_off"], roles["anchor"], roles["deg3_on"]
-            return (
-                g.degree(v) == 3
-                and g.degree(anchor) == 4
-                and g.degree(w) == 3
-                and g.has_edge(v, anchor)
-                and g.face_length(faces[0]) == 3
-                and anchor in face_set(0)
-                and w in face_set(0)
-                and w != anchor
-                and v not in face_set(0)
-            )
-        if cid in ("no3v_m3f3f", "no2v__m3f3f"):
-            near, far = roles["near_end"], roles["far_end"]
-            fa, fb = faces
-            shared = frozenset((near, far))
-            blocked = face_set(0) | face_set(1)
-            base = (
-                fa != fb
-                and fa < fb
-                and g.face_length(fa) == 3
-                and g.face_length(fb) == 3
-                and shared in g.face_edge_set(fa)
-                and shared in g.face_edge_set(fb)
-            )
-            if cid == "no3v_m3f3f":
-                v = roles["deg3"]
-                return (
-                    base
-                    and g.degree(v) == 3
-                    and g.has_edge(v, near)
-                    and v not in blocked
-                )
-            d2, mid = roles["deg2"], roles["middle"]
-            return (
-                base
-                and g.degree(d2) == 2
-                and g.degree(mid) == 4
-                and g.has_edge(near, mid)
-                and g.has_edge(mid, d2)
-                and mid not in blocked
-                and d2 not in blocked
-            )
-    except KeyError:
+    if len(emb.roles) != len(spec.names) or len(faces) < spec.face_count:
         return False
-    raise UnknownConfig(cid)
+    roles: list[int] = []
+    for (name, v), want in zip(emb.roles, spec.names):
+        if name != want or not 0 <= v < g.vertex_count or v in roles:
+            return False
+        roles.append(v)
+    for k, fi in enumerate(faces):
+        if not 0 <= fi < g.face_count or (k < spec.face_count and fi in faces[:k]):
+            return False
+    for is_face, index, size, _, checks in spec.steps:
+        if size is not None and size != len(
+            g.faces[faces[index]] if is_face else g.rotation[roles[index]]
+        ):
+            return False
+        for check in checks:
+            if not check(g, roles, faces):
+                return False
+    if spec.predicate is None:
+        return len(faces) == spec.face_count
+    return spec.predicate(g, faces) == faces[spec.face_count :]
 
 
 # -- public API --------------------------------------------------------------
@@ -483,11 +304,13 @@ def validate_embedding(g: PlaneGraph, emb: MatchEmbedding) -> bool:
 
 def find_configuration(g: PlaneGraph, config_id: str) -> list[MatchEmbedding]:
     """All embeddings of one configuration, canonically ordered."""
-    if config_id not in _DETECTORS:
-        raise UnknownConfig(config_id)
-    matches = sorted(set(_DETECTORS[config_id](g)))
-    for emb in matches:
+    spec = _spec_of(config_id)
+    matches = []
+    # Roles are indexed in name order, so raw bindings sort as the reports do.
+    for roles, faces in sorted(set(_bindings(g, spec))):
+        emb = MatchEmbedding(config_id, tuple(zip(spec.names, roles)), faces)
         assert validate_embedding(g, emb), f"unsound match {emb}"
+        matches.append(emb)
     return matches
 
 

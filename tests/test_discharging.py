@@ -16,6 +16,7 @@ from planecharge.discharging import (
     final_audit,
     initial_charges,
     reconcile_face,
+    rule_transfers,
 )
 from planecharge.errors import Disconnected, NotBigFace
 from planecharge.matcher import find_any_reducible, find_configuration
@@ -236,3 +237,23 @@ def test_reconciliation_boundary(class_members_7):
         )
         if mismatch:
             assert find_configuration(g, "no333f")
+
+
+def test_reconcile_draws_match_rule_transfers(named, class_members_7):
+    """Each face's rule draws, summed per sink, are exactly the global rule
+    transfers out of that face, including on hosts where reconciliation
+    fails."""
+    failing = 0
+    for g in list(named.values()) + class_members_7:
+        transfers = rule_transfers(g)
+        for i in range(g.face_count):
+            if g.face_length(i) < 6:
+                continue
+            expected = {}
+            for t in transfers:
+                if t.source == ("face", i):
+                    expected[t.sink] = expected.get(t.sink, Charge(0)) + t.amount
+            rec = reconcile_face(g, i)
+            assert rec.rule_draws == expected
+            failing += not rec.ok
+    assert failing

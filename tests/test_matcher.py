@@ -1,10 +1,12 @@
 import pytest
 
 from oracles import brute_force_matches
-from planecharge.catalog import CATALOG_ORDER
+from planecharge.catalog import CATALOG_ORDER, REDUCIBLE_IDS, get_configuration
 from planecharge.corpus import named_examples, random_class_member
 from planecharge.errors import UnknownConfig
 from planecharge.matcher import (
+    _SPECS,
+    MatchEmbedding,
     find_any_reducible,
     find_configuration,
     validate_embedding,
@@ -173,3 +175,35 @@ def test_oracle_equivalence_on_high_degree_hosts(rim):
         assert set(find_configuration(wheel, config_id)) == brute_force_matches(
             wheel, config_id
         ), config_id
+
+
+def _mutants(g, emb):
+    """The match with its first two faces swapped, with two of its roles
+    swapped, and with one role moved to a neighbour."""
+    faces, roles = emb.faces, dict(emb.roles)
+    if len(faces) >= 2:
+        yield MatchEmbedding(emb.config_id, emb.roles, (faces[1], faces[0]) + faces[2:])
+    names = sorted(roles)
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            swapped = dict(roles, **{a: roles[b], b: roles[a]})
+            yield MatchEmbedding(emb.config_id, tuple(sorted(swapped.items())), faces)
+        for w in sorted(g.neighbors(roles[a])):
+            moved = dict(roles, **{a: w})
+            yield MatchEmbedding(emb.config_id, tuple(sorted(moved.items())), faces)
+
+
+@pytest.mark.parametrize("config_id", CATALOG_ORDER)
+def test_validator_agrees_with_matcher_on_mutants(config_id, named, class_members_6):
+    """validate_embedding accepts a mutated match exactly when the matcher
+    reports it."""
+    for g in list(named.values()) + class_members_6:
+        matches = set(find_configuration(g, config_id))
+        for emb in matches:
+            for mutant in _mutants(g, emb):
+                assert validate_embedding(g, mutant) == (mutant in matches), mutant
+
+
+@pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
+def test_spec_roles_are_catalog_roles(config_id):
+    assert _SPECS[config_id].names == tuple(sorted(get_configuration(config_id).roles))
