@@ -1,16 +1,26 @@
 """Exact list-coloring and choosability decisions.
 
-Choosability is decided by canonical enumeration of list-intersection
-patterns: an assignment of lists is determined up to color renaming by how
-many colors are shared by exactly each subset of vertices ("atoms"), so it
-suffices to enumerate nonnegative atom sizes meeting the per-vertex demands
-and test one concrete instantiation of each pattern.
+An assignment of lists is determined up to color renaming by how many
+colors are shared by exactly each subset of vertices ("atoms"), so
+choosability could be decided by testing one instantiation of every
+atom-size pattern.  Two reductions cut that down, applied recursively to
+induced subgraphs G[M]:
+
+* greedy-last: a vertex with more colors than neighbors in G[M] can
+  always be colored last, so it is deleted;
+* private color: a color in one list only lets its vertex be colored
+  last, so once every G[M - v] is known to be f-choosable only the
+  singleton-free patterns (atoms of two or more vertices) remain.
+
+Negative answers carry a failing assignment, lifted from the subgraph
+where it was found by giving every dropped vertex fresh colors, and
+re-verified against the list-coloring search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import MissingList, TooManyVertices
 from .square import SimpleGraph
@@ -68,128 +78,197 @@ def l_coloring(
     n = graph.vertex_count
     if len(assignment.lists) < n:
         raise MissingList(len(assignment.lists))
-    lists = assignment.lists
-    adjacency = graph._adjacency
-    coloring: dict[int, int] = {}
-
-    def extend(uncolored: set[int]) -> bool:
-        if not uncolored:
-            return True
-        v, avail = -1, None
-        for w in uncolored:
-            options = lists[w].difference(
-                coloring[u] for u in adjacency[w] if u in coloring
-            )
-            if avail is None or len(options) < len(avail) or (
-                len(options) == len(avail) and w < v
-            ):
-                v, avail = w, options
-                if len(options) <= 1:
-                    if not options:
-                        return False
-                    break  # a forced vertex is always a best pick
-        uncolored.discard(v)
-        for c in sorted(avail):
-            coloring[v] = c
-            if extend(uncolored):
-                return True
-            del coloring[v]
-        uncolored.add(v)
-        return False
-
-    if not extend(set(range(n))):
+    lists = assignment.lists[:n]
+    # Bit i stands for the i-th smallest color, so the search tries each
+    # vertex's colors in the order sorted() puts them.
+    palette = sorted(set().union(*lists), key=_color_key)
+    rank = {c: i for i, c in enumerate(palette)}
+    found = _color_bits(
+        [_bits(graph._adjacency[v]) for v in range(n)],
+        [_bits(rank[c] for c in colors) for colors in lists],
+        (1 << n) - 1,
+    )
+    if found is None:
         return None
+    # Each vertex reports the color from its own list (1 and True are one
+    # color but print differently).
+    coloring = {v: next(c for c in lists[v] if rank[c] == found[v]) for v in range(n)}
     for v in range(n):
         assert coloring[v] in lists[v]
-        for u in adjacency[v]:
+        for u in graph._adjacency[v]:
             assert coloring[u] != coloring[v]
-    return dict(coloring)
+    return coloring
 
 
-def _instantiate(n: int, pattern: Mapping[int, int]) -> ListAssignment:
-    """Fresh concrete lists for an atom-size pattern (atom = vertex bitmask)."""
-    lists: list[list[int]] = [[] for _ in range(n)]
-    color = 0
-    for atom, count in sorted(pattern.items()):
-        for _ in range(count):
-            for v in range(n):
-                if atom >> v & 1:
-                    lists[v].append(color)
-            color += 1
-    return ListAssignment.from_lists(lists)
+def _color_key(color: object) -> tuple:
+    # Agrees with sorted() wherever one list's colors are comparable, and
+    # still orders colors of different kinds (numbers, strings) apart.
+    if isinstance(color, (int, float)):
+        return (0, "", color)
+    return (1, type(color).__name__, color)
+
+
+def _bits(items: Iterable[int]) -> int:
+    mask = 0
+    for i in items:
+        mask |= 1 << i
+    return mask
+
+
+def _color_bits(
+    adjacency: Sequence[int], lists: Sequence[int], vertices: int
+) -> Optional[list[int]]:
+    """The search behind l_coloring, on bitmasks.
+
+    Colors the vertices in the mask ``vertices``; ``adjacency[v]`` and
+    ``lists[v]`` are bitmasks of neighbors and of color indices.  Each step
+    takes the uncolored vertex with the fewest options (lowest index on
+    ties) and tries its colors in ascending order.  Returns each vertex's
+    color index (-1 outside ``vertices``), or None if there is no coloring.
+    """
+    forbidden = [0] * len(lists)
+    color = [-1] * len(lists)
+
+    def extend(uncolored: int) -> bool:
+        if not uncolored:
+            return True
+        v, avail, fewest = -1, 0, 0
+        rest = uncolored
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            options = lists[w] & ~forbidden[w]
+            count = options.bit_count()
+            if v < 0 or count < fewest:
+                if not count:
+                    return False
+                v, avail, fewest = w, options, count
+                if count == 1:
+                    break  # a forced vertex is always a best pick
+        uncolored ^= 1 << v
+        nbrs = adjacency[v] & uncolored
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            color[v] = bit.bit_length() - 1
+            marked = []
+            rest = nbrs
+            while rest:
+                u = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if not forbidden[u] & bit:
+                    forbidden[u] |= bit
+                    marked.append(u)
+            if extend(uncolored):
+                return True
+            for u in marked:
+                forbidden[u] ^= bit
+        return False
+
+    return color if extend(vertices) else None
 
 
 def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVerdict:
     """Decide whether every assignment with sizes f admits a proper coloring.
 
-    Enumerates atom-size patterns (canonical up to color renaming); each
-    pattern is instantiated with fresh colors and tested via l_coloring.
-    The first failing pattern is returned as a re-verified witness.
+    Recurses on induced subgraphs G[M], memoized within the call:
+
+    1. greedy-last: if some v has f(v) > deg(v) in G[M], G[M] is
+       f-choosable iff G[M - v] is;
+    2. private color: otherwise G[M] is f-choosable iff every G[M - v] is
+       and every singleton-free pattern (each color in two or more lists)
+       is colorable.
+
+    Singleton-free patterns are enumerated once each up to color renaming
+    and tested with one fresh instantiation; ``patterns_checked`` counts
+    them over all subproblems.  A failing sub-witness is lifted by giving
+    the dropped vertex f(v) fresh colors, and the final witness is
+    re-verified.
     """
     n = graph.vertex_count
     if n > MAX_CHOOSABILITY_VERTICES:
         raise TooManyVertices(n, MAX_CHOOSABILITY_VERTICES)
     if len(demand.values) != n:
         raise MissingList(len(demand.values))
-    if n == 0:
-        return ChoosabilityVerdict(True, None, 1)
-
-    if any(f == 0 for f in demand.values):
-        # A vertex with an empty list can never be colored.
-        lists: list[list[int]] = []
-        color = 0
-        for f in demand.values:
-            lists.append(list(range(color, color + f)))
-            color += f
-        witness = ListAssignment.from_lists(lists)
-        return _failing_verdict(graph, demand, witness, 1)
-
-    # Non-singleton atoms first, largest first; singleton sizes are then
-    # forced by the leftover demand, closing each pattern immediately.
-    atoms = sorted(
-        (m for m in range(1, 1 << n) if bin(m).count("1") >= 2),
-        key=lambda m: (-bin(m).count("1"), m),
-    )
-    members = {m: [v for v in range(n) if m >> v & 1] for m in atoms}
+    f = demand.values
+    adjacency = [_bits(graph._adjacency[v]) for v in range(n)]
+    # Per mask: None if G[mask] is f-choosable, else a failing assignment
+    # as one color bitmask per vertex (0 outside the mask).
+    memo: dict[int, Optional[list[int]]] = {}
     checked = 0
-    pattern: dict[int, int] = {}
-    remaining = list(demand.values)
 
-    def close_and_test() -> Optional[ListAssignment]:
-        nonlocal checked
-        full = dict(pattern)
-        for v in range(n):
-            if remaining[v]:
-                full[1 << v] = full.get(1 << v, 0) + remaining[v]
-        assignment = _instantiate(n, full)
-        checked += 1
-        if l_coloring(graph, assignment) is None:
-            return assignment
-        return None
+    def solve(mask: int) -> Optional[list[int]]:
+        if mask not in memo:
+            memo[mask] = decide(mask)
+        return memo[mask]
 
-    def search(i: int) -> Optional[ListAssignment]:
-        if i == len(atoms):
-            return close_and_test()
-        atom = atoms[i]
-        cap = min(remaining[v] for v in members[atom])
-        for x in range(cap, -1, -1):
-            if x:
-                pattern[atom] = x
-                for v in members[atom]:
-                    remaining[v] -= x
-            bad = search(i + 1)
-            if x:
-                for v in members[atom]:
-                    remaining[v] += x
-                del pattern[atom]
+    def decide(mask: int) -> Optional[list[int]]:
+        members = [v for v in range(n) if mask >> v & 1]
+        greedy = [v for v in members if f[v] > (adjacency[v] & mask).bit_count()]
+        for v in greedy[:1] or members:
+            bad = solve(mask ^ 1 << v)
             if bad is not None:
-                return bad
-        return None
+                lifted = list(bad)
+                fresh = max(m.bit_length() for m in bad)
+                lifted[v] = ((1 << f[v]) - 1) << fresh
+                return lifted
+        if greedy:
+            return None
+        return singleton_free_failure(mask, members)
 
-    bad = search(0)
+    def singleton_free_failure(mask: int, members: list[int]) -> Optional[list[int]]:
+        # Atoms of two or more vertices, grouped by their lowest vertex: the
+        # lowest vertex with unmet demand takes its colors from its group.
+        groups: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+        for v in members:
+            higher = mask & ~((2 << v) - 1)
+            sub = higher
+            while sub:
+                atom = sub | 1 << v
+                groups[v].append((sub, [u for u in members if atom >> u & 1]))
+                sub = (sub - 1) & higher
+        remaining = list(f)
+        lists = [0] * n
+        witness: list[list[int]] = []
+
+        def fill(unmet: int, start: int, color: int) -> bool:
+            nonlocal checked
+            if not unmet:
+                checked += 1
+                if _color_bits(adjacency, lists, mask) is None:
+                    witness.append(list(lists))
+                    return True
+                return False
+            low = unmet & -unmet
+            group = groups[low.bit_length() - 1]
+            bit = 1 << color
+            for i in range(start, len(group)):
+                others, atom = group[i]
+                if others & ~unmet:
+                    continue
+                met = 0
+                for u in atom:
+                    lists[u] |= bit
+                    remaining[u] -= 1
+                    if not remaining[u]:
+                        met |= 1 << u
+                if fill(unmet ^ met, 0 if met & low else i, color + 1):
+                    return True
+                for u in atom:
+                    lists[u] ^= bit
+                    remaining[u] += 1
+            return False
+
+        fill(_bits(v for v in members if f[v]), 0, 0)
+        return witness[0] if witness else None
+
+    bad = solve((1 << n) - 1)
     if bad is None:
         return ChoosabilityVerdict(True, None, checked)
-    return _failing_verdict(graph, demand, bad, checked)
+    witness = ListAssignment(
+        tuple(frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in bad)
+    )
+    return _failing_verdict(graph, demand, witness, checked)
 
 
 def _failing_verdict(

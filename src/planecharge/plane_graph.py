@@ -256,12 +256,15 @@ def adjacency_has_cycle_of_length(adjacency: Sequence[Iterable[int]], k: int) ->
     """Exhaustive search for a simple cycle of exactly length k (3 <= k <= 8).
 
     Works on any adjacency structure; each cycle is rooted at its smallest
-    vertex so the search space stays tiny for the graphs handled here.
+    vertex so the search space stays tiny for the graphs handled here.  An
+    odd k on a bipartite graph is answered by 2-coloring alone.
     """
     if not 3 <= k <= 8:
         raise KOutOfRange(k)
     adj = [set(nbrs) for nbrs in adjacency]
     n = len(adj)
+    if k % 2 and _is_bipartite(adj):
+        return False
 
     def extend(root: int, path: list[int], on_path: set[int]) -> bool:
         if len(path) == k:
@@ -282,6 +285,24 @@ def adjacency_has_cycle_of_length(adjacency: Sequence[Iterable[int]], k: int) ->
         if extend(root, [root], {root}):
             return True
     return False
+
+
+def _is_bipartite(adj: Sequence[set[int]]) -> bool:
+    side = [-1] * len(adj)
+    for s in range(len(adj)):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if side[v] < 0:
+                    side[v] = side[u] ^ 1
+                    stack.append(v)
+                elif side[v] == side[u]:
+                    return False
+    return True
 
 
 def has_cycle_of_length(graph: PlaneGraph, k: int) -> bool:

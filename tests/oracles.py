@@ -2,7 +2,8 @@
 
 Everything here recomputes results the slow, obviously-correct way:
 exhaustive permutations for cycles and matches, explicit list enumeration
-for choosability, and unpruned rotation products for planarity.
+and unreduced atom-pattern enumeration for choosability, and unpruned
+rotation products for planarity.
 """
 
 import itertools
@@ -29,6 +30,72 @@ def naive_f_choosable(graph, demands):
         if l_coloring(graph, ListAssignment.from_lists(lists)) is None:
             return False
     return True
+
+
+def _instantiate(n, pattern):
+    """Fresh concrete lists for an atom-size pattern (atom = vertex bitmask)."""
+    lists = [[] for _ in range(n)]
+    color = 0
+    for atom, count in sorted(pattern.items()):
+        for _ in range(count):
+            for v in range(n):
+                if atom >> v & 1:
+                    lists[v].append(color)
+            color += 1
+    return ListAssignment.from_lists(lists)
+
+
+def pattern_f_choosable(graph, demands):
+    """Test one instantiation of every atom-size pattern, with no reduction.
+
+    An assignment is determined up to color renaming by how many colors each
+    vertex subset (atom) shares exactly; non-singleton atoms are enumerated
+    largest first and the singleton sizes are forced by the leftover demand.
+    """
+    n = graph.vertex_count
+    if n == 0:
+        return True
+    if any(f == 0 for f in demands):
+        return False
+
+    atoms = sorted(
+        (m for m in range(1, 1 << n) if bin(m).count("1") >= 2),
+        key=lambda m: (-bin(m).count("1"), m),
+    )
+    members = {m: [v for v in range(n) if m >> v & 1] for m in atoms}
+    pattern = {}
+    remaining = list(demands)
+
+    def close_and_test():
+        full = dict(pattern)
+        for v in range(n):
+            if remaining[v]:
+                full[1 << v] = full.get(1 << v, 0) + remaining[v]
+        assignment = _instantiate(n, full)
+        if l_coloring(graph, assignment) is None:
+            return assignment
+        return None
+
+    def search(i):
+        if i == len(atoms):
+            return close_and_test()
+        atom = atoms[i]
+        cap = min(remaining[v] for v in members[atom])
+        for x in range(cap, -1, -1):
+            if x:
+                pattern[atom] = x
+                for v in members[atom]:
+                    remaining[v] -= x
+            bad = search(i + 1)
+            if x:
+                for v in members[atom]:
+                    remaining[v] += x
+                del pattern[atom]
+            if bad is not None:
+                return bad
+        return None
+
+    return search(0) is None
 
 
 def naive_planar_embedding_exists(adjacency):

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_f_choosable
+from oracles import naive_f_choosable, pattern_f_choosable
 from planecharge.choosability import (
     DemandFunction,
     ListAssignment,
@@ -15,7 +16,7 @@ from planecharge.choosability import (
     l_coloring,
 )
 from planecharge.errors import MissingList, TooManyVertices
-from planecharge.square import SimpleGraph, square
+from planecharge.square import SimpleGraph, induced_subgraph, square
 
 
 def complete(n):
@@ -28,6 +29,10 @@ def cycle(n):
 
 def k24():
     return SimpleGraph(6, [(0, j) for j in range(2, 6)] + [(1, j) for j in range(2, 6)])
+
+
+def k33():
+    return SimpleGraph(6, [(i, j) for i in range(3) for j in range(3, 6)])
 
 
 K24_BAD_LISTS = [[1, 2], [3, 4], [1, 3], [1, 4], [2, 3], [2, 4]]
@@ -55,6 +60,14 @@ def test_l_coloring_respects_lists():
     lists = [[0], [1], [0], [2]]
     got = l_coloring(g, ListAssignment.from_lists(lists))
     assert got == {0: 0, 1: 1, 2: 0, 3: 2}
+
+
+def test_l_coloring_reports_each_vertex_its_own_color_value():
+    # Colors of different kinds in different lists; 1 and True are equal.
+    edgeless = SimpleGraph(3, [])
+    got = l_coloring(edgeless, ListAssignment.from_lists([["a"], [1], [True]]))
+    assert [got[v] for v in range(3)] == ["a", 1, True]
+    assert type(got[1]) is int and got[2] is True
 
 
 def test_k2_demands():
@@ -132,7 +145,65 @@ def test_naive_list_oracle_small():
         assert (
             is_f_choosable(g, DemandFunction(f)).choosable
             == naive_f_choosable(g, f)
+            == pattern_f_choosable(g, f)
         )
+
+
+@pytest.mark.parametrize("name", ["k24", "k33", "c4", "c6"])
+def test_k2_agrees_with_pattern_oracle(name):
+    g = {"k24": k24(), "k33": k33(), "c4": cycle(4), "c6": cycle(6)}[name]
+    f = (2,) * g.vertex_count
+    assert is_f_choosable(g, DemandFunction(f)).choosable == pattern_f_choosable(g, f)
+
+
+def test_clique_grid_agrees_with_pattern_oracle():
+    checked = 0
+    for n in range(1, 5):
+        kn = complete(n)
+        for f in itertools.combinations_with_replacement(range(7), n):
+            checked += 1
+            verdict = is_f_choosable(kn, DemandFunction(f))
+            assert verdict.choosable == pattern_f_choosable(kn, f), f
+    assert checked == 329
+
+
+def test_random_graphs_agree_with_pattern_oracle():
+    rng = random.Random(20221)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        g = SimpleGraph(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        )
+        f = tuple(rng.randint(1, 3) for _ in range(n))
+        verdict = is_f_choosable(g, DemandFunction(f))
+        assert verdict.choosable == pattern_f_choosable(g, f), (g.edges(), f)
+
+
+@pytest.mark.parametrize(
+    "n,edges,f",
+    [
+        # Triangle plus a pendant vertex: greedy-last deletes the pendant.
+        (4, [(0, 1), (0, 2), (1, 2), (2, 3)], (2, 2, 2, 2)),
+        # Triangle plus a vertex joined to two corners: no vertex has more
+        # colors than neighbors, so the failing triangle is reached through
+        # the private-color branch.
+        (4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)], (2, 2, 2, 2)),
+        (3, [(0, 1), (0, 2), (1, 2)], (1, 1, 5)),
+    ],
+)
+def test_witness_lifted_from_proper_subgraph(n, edges, f):
+    g = SimpleGraph(n, edges)
+    verdict = is_f_choosable(g, DemandFunction(f))
+    assert not verdict.choosable
+    witness = verdict.bad_assignment
+    assert witness.sizes() == f
+    assert l_coloring(g, witness) is None
+    # The failure lives in G - v: v's lifted list shares no color.
+    lists = witness.lists
+    assert any(
+        lists[v].isdisjoint(frozenset().union(*lists[:v], *lists[v + 1 :]))
+        for v in range(n)
+    )
 
 
 def test_chromatic_numbers(named):
@@ -181,6 +252,19 @@ def test_choosability_monotone_in_demands(case):
     g, low, high = case
     if is_f_choosable(g, DemandFunction(low)).choosable:
         assert is_f_choosable(g, DemandFunction(high)).choosable
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graph_and_demands())
+def test_greedy_last_vertex_is_removable(case):
+    g, f, _ = case
+    verdict = is_f_choosable(g, DemandFunction(f)).choosable
+    for v in range(g.vertex_count):
+        if f[v] > g.degree(v):
+            others = [u for u in range(g.vertex_count) if u != v]
+            sub, kept = induced_subgraph(g, others)
+            sub_f = DemandFunction(tuple(f[u] for u in kept))
+            assert is_f_choosable(sub, sub_f).choosable == verdict
 
 
 @settings(max_examples=40, deadline=None)

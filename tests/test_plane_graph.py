@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_has_cycle
+from planecharge.corpus import random_class_member
 from planecharge.errors import (
     AsymmetricAdjacency,
     DuplicateNeighbor,
@@ -13,6 +14,7 @@ from planecharge.errors import (
     UnknownVertex,
 )
 from planecharge.plane_graph import (
+    adjacency_has_cycle_of_length,
     build_from_rotation,
     class_membership,
     degree,
@@ -122,6 +124,21 @@ def test_has_cycle_matches_naive_enumeration(class_members_6):
             assert has_cycle_of_length(g, k) == naive_has_cycle(
                 [g.neighbors(v) for v in range(g.vertex_count)], k
             )
+
+
+def test_has_cycle_on_bipartite_and_odd_hosts(named):
+    # Bipartite hosts (even cycles, grids, square and hexagonal lattice
+    # patches: seeds 0-7 draw both) take the 2-coloring shortcut for odd k;
+    # odd cycles take the path search.
+    hosts = [cycle_rotation(n) for n in range(3, 9)]
+    hosts += [named[name].rotation for name in ("c6", "q3", "grid3x3", "k24")]
+    hosts += [random_class_member(seed, 8).rotation for seed in range(8)]
+    for rotation in hosts:
+        adjacency = [frozenset(nbrs) for nbrs in rotation]
+        for k in range(3, 9):
+            assert adjacency_has_cycle_of_length(adjacency, k) == naive_has_cycle(
+                adjacency, k
+            ), (rotation, k)
 
 
 def test_class_membership(named):
