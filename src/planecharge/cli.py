@@ -3,16 +3,19 @@
 Every command reads graphs from JSON files ({"n": ..., "rot": [[...], ...]}),
 prints one deterministic JSON report to stdout, and exits 0 for successful
 queries (pass or info), 1 when a verification fails, and 2 on usage or
-input errors.
+input errors.  Report bytes equal ``json.dumps(body, sort_keys=True,
+indent=2)`` of the report body.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import discharging, matcher, reducibility
@@ -52,6 +55,8 @@ class RunReport:
         return 1 if self.outcome == "fail" else 0
 
     def to_json(self) -> str:
+        """The report as JSON text, byte-identical to ``json.dumps(body,
+        sort_keys=True, indent=2)``."""
         body = {
             "schema": REPORT_SCHEMA,
             "command": self.command,
@@ -60,7 +65,41 @@ class RunReport:
             "exit_code": self.exit_code,
             "payload": self.payload,
         }
-        return json.dumps(body, sort_keys=True, indent=2)
+        return _dumps(body)
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for values whose dict
+    keys are all str.  Any indent sends ``json.dumps`` to its pure-Python
+    encoder; this builds each container with one join instead.  ``newline``
+    is a line break plus the indent of the enclosing level."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)  # NaN and Infinity spelled as json spells them
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _dumps(value[k], inner)
+            for k in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _load(path: str) -> PlaneGraph:
@@ -121,6 +160,9 @@ def _parse_lists(text: str, n: int) -> ListAssignment:
         data = json.loads(text)
         if not isinstance(data, list) or len(data) != n:
             raise ValueError(f"need one list per vertex ({n})")
+        for v, colors in enumerate(data):
+            if not isinstance(colors, list):
+                raise ValueError(f"the list of vertex {v} is not an array")
         return ListAssignment.from_lists(data)
     except (ValueError, TypeError) as exc:
         raise CliInputError(f"bad --lists value: {exc}")
@@ -349,7 +391,9 @@ def _cmd_examples(args) -> RunReport:
     return RunReport("examples", {"out": args.out}, "info", payload)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every run."""
     parser = argparse.ArgumentParser(
         prog="planecharge",
         description="plane-graph configuration checking, choosability, and"

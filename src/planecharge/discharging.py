@@ -204,35 +204,40 @@ class FaceAudit:
 
 
 def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
+    """The sub-rule ledger of big face ``face``; IndexError when the graph
+    has no face with that index (negative indices included)."""
+    if not 0 <= face < graph.face_count:
+        raise IndexError(f"no face with index {face}")
     walk = graph.faces[face]
     length = len(walk)
     if length < 6:
         raise NotBigFace(face, length)
+    origin, target = graph.origin, graph.target
+    # edges[pos] is the walk edge at position pos, as (low, high).
+    edges = [
+        (origin[h], target[h]) if origin[h] < target[h] else (target[h], origin[h])
+        for h in walk
+    ]
 
-    def edge_at(pos: int) -> tuple[int, int]:
-        h = walk[pos % length]
-        u, v = graph.origin[h], graph.target[h]
-        return (u, v) if u < v else (v, u)
+    # Ledgers are kept in plain twelfths and wrapped as Charge at the end.
+    seed: dict[tuple[int, int], int] = {}
+    for e in edges:
+        seed[e] = seed.get(e, 0) + THIRD.twelfths
 
-    seed: dict[tuple[int, int], Charge] = {}
-    for pos in range(length):
-        e = edge_at(pos)
-        seed[e] = seed.get(e, ZERO) + THIRD
-
-    taken: dict[int, Charge] = {pos: ZERO for pos in range(length)}
-    received: dict[ElementKey, Charge] = {}
+    taken = [0] * length
+    received: dict[ElementKey, int] = {}
     transfers: list[Transfer] = []
 
     def take(rule: str, pos: int, sink: ElementKey, amount: Charge) -> None:
         pos %= length
-        taken[pos] = taken[pos] + amount
-        received[sink] = received.get(sink, ZERO) + amount
-        transfers.append(Transfer(rule, ("edge", edge_at(pos)), sink, amount))
+        taken[pos] += amount.twelfths
+        received[sink] = received.get(sink, 0) + amount.twelfths
+        transfers.append(Transfer(rule, ("edge", edges[pos]), sink, amount))
 
     for pos, h in enumerate(walk):
         # The walk vertex between edge positions pos-1 and pos.
-        v = graph.origin[h]
-        d = graph.degree(v)
+        v = origin[h]
+        d = len(graph.rotation[v])
         if d == 2:
             # Short pulls from both incident walk edges, long pulls from the
             # walk edges one step further out.
@@ -262,29 +267,28 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
             continue
         take("SubR1", pos, ("face", g3), THIRD)
         # An adjacent 3-face on one of g3's flanks pulls an extra 1/6 from
-        # the walk edge on that side of the shared edge.
-        a, b = graph.origin[h], graph.target[h]
+        # the walk edge on that side of the shared edge.  A 3-face is a
+        # triangle, so its only half-edge on the shared edge is twin[h].
+        a = origin[h]
         for hg in graph.faces[g3]:
-            flank = frozenset((graph.origin[hg], graph.target[hg]))
-            if flank == frozenset((a, b)):
+            if hg == graph.twin[h]:
                 continue
             other = graph.opposite_face(hg)
             if other != g3 and _is_three_face(graph, other):
-                take("SubR2", pos - 1 if a in flank else pos + 1, ("face", g3), SIXTH)
+                flank_has_a = a in (origin[hg], target[hg])
+                take("SubR2", pos - 1 if flank_has_a else pos + 1, ("face", g3), SIXTH)
 
-    edge_final: dict[tuple[int, int], Charge] = dict(seed)
-    for pos in range(length):
-        e = edge_at(pos)
-        edge_final[e] = edge_final[e] - taken[pos]
+    edge_final = dict(seed)
+    for e, t in zip(edges, taken):
+        edge_final[e] -= t
 
-    residual = Charge(12 * (length - 4) - 4 * length)
     audit = FaceAudit(
         face=face,
         length=length,
-        residual=residual,
-        edge_seed=seed,
-        edge_final=edge_final,
-        sink_received=received,
+        residual=Charge(12 * (length - 4) - 4 * length),
+        edge_seed={e: Charge(t) for e, t in seed.items()},
+        edge_final={e: Charge(t) for e, t in edge_final.items()},
+        sink_received={k: Charge(t) for k, t in received.items()},
         transfers=tuple(transfers),
     )
     assert audit.conserved()

@@ -58,7 +58,6 @@ class PlaneGraph:
         "_half_edge_at",
         "_adjacency",
         "_face_vertex_sets",
-        "_face_edge_sets",
     )
 
     def __init__(self, rotation: RotationSpec):
@@ -66,22 +65,23 @@ class PlaneGraph:
         n = len(rotation)
         _validate_rotation(n, rotation)
 
+        # The half-edges out of u are numbered consecutively in rotation
+        # order, so the next one around u is found by arithmetic.
         origin: list[int] = []
         target: list[int] = []
-        half_edge_at: dict[tuple[int, int], int] = {}
+        nxt: list[int] = []
         for u, nbrs in enumerate(rotation):
-            for v in nbrs:
-                half_edge_at[(u, v)] = len(origin)
-                origin.append(u)
-                target.append(v)
-
-        twin = [half_edge_at[(target[h], origin[h])] for h in range(len(origin))]
-
-        nxt = [0] * len(origin)
-        for u, nbrs in enumerate(rotation):
-            for i, v in enumerate(nbrs):
-                w = nbrs[(i + 1) % len(nbrs)]
-                nxt[half_edge_at[(u, v)]] = half_edge_at[(u, w)]
+            first = len(origin)
+            origin.extend([u] * len(nbrs))
+            target.extend(nbrs)
+            if nbrs:
+                nxt.extend(range(first + 1, len(origin)))
+                nxt.append(first)
+        half_edge_at = dict(zip(zip(origin, target), range(len(origin))))
+        twin = [half_edge_at.get(e) for e in zip(target, origin)]
+        if None in twin:  # u lists v but v does not list u
+            h = twin.index(None)
+            raise AsymmetricAdjacency(origin[h], target[h])
 
         self.vertex_count = n
         self.rotation = rotation
@@ -90,36 +90,11 @@ class PlaneGraph:
         self.twin = tuple(twin)
         self.next_around_origin = tuple(nxt)
         self._half_edge_at = half_edge_at
-        self._adjacency = tuple(frozenset(nbrs) for nbrs in rotation)
-        self.faces = self._trace_faces()
-        face_of = [0] * len(origin)
-        for i, walk in enumerate(self.faces):
-            for h in walk:
-                face_of[h] = i
-        self.face_of = tuple(face_of)
+        self._adjacency = tuple(map(frozenset, rotation))
+        self.faces, self.face_of = _trace_faces(twin, nxt)
         self._face_vertex_sets = tuple(
-            frozenset(self.origin[h] for h in walk) for walk in self.faces
+            frozenset(map(origin.__getitem__, walk)) for walk in self.faces
         )
-        self._face_edge_sets = tuple(
-            frozenset(frozenset((self.origin[h], self.target[h])) for h in walk)
-            for walk in self.faces
-        )
-
-    def _trace_faces(self) -> tuple[tuple[int, ...], ...]:
-        # Face successor of h is next_around_origin[twin[h]]; orbits are faces.
-        seen = [False] * len(self.origin)
-        faces: list[tuple[int, ...]] = []
-        for start in range(len(self.origin)):
-            if seen[start]:
-                continue
-            walk = []
-            h = start
-            while not seen[h]:
-                seen[h] = True
-                walk.append(h)
-                h = self.next_around_origin[self.twin[h]]
-            faces.append(tuple(walk))
-        return tuple(faces)
 
     # -- basic queries ----------------------------------------------------
 
@@ -168,9 +143,6 @@ class PlaneGraph:
     def face_vertex_set(self, i: int) -> frozenset[int]:
         return self._face_vertex_sets[i]
 
-    def face_edge_set(self, i: int) -> frozenset[frozenset[int]]:
-        return self._face_edge_sets[i]
-
     def faces_at(self, v: int) -> list[int]:
         """Face indices incident to v, with multiplicity (one per corner)."""
         self._check_vertex(v)
@@ -217,6 +189,8 @@ class PlaneGraph:
 
 
 def _validate_rotation(n: int, rotation: tuple[tuple[int, ...], ...]) -> None:
+    """Reject self-listings, unknown ids and duplicates; ``PlaneGraph``
+    rejects asymmetric lists when it pairs up twin half-edges."""
     for u, nbrs in enumerate(rotation):
         seen: set[int] = set()
         for v in nbrs:
@@ -227,10 +201,26 @@ def _validate_rotation(n: int, rotation: tuple[tuple[int, ...], ...]) -> None:
             if v in seen:
                 raise DuplicateNeighbor(u, v)
             seen.add(v)
-    for u, nbrs in enumerate(rotation):
-        for v in nbrs:
-            if u not in rotation[v]:
-                raise AsymmetricAdjacency(u, v)
+
+
+def _trace_faces(
+    twin: Sequence[int], nxt: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Face walks and the face of each half-edge.  The face successor of h
+    is ``nxt[twin[h]]``; its orbits are the faces."""
+    face_of = [-1] * len(twin)
+    faces: list[tuple[int, ...]] = []
+    for start in range(len(twin)):
+        if face_of[start] >= 0:
+            continue
+        walk = []
+        h = start
+        while face_of[h] < 0:
+            face_of[h] = len(faces)
+            walk.append(h)
+            h = nxt[twin[h]]
+        faces.append(tuple(walk))
+    return tuple(faces), tuple(face_of)
 
 
 def build_from_rotation(spec: RotationSpec) -> PlaneGraph:

@@ -121,21 +121,13 @@ def naive_planar_embedding_exists(adjacency):
 # -- brute-force configuration matching ---------------------------------------
 
 
-def _verts(g, fi):
-    return g.face_vertex_set(fi)
-
-
-def _has_shared_edge(g, fa, fb, edge):
-    return edge in g.face_edge_set(fa) and edge in g.face_edge_set(fb)
-
-
-def _face_partner_count(g, fi):
-    count = 0
-    for fj in range(g.face_count):
-        if fj == fi or g.face_length(fj) != 3:
-            continue
-        count += len(g.face_edge_set(fi) & g.face_edge_set(fj))
-    return count
+def _face_sets(g):
+    """Vertex set and edge set of every face, read off the half-edge walks."""
+    verts, edges = [], []
+    for walk in g.faces:
+        verts.append(frozenset(g.origin[h] for h in walk))
+        edges.append(frozenset(frozenset((g.origin[h], g.target[h])) for h in walk))
+    return verts, edges
 
 
 def brute_force_matches(g, config_id):
@@ -143,7 +135,11 @@ def brute_force_matches(g, config_id):
     faces = range(g.face_count)
     deg = g.degree
     adj = g.has_edge
+    face_verts, face_edges = _face_sets(g)
     out = set()
+
+    def shares(fa, fb, edge):
+        return edge in face_edges[fa] and edge in face_edges[fb]
 
     def emb(faces_=(), **roles):
         out.add(MatchEmbedding(config_id, tuple(sorted(roles.items())), faces_))
@@ -159,7 +155,7 @@ def brute_force_matches(g, config_id):
         want = 3 if config_id == "no2v3f" else 4
         for (v,) in itertools.permutations(range(n), 1):
             for fi in faces:
-                if deg(v) == 2 and g.face_length(fi) == want and v in _verts(g, fi):
+                if deg(v) == 2 and g.face_length(fi) == want and v in face_verts[fi]:
                     emb(faces_=(fi,), deg2=v)
     elif config_id == "no22v":
         for a, b in itertools.permutations(range(n), 2):
@@ -204,8 +200,8 @@ def brute_force_matches(g, config_id):
                     and deg(anchor) == 4
                     and adj(u, anchor)
                     and g.face_length(fi) == 3
-                    and anchor in _verts(g, fi)
-                    and u not in _verts(g, fi)
+                    and anchor in face_verts[fi]
+                    and u not in face_verts[fi]
                 ):
                     emb(faces_=(fi,), deg2=u, anchor=anchor)
     elif config_id in ("no3v_33f", "no3v_44f"):
@@ -216,22 +212,21 @@ def brute_force_matches(g, config_id):
                     deg(v) == 3
                     and g.face_length(fa) == want
                     and g.face_length(fb) == want
-                    and v in _verts(g, fa)
-                    and v in _verts(g, fb)
-                    and _has_shared_edge(g, fa, fb, frozenset((v, end)))
+                    and v in face_verts[fa]
+                    and v in face_verts[fb]
+                    and shares(fa, fb, frozenset((v, end)))
                 ):
                     emb(faces_=(fa, fb), deg3=v, shared_end=end)
     elif config_id == "no333f":
         for fi in faces:
-            if g.face_length(fi) != 3 or _face_partner_count(g, fi) < 2:
+            if g.face_length(fi) != 3:
                 continue
             partners = []
             for fj in faces:
                 if fj != fi and g.face_length(fj) == 3:
-                    partners.extend(
-                        [fj] * len(g.face_edge_set(fi) & g.face_edge_set(fj))
-                    )
-            emb(faces_=(fi,) + tuple(sorted(partners)))
+                    partners.extend([fj] * len(face_edges[fi] & face_edges[fj]))
+            if len(partners) >= 2:
+                emb(faces_=(fi,) + tuple(sorted(partners)))
     elif config_id == "no34f":
         for u, v in itertools.permutations(range(n), 2):
             if u >= v:
@@ -241,7 +236,7 @@ def brute_force_matches(g, config_id):
                     if (
                         g.face_length(fi) == 3
                         and g.face_length(fj) == 4
-                        and _has_shared_edge(g, fi, fj, frozenset((u, v)))
+                        and shares(fi, fj, frozenset((u, v)))
                     ):
                         emb(faces_=(fi, fj), shared_u=u, shared_v=v)
     elif config_id == "no3v3f3f":
@@ -255,9 +250,9 @@ def brute_force_matches(g, config_id):
                         and deg(v) == 3
                         and g.face_length(fi) == 3
                         and g.face_length(fj) == 3
-                        and v in _verts(g, fi)
-                        and v not in _verts(g, fj)
-                        and _has_shared_edge(g, fi, fj, frozenset((a, b)))
+                        and v in face_verts[fi]
+                        and v not in face_verts[fj]
+                        and shares(fi, fj, frozenset((a, b)))
                     ):
                         emb(faces_=(fi, fj), deg3=v, shared_a=a, shared_b=b)
     elif config_id == "no3v3f_3f":
@@ -269,8 +264,8 @@ def brute_force_matches(g, config_id):
                         and deg(v) == 3
                         and g.face_length(fi) == 3
                         and g.face_length(fj) == 3
-                        and v in _verts(g, fi)
-                        and _verts(g, fi) & _verts(g, fj) == {pivot}
+                        and v in face_verts[fi]
+                        and face_verts[fi] & face_verts[fj] == {pivot}
                     ):
                         emb(faces_=(fi, fj), deg3=v, pivot=pivot)
     elif config_id == "no3v_3f3v":
@@ -282,20 +277,20 @@ def brute_force_matches(g, config_id):
                     and deg(w) == 3
                     and adj(v, anchor)
                     and g.face_length(fi) == 3
-                    and anchor in _verts(g, fi)
-                    and w in _verts(g, fi)
-                    and v not in _verts(g, fi)
+                    and anchor in face_verts[fi]
+                    and w in face_verts[fi]
+                    and v not in face_verts[fi]
                 ):
                     emb(faces_=(fi,), deg3_off=v, anchor=anchor, deg3_on=w)
     elif config_id == "no3v_m3f3f":
         for v, near, far in itertools.permutations(range(n), 3):
             for fa, fb in itertools.combinations(faces, 2):
-                blocked = _verts(g, fa) | _verts(g, fb)
+                blocked = face_verts[fa] | face_verts[fb]
                 if (
                     deg(v) == 3
                     and g.face_length(fa) == 3
                     and g.face_length(fb) == 3
-                    and _has_shared_edge(g, fa, fb, frozenset((near, far)))
+                    and shares(fa, fb, frozenset((near, far)))
                     and adj(v, near)
                     and v not in blocked
                 ):
@@ -303,13 +298,13 @@ def brute_force_matches(g, config_id):
     elif config_id == "no2v__m3f3f":
         for d2, mid, near, far in itertools.permutations(range(n), 4):
             for fa, fb in itertools.combinations(faces, 2):
-                blocked = _verts(g, fa) | _verts(g, fb)
+                blocked = face_verts[fa] | face_verts[fb]
                 if (
                     deg(d2) == 2
                     and deg(mid) == 4
                     and g.face_length(fa) == 3
                     and g.face_length(fb) == 3
-                    and _has_shared_edge(g, fa, fb, frozenset((near, far)))
+                    and shares(fa, fb, frozenset((near, far)))
                     and adj(near, mid)
                     and adj(mid, d2)
                     and mid not in blocked

@@ -95,6 +95,15 @@ def test_audit_rejects_small_faces(named):
         edge_level_audit(q3, 0)
 
 
+def test_audit_rejects_face_indices_outside_range(named):
+    for g in (named["c6"], named["hexprism"]):
+        for face in (-1, g.face_count):
+            with pytest.raises(IndexError):
+                edge_level_audit(g, face)
+            with pytest.raises(IndexError):
+                reconcile_face(g, face)
+
+
 def test_audit_c6(named):
     g = named["c6"]
     audit = edge_level_audit(g, 0)
