@@ -1,9 +1,12 @@
 """Example graphs, desk-scale class enumeration, and seeded lattice members.
 
-Enumeration generates connected max-degree-4 graphs by vertex augmentation
-with canonical-form deduplication, filters out 5-cycles, and then searches
-for a planar rotation system directly: a graph is accepted exactly when
-some rotation system traces E - V + 2 faces.  Sizes are tiny, so the
+Enumeration grows class members only: each member on n vertices comes from
+one on n-1 by attaching a new vertex, since every parent of a member is a
+member.  A child whose new vertex closes a 5-cycle is dropped at once;
+the rest are deduplicated by a branch-and-bound canonical form, and each
+new isomorphism class is then searched for a planar rotation system
+directly: a graph is accepted exactly when some rotation system traces
+E - V + 2 faces, and keeps that embedding.  Sizes are tiny, so the
 exhaustive search with face-count pruning beats importing a planarity
 algorithm.
 """
@@ -134,8 +137,17 @@ def named_examples() -> list[NamedGraph]:
 
 
 def canonical_form(n: int, adjacency: Sequence[frozenset[int]]) -> tuple:
-    """A permutation-invariant key: the lexicographically smallest row-mask
-    tuple over all vertex orders consistent with iterated degree refinement."""
+    """A permutation-invariant key: the lexicographically smallest tuple of
+    earlier-neighbour row masks over all vertex orders consistent with
+    iterated degree refinement.
+
+    Row i of an order is the bitmask of the positions before i that hold
+    neighbours of the i-th vertex, so the rows fix the labelled graph and
+    their minimum over an isomorphism-invariant set of orders is a canonical
+    form.  A depth-first branch and bound fills positions cell by cell: at
+    each position only the candidates with the smallest row are tried, and a
+    branch is cut as soon as its prefix exceeds the best key's prefix.
+    """
     color = [len(adjacency[v]) for v in range(n)]
     while True:
         sig = [
@@ -150,41 +162,47 @@ def canonical_form(n: int, adjacency: Sequence[frozenset[int]]) -> tuple:
     classes: dict[int, list[int]] = {}
     for v in range(n):
         classes.setdefault(color[v], []).append(v)
-    parts = [classes[c] for c in sorted(classes)]
+    cell_at = [classes[c] for c in sorted(classes) for _ in classes[c]]
 
-    best: Optional[tuple[int, ...]] = None
-    for perm_parts in itertools.product(*[itertools.permutations(p) for p in parts]):
-        order = [v for part in perm_parts for v in part]
-        position = {v: i for i, v in enumerate(order)}
-        rows = []
-        for v in order:
-            mask = 0
+    rows = [0] * n  # earlier-neighbour mask of each vertex under the prefix
+    placed = [False] * n
+    prefix: list[int] = []
+    best: tuple[int, ...] = ()
+
+    def extend(i: int, below: bool) -> bool:
+        # Fill positions i.. and report whether a leaf set a new best key;
+        # below: the prefix is already smaller than the best key's prefix
+        # (always true before the first leaf).
+        nonlocal best
+        if i == n:
+            best = tuple(prefix)
+            return True
+        candidates = [v for v in cell_at[i] if not placed[v]]
+        row = min(rows[v] for v in candidates)
+        if not below:
+            if row > best[i]:
+                return False
+            below = row < best[i]
+        prefix.append(row)
+        bit = 1 << i
+        improved = False
+        for v in candidates:
+            if rows[v] != row:
+                continue
+            placed[v] = True
             for u in adjacency[v]:
-                mask |= 1 << position[u]
-            rows.append(mask)
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
+                rows[u] |= bit
+            if extend(i + 1, below):
+                improved = True
+                below = False  # the new best key shares this prefix
+            for u in adjacency[v]:
+                rows[u] &= ~bit
+            placed[v] = False
+        prefix.pop()
+        return improved
+
+    extend(0, True)
     return (n, best)
-
-
-@lru_cache(maxsize=None)
-def _connected_max4(n: int) -> tuple[Adjacency, ...]:
-    """Connected simple graphs with max degree 4 on n vertices, up to
-    isomorphism, built by attaching one new vertex to graphs on n-1."""
-    if n == 1:
-        return ((frozenset(),),)
-    out: dict[tuple, Adjacency] = {}
-    for parent in _connected_max4(n - 1):
-        open_slots = [v for v in range(n - 1) if len(parent[v]) < 4]
-        for k in range(1, min(4, len(open_slots)) + 1):
-            for chosen in itertools.combinations(open_slots, k):
-                adj = [set(s) for s in parent] + [set(chosen)]
-                for v in chosen:
-                    adj[v].add(n - 1)
-                frozen = tuple(frozenset(s) for s in adj)
-                out.setdefault(canonical_form(n, frozen), frozen)
-    return tuple(out.values())
 
 
 # -- planar embedding search ---------------------------------------------------
@@ -308,20 +326,62 @@ def planar_embeddings(
 # -- class enumeration ----------------------------------------------------------
 
 
-def _class_candidates(n: int) -> Iterator[Adjacency]:
-    for adjacency in _connected_max4(n):
-        edge_count = sum(len(s) for s in adjacency) // 2
-        if n >= 3:
-            if edge_count > 3 * n - 6:
-                continue
-            # Triangle-free simple planar graphs have at most 2n-4 edges.
-            if edge_count > 2 * n - 4 and not adjacency_has_cycle_of_length(
-                adjacency, 3
-            ):
-                continue
-        if adjacency_has_cycle_of_length(adjacency, 5):
-            continue
-        yield adjacency
+def _closes_5_cycle(
+    parent: Sequence[frozenset[int]], chosen: Sequence[int]
+) -> bool:
+    """Whether a new vertex joined to ``chosen`` lies on a 5-cycle: some two
+    chosen vertices a, b end a path a-c-d-b of three edges in the parent."""
+    for a, b in itertools.combinations(chosen, 2):
+        for c in parent[a]:
+            if c != b and (parent[c] & parent[b]) - {a}:
+                return True
+    return False
+
+
+def _embed_member(adjacency: Adjacency) -> Optional[PlaneGraph]:
+    """A planar embedding of a connected max-degree-4 graph without
+    5-cycles, or None if it has none."""
+    n = len(adjacency)
+    edge_count = sum(len(s) for s in adjacency) // 2
+    # Triangle-free simple planar graphs have at most 2n-4 edges.
+    if (
+        n >= 3
+        and edge_count > 2 * n - 4
+        and not adjacency_has_cycle_of_length(adjacency, 3)
+    ):
+        return None
+    return find_planar_embedding(adjacency)
+
+
+@lru_cache(maxsize=None)
+def _members(n: int) -> tuple[PlaneGraph, ...]:
+    """Connected class members on n vertices, one per isomorphism class, each
+    in the embedding found for it, built by attaching one new vertex to
+    members on n-1.
+
+    Planarity, max degree 4 and having no 5-cycle survive taking induced
+    subgraphs, and every connected graph has a vertex whose removal leaves it
+    connected, so members on n-1 vertices are the only parents needed.  The
+    first graph seen of each isomorphism class is its representative.
+    """
+    if n == 1:
+        return (build_from_rotation([[]]),)
+    out: dict[tuple, Optional[PlaneGraph]] = {}
+    for member in _members(n - 1):
+        parent = [member.neighbors(v) for v in range(n - 1)]
+        open_slots = [v for v in range(n - 1) if len(parent[v]) < 4]
+        for k in range(1, min(4, len(open_slots)) + 1):
+            for chosen in itertools.combinations(open_slots, k):
+                if _closes_5_cycle(parent, chosen):
+                    continue  # the parent has none, so this child is out
+                adj = [set(s) for s in parent] + [set(chosen)]
+                for v in chosen:
+                    adj[v].add(n - 1)
+                frozen = tuple(frozenset(s) for s in adj)
+                key = canonical_form(n, frozen)
+                if key not in out:
+                    out[key] = _embed_member(frozen)
+    return tuple(g for g in out.values() if g is not None)
 
 
 def enumerate_class(n_max: int) -> Iterator[PlaneGraph]:
@@ -330,10 +390,7 @@ def enumerate_class(n_max: int) -> Iterator[PlaneGraph]:
     if n_max not in ENUMERATION_SIZES:
         raise NOutOfRange(n_max, ENUMERATION_SIZES)
     for n in range(ENUMERATION_SIZES[0], n_max + 1):
-        for adjacency in _class_candidates(n):
-            graph = find_planar_embedding(adjacency)
-            if graph is not None:
-                yield graph
+        yield from _members(n)
 
 
 # -- seeded lattice members ------------------------------------------------------

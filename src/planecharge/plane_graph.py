@@ -190,10 +190,13 @@ class PlaneGraph:
 
 def _validate_rotation(n: int, rotation: tuple[tuple[int, ...], ...]) -> None:
     """Reject self-listings, unknown ids and duplicates; ``PlaneGraph``
-    rejects asymmetric lists when it pairs up twin half-edges."""
+    rejects asymmetric lists when it pairs up twin half-edges.  A bool is
+    not a vertex id, though Python counts it as an int."""
     for u, nbrs in enumerate(rotation):
         seen: set[int] = set()
         for v in nbrs:
+            if isinstance(v, bool):
+                raise UnknownVertex(v)
             if v == u:
                 raise SelfLoop(u)
             if not isinstance(v, int) or not 0 <= v < n:
@@ -405,7 +408,7 @@ def from_file_dict(data: dict) -> PlaneGraph:
         raise ValueError("graph file needs fields 'n' and 'rot'")
     n = data["n"]
     rot = data["rot"]
-    if not isinstance(n, int) or not isinstance(rot, list) or len(rot) != n:
+    if type(n) is not int or not isinstance(rot, list) or len(rot) != n:
         raise ValueError("graph file field 'rot' must be an array of n arrays")
     return build_from_rotation(rot)
 

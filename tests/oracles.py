@@ -2,11 +2,14 @@
 
 Everything here recomputes results the slow, obviously-correct way:
 exhaustive permutations for cycles and matches, explicit list enumeration
-and unreduced atom-pattern enumeration for choosability, and unpruned
-rotation products for planarity.
+and unreduced atom-pattern enumeration for choosability, unpruned
+rotation products for planarity, and every cell-consistent vertex order
+for canonical forms, over every connected max-degree-4 graph.
 """
 
 import itertools
+from functools import lru_cache
+from typing import Optional
 
 from planecharge.choosability import ListAssignment, l_coloring
 from planecharge.matcher import MatchEmbedding
@@ -116,6 +119,63 @@ def naive_planar_embedding_exists(adjacency):
         if g.face_count == target:
             return True
     return False
+
+
+# -- brute-force canonical forms and unpruned augmentation ----------------------
+
+
+def brute_canonical_form(n, adjacency):
+    """A permutation-invariant key: the lexicographically smallest row-mask
+    tuple over all vertex orders consistent with iterated degree refinement."""
+    color = [len(adjacency[v]) for v in range(n)]
+    while True:
+        sig = [
+            (color[v], tuple(sorted(color[u] for u in adjacency[v])))
+            for v in range(n)
+        ]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        refined = [palette[sig[v]] for v in range(n)]
+        if refined == color:
+            break
+        color = refined
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(color[v], []).append(v)
+    parts = [classes[c] for c in sorted(classes)]
+
+    best: Optional[tuple[int, ...]] = None
+    for perm_parts in itertools.product(*[itertools.permutations(p) for p in parts]):
+        order = [v for part in perm_parts for v in part]
+        position = {v: i for i, v in enumerate(order)}
+        rows = []
+        for v in order:
+            mask = 0
+            for u in adjacency[v]:
+                mask |= 1 << position[u]
+            rows.append(mask)
+        key = tuple(rows)
+        if best is None or key < best:
+            best = key
+    return (n, best)
+
+
+@lru_cache(maxsize=None)
+def connected_max4_oracle(n):
+    """Connected simple graphs with max degree 4 on n vertices, up to
+    isomorphism, built by attaching one new vertex to graphs on n-1."""
+    if n == 1:
+        return ((frozenset(),),)
+    out = {}
+    for parent in connected_max4_oracle(n - 1):
+        open_slots = [v for v in range(n - 1) if len(parent[v]) < 4]
+        for k in range(1, min(4, len(open_slots)) + 1):
+            for chosen in itertools.combinations(open_slots, k):
+                adj = [set(s) for s in parent] + [set(chosen)]
+                for v in chosen:
+                    adj[v].add(n - 1)
+                frozen = tuple(frozenset(s) for s in adj)
+                out.setdefault(brute_canonical_form(n, frozen), frozen)
+    return tuple(out.values())
 
 
 # -- brute-force configuration matching ---------------------------------------

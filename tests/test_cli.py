@@ -147,6 +147,26 @@ def test_discharge_face_outside_range_exits_2(graph_dir, capsys):
         assert captured.err == f"error: no face with index {face}\n"
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"n": 3, "rot": [[True, 2], [0, 2], [1, 0]]},
+        {"n": 2, "rot": [[1], [False]]},
+        {"n": True, "rot": [[]]},
+    ],
+)
+def test_bool_vertex_ids_exit_2(tmp_path, capsys, graph):
+    path = tmp_path / "bool.graph"
+    path.write_text(json.dumps(graph))
+    assert main(["square", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: bad graph file ")
+    assert "Traceback" not in captured.err
+
+
 def test_parser_is_reused_without_leaking_state(graph_dir):
     path = str(graph_dir / "c6.graph")
     first = run(["discharge", path, "--face", "0", "--ledger"])

@@ -1,8 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from oracles import naive_planar_embedding_exists
+from oracles import (
+    brute_canonical_form,
+    connected_max4_oracle,
+    naive_planar_embedding_exists,
+)
 from planecharge.corpus import (
     canonical_form,
     enumerate_class,
@@ -84,6 +89,65 @@ def test_enumeration_isomorph_free(class_members_6):
     assert len(set(forms)) == len(forms)
 
 
+def _relabel(adjacency, perm):
+    """The graph with vertex v renamed perm[v]."""
+    out = [None] * len(adjacency)
+    for v, nbrs in enumerate(adjacency):
+        out[perm[v]] = frozenset(perm[u] for u in nbrs)
+    return tuple(out)
+
+
+def test_canonical_form_agrees_with_brute_force():
+    """Equal keys exactly when the brute-force keys are equal, over every
+    connected max-degree-4 graph on up to 7 vertices and relabellings."""
+    rng = random.Random(5)
+    pairs = set()
+    for n in range(1, 8):
+        for adjacency in connected_max4_oracle(n):
+            variants = [adjacency]
+            for _ in range(2):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                variants.append(_relabel(adjacency, perm))
+            for g in variants:
+                pairs.add((brute_canonical_form(n, g), canonical_form(n, g)))
+    brute_keys = {b for b, _ in pairs}
+    assert len(brute_keys) == sum(len(connected_max4_oracle(n)) for n in range(1, 8))
+    assert len(pairs) == len(brute_keys) == len({c for _, c in pairs})
+
+
+def _old_rule_members(n):
+    """The unpruned enumeration filtered as members: edge bounds, no
+    5-cycle, then a planar embedding."""
+    for adjacency in connected_max4_oracle(n):
+        edge_count = sum(len(s) for s in adjacency) // 2
+        if n >= 3:
+            if edge_count > 3 * n - 6:
+                continue
+            if edge_count > 2 * n - 4 and not adjacency_has_cycle_of_length(
+                adjacency, 3
+            ):
+                continue
+        if adjacency_has_cycle_of_length(adjacency, 5):
+            continue
+        graph = find_planar_embedding(adjacency)
+        if graph is not None:
+            yield graph
+
+
+def test_enumeration_equals_unpruned_oracle():
+    """Same graphs, same embeddings, same order as the unpruned generator."""
+    expected = [g.rotation for n in range(2, 8) for g in _old_rule_members(n)]
+    assert [g.rotation for g in enumerate_class(7)] == expected
+
+
+def test_member_counts_per_size():
+    counts = {}
+    for g in enumerate_class(8):
+        counts[g.vertex_count] = counts.get(g.vertex_count, 0) + 1
+    assert counts == {2: 1, 3: 2, 4: 6, 5: 13, 6: 34, 7: 95, 8: 335}
+
+
 def _naive_class_forms(n):
     """Generate-and-filter over all edge subsets of the complete graph."""
     forms = set()
@@ -128,8 +192,6 @@ def test_enumeration_complete_vs_naive(n):
 
 
 def test_embedding_search_agrees_with_exhaustive():
-    from planecharge.corpus import _connected_max4
-
     cases = [
         # K3,3: not planar
         tuple(
@@ -137,8 +199,8 @@ def test_embedding_search_agrees_with_exhaustive():
             for v in range(6)
         ),
     ]
-    cases += list(_connected_max4(5))
-    cases += list(_connected_max4(6))[::7]  # every 7th 6-vertex graph
+    cases += list(connected_max4_oracle(5))
+    cases += list(connected_max4_oracle(6))[::7]  # every 7th 6-vertex graph
     for adjacency in cases:
         mine = find_planar_embedding(adjacency) is not None
         assert mine == naive_planar_embedding_exists(adjacency)

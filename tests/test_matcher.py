@@ -155,7 +155,7 @@ def test_unavoidability_to_eight_vertices():
     for g in enumerate_class(8):
         count += 1
         assert find_any_reducible(g) is not None
-    assert count > 400
+    assert count == 486
 
 
 @pytest.mark.parametrize("rim", [5, 6])
