@@ -3,8 +3,9 @@
 Everything here recomputes results the slow, obviously-correct way:
 exhaustive permutations for cycles and matches, explicit list enumeration
 and unreduced atom-pattern enumeration for choosability, unpruned
-rotation products for planarity, and every cell-consistent vertex order
-for canonical forms, over every connected max-degree-4 graph.
+rotation products for planarity, every cell-consistent vertex order for
+canonical forms, and vertex augmentation over every connected
+max-degree-4 graph rather than class members only.
 """
 
 import itertools
