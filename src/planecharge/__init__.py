@@ -37,10 +37,8 @@ from .plane_graph import (
     build_from_layout,
     build_from_rotation,
     class_membership,
-    degree,
     has_cycle_of_length,
     load_graph_file,
-    trace_faces,
 )
 from .reducibility import (
     CatalogEntryResult,
@@ -78,7 +76,6 @@ __all__ = [
     "chromatic_number",
     "class_membership",
     "clique_f_choosable",
-    "degree",
     "edge_level_audit",
     "enumerate_class",
     "f_values",
@@ -99,7 +96,6 @@ __all__ = [
     "random_class_member",
     "reconcile_face",
     "square",
-    "trace_faces",
     "verify_catalog",
     "verify_reduction",
 ]

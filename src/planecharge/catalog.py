@@ -1,10 +1,29 @@
 """The configuration catalog.
 
-Each reducible entry carries a generic instance: a concrete plane fragment
-in which the forbidden structure appears with nothing overlapping and every
-relevant vertex completed to maximum degree 4.  Vertices whose distance
-from the removed/recolored core exceeds two are truncated, since only
-vertices within distance two contribute to the demand counts.
+Each configuration is stated once, as a spec in ``SPEC_TEXT``.  The matcher
+searches hosts for it, and this module builds from the same spec each
+reducible entry's generic instance: the forbidden structure with nothing
+overlapping and every vertex within distance two of the removed/recolored
+core completed to maximum degree 4.  Farther vertices are left out, since
+only vertices within distance two count in the demands.
+
+An instance is built in three steps.
+
+- Fragment: the spec's roles, its ``edge`` clauses and its witness faces.
+  A witness face is a cycle through the roles that ``on``, ``share`` and
+  ``meet`` put on it, in id order, and then through its free vertices: new
+  vertices that fill the face up to its length.
+- Embedding: the first of ``corpus.planar_embeddings`` in which every
+  witness cycle is a face.
+- Completion: every core vertex, and every vertex at distance one from the
+  core, gets new pad neighbours up to its spec degree (4 if the spec gives
+  none).  A core vertex's pads (stems) are at distance one, so they are
+  completed in turn; the other pads are leaves.  A vertex's pads go into its
+  first corner outside the witness faces.
+
+Vertex ids follow the build: roles in spec order, a witness face's free
+vertices right after the last of its roles, then the pads of each vertex in
+id order.  ``_REDUCTIONS`` gives the rest of an entry by role name.
 
 Structural entries (disconnectedness and the two face-adjacency bans) have
 no generic instance; they record derivation cases that lean on other
@@ -14,37 +33,99 @@ where one can be built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .plane_graph import PlaneGraph, named_layout
+from .corpus import planar_embeddings
+from .errors import UnknownConfig
+from .plane_graph import PlaneGraph, build_from_layout, build_from_rotation
 
-CATALOG_ORDER = (
-    "conn",
-    "no1v",
-    "no2v3f",
-    "no2v4f",
-    "no22v",
-    "no23v",
-    "no33v",
-    "no242v",
-    "no243v",
-    "no2v_3f",
-    "no3v_33f",
-    "no333f",
-    "no34f",
-    "no3v_44f",
-    "no3v3f3f",
-    "no3v3f_3f",
-    "no3v_3f3v",
-    "no3v_m3f3f",
-    "no2v__m3f3f",
-)
+# A spec is a list of clauses separated by ``;``:
+#
+# - ``role NAME [DEGREE]``: a vertex, of exactly that degree if one is given;
+# - ``face NAME LENGTH``: a witness face of exactly that length;
+# - ``edge A B`` / ``nonedge A B``: roles A and B are adjacent, or not;
+# - ``on R F`` / ``off R F``: role R lies on face F, or not;
+# - ``share F G A B``: the edge between roles A and B lies on faces F and G;
+# - ``meet F G R``: faces F and G have exactly the vertex R in common;
+# - ``lt X Y``: a tie-break, the id of X is below that of Y.
+#
+# Roles are distinct vertices and faces are distinct faces.  The order of
+# the entries is the catalog order, which is also the matcher's scan order.
+SPEC_TEXT = {
+    "conn": "",
+    "no1v": "role leaf 1",
+    "no2v3f": "face f 3; role deg2 2; on deg2 f",
+    "no2v4f": "face f 4; role deg2 2; on deg2 f",
+    "no22v": "role deg2_a 2; role deg2_b 2; edge deg2_a deg2_b; lt deg2_a deg2_b",
+    "no23v": "role deg2 2; role deg3 3; edge deg2 deg3",
+    "no33v": "role deg3_a 3; role deg3_b 3; edge deg3_a deg3_b; lt deg3_a deg3_b",
+    "no242v": "role deg2_a 2; role middle 4; role deg2_b 2; edge deg2_a middle;"
+    " edge middle deg2_b; nonedge deg2_a deg2_b; lt deg2_a deg2_b",
+    "no243v": "role deg2 2; role middle 4; role deg3 3; edge deg2 middle;"
+    " edge middle deg3; nonedge deg2 deg3",
+    "no2v_3f": "face f 3; role anchor 4; role deg2 2; on anchor f;"
+    " edge deg2 anchor; off deg2 f",
+    "no3v_33f": "face fa 3; role deg3 3; role shared_end; face fb 3; lt fa fb;"
+    " share fa fb deg3 shared_end",
+    "no333f": "face f 3",
+    "no34f": "face f 3; role shared_u; role shared_v; face g 4;"
+    " share f g shared_u shared_v; lt shared_u shared_v",
+    "no3v_44f": "face fa 4; role deg3 3; role shared_end; face fb 4; lt fa fb;"
+    " share fa fb deg3 shared_end",
+    "no3v3f3f": "face f 3; role deg3 3; role shared_a; role shared_b; face g 3;"
+    " on deg3 f; off deg3 g; share f g shared_a shared_b; lt shared_a shared_b",
+    "no3v3f_3f": "face f 3; role deg3 3; role pivot; face g 3; on deg3 f;"
+    " meet f g pivot",
+    "no3v_3f3v": "face f 3; role anchor 4; role deg3_on 3; role deg3_off 3;"
+    " on anchor f; on deg3_on f; edge deg3_off anchor; off deg3_off f",
+    "no3v_m3f3f": "face fa 3; role near_end; role far_end; face fb 3; role deg3 3;"
+    " lt fa fb; share fa fb near_end far_end; edge deg3 near_end;"
+    " off deg3 fa; off deg3 fb",
+    "no2v__m3f3f": "face fa 3; role near_end; role far_end; face fb 3;"
+    " role middle 4; role deg2 2; lt fa fb; share fa fb near_end far_end;"
+    " edge near_end middle; edge middle deg2; off middle fa; off middle fb;"
+    " off deg2 fa; off deg2 fb",
+}
 
-REDUCIBLE_IDS = tuple(c for c in CATALOG_ORDER if c not in ("conn", "no333f", "no34f"))
+# Per reducible entry, by role name: the removed set X, the recolored set R,
+# the role pair that Y drops besides every edge at X, the expected demands
+# (by role, or only their multiset), and whether the core's square is checked
+# again with every missing core pair filled in.
+_REDUCTIONS = {
+    "no1v": ("leaf", "", "", {"leaf": 8}, False),
+    "no2v3f": ("deg2", "", "", {"deg2": 6}, False),
+    "no2v4f": ("deg2", "", "", {"deg2": 5}, False),
+    "no22v": ("deg2_a deg2_b", "", "", {"deg2_a": 7, "deg2_b": 7}, False),
+    "no23v": ("", "deg2 deg3", "deg2 deg3", {"deg2": 6, "deg3": 3}, False),
+    "no33v": ("", "deg3_a deg3_b", "deg3_a deg3_b", {"deg3_a": 2, "deg3_b": 2}, False),
+    "no242v": ("deg2_a deg2_b", "middle", "", {"deg2_a": 6, "middle": 2, "deg2_b": 6}, False),
+    "no243v": ("deg2", "middle deg3", "", {"deg2": 6, "middle": 1, "deg3": 2}, False),
+    "no2v_3f": ("deg2", "anchor", "", {"anchor": 1, "deg2": 5}, False),
+    "no3v_33f": ("", "deg3", "deg3 shared_end", {"deg3": 4}, False),
+    "no3v_44f": ("", "deg3", "deg3 shared_end", {"deg3": 2}, False),
+    "no3v3f3f": ("", "shared_a shared_b", "shared_a shared_b", {"shared_a": 2, "shared_b": 2}, False),
+    "no3v3f_3f": ("", "deg3 pivot", "deg3 pivot", {"deg3": 3, "pivot": 2}, False),
+    "no3v_3f3v": ("", "anchor deg3_on", "anchor deg3_on", {"anchor": 1, "deg3_on": 3}, False),
+    "no3v_m3f3f": ("", "near_end far_end", "near_end far_end", {"near_end": 2, "far_end": 1}, False),
+    # The per-endpoint split of the demands 2 and 3 is easy to get
+    # backwards, so only the multiset is pinned for this entry.
+    "no2v__m3f3f": ("", "near_end far_end middle deg2", "near_end far_end", (1, 2, 3, 6), True),
+}
+
+CATALOG_ORDER = tuple(SPEC_TEXT)
 STRUCTURAL_IDS = ("conn", "no333f", "no34f")
+REDUCIBLE_IDS = tuple(c for c in CATALOG_ORDER if c not in STRUCTURAL_IDS)
+
+_MAX_DEGREE = 4
+# Far above the number of embeddings of any fragment (at most 3).
+_EMBEDDING_LIMIT = 10**4
+
+
+def spec_clauses(config_id: str) -> list[list[str]]:
+    """The clauses of a configuration's spec, each split into its words."""
+    return [c.split() for c in SPEC_TEXT[config_id].split(";") if c.strip()]
 
 
 @dataclass(frozen=True)
@@ -88,532 +169,165 @@ class Configuration:
         return {self.roles[name]: f for name, f in self.expected_f.items()}
 
 
-def _pol(angle_deg: float, radius: float = 1.0) -> tuple[float, float]:
-    a = math.radians(angle_deg)
-    return (radius * math.cos(a), radius * math.sin(a))
+def _fragment(
+    config_id: str,
+) -> tuple[dict[str, int], list[int], list[list[int]], list[set[int]]]:
+    """The roles' ids, every fragment vertex's spec degree, the witness
+    cycles and the adjacency of the fragment."""
+    degree: dict[str, int] = {}
+    on: dict[str, set[str]] = {}  # witness face -> the roles on it
+    length: dict[str, int] = {}
+    edges = []
+    for kind, *args in spec_clauses(config_id):
+        if kind == "role":
+            degree[args[0]] = int(args[1]) if args[1:] else _MAX_DEGREE
+        elif kind == "face":
+            on[args[0]], length[args[0]] = set(), int(args[1])
+        elif kind == "edge":
+            edges.append(args)
+        elif kind == "on":
+            on[args[1]].add(args[0])
+        elif kind in ("share", "meet"):
+            for face in args[:2]:
+                on[face].update(args[2:])
+
+    ids: dict[str, int] = {}
+    want: list[int] = []
+    cycles: list[list[int]] = []
+    for role, d in degree.items():
+        ids[role] = len(want)
+        want.append(d)
+        for face, roles in on.items():
+            if role in roles and roles <= ids.keys():
+                free = range(len(want), len(want) + length[face] - len(roles))
+                want.extend(_MAX_DEGREE for _ in free)
+                cycles.append(sorted(ids[r] for r in roles) + list(free))
+
+    adjacency: list[set[int]] = [set() for _ in want]
+    pairs = [(ids[a], ids[b]) for a, b in edges]
+    pairs += [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
+    for a, b in pairs:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return ids, want, cycles, adjacency
 
 
-class _Fragment:
-    """Accumulates a named straight-line drawing of one generic instance."""
-
-    def __init__(self) -> None:
-        self.points: dict[str, tuple[float, float]] = {}
-        self.edges: list[tuple[str, str]] = []
-        self._pads = 0
-
-    def put(self, name: str, base: Optional[str], offset: tuple[float, float]) -> str:
-        bx, by = self.points[base] if base else (0.0, 0.0)
-        self.points[name] = (bx + offset[0], by + offset[1])
-        return name
-
-    def edge(self, a: str, b: str) -> None:
-        self.edges.append((a, b))
-
-    def leaf(self, base: str, angle_deg: float, radius: float = 1.0) -> str:
-        name = f"pad{self._pads}"
-        self._pads += 1
-        self.put(name, base, _pol(angle_deg, radius))
-        self.edge(base, name)
-        return name
-
-    def stem(self, base: str, angle_deg: float, fan: int = 3, radius: float = 1.0) -> str:
-        """A filler neighbor of the core: attach it, then fan out its own pads."""
-        name = self.leaf(base, angle_deg, radius)
-        for d in {3: (-30, 0, 30), 2: (-30, 30)}[fan]:
-            self.leaf(name, angle_deg + d, radius)
-        return name
-
-    def build(
-        self,
-        config_id: str,
-        roles: dict[str, str],
-        removed: tuple[str, ...] = (),
-        recolored: tuple[str, ...] = (),
-        dropped: tuple[tuple[str, str], ...] = (),
-        expected_f: Optional[dict[str, int]] = None,
-        expected_f_multiset: Optional[tuple[int, ...]] = None,
-        check_completed_square: bool = False,
-    ) -> Configuration:
-        graph, index = named_layout(self.points, self.edges)
-        x = frozenset(index[n] for n in removed)
-        r = frozenset(index[n] for n in recolored)
-        y = frozenset(frozenset((index[a], index[b])) for a, b in dropped)
-        for v in x:
-            for u in graph.neighbors(v):
-                assert frozenset((v, u)) in y, "removed vertices keep no edges"
-        assert not (x & r)
-        assert x or y, "a reducible instance must shrink the graph"
-        return Configuration(
-            config_id=config_id,
-            kind="reducible",
-            pattern=graph,
-            roles={role: index[n] for role, n in roles.items()},
-            removed=x,
-            recolored=r,
-            dropped_edges=y,
-            expected_f=expected_f,
-            expected_f_multiset=expected_f_multiset,
-            check_completed_square=check_completed_square,
-        )
+def _edges_of(pairs) -> frozenset[frozenset[int]]:
+    return frozenset(map(frozenset, pairs))
 
 
-def _no1v() -> Configuration:
-    f = _Fragment()
-    f.put("lone", None, _pol(0))
-    f.put("hub", None, _pol(180))
-    f.edge("lone", "hub")
-    for a in (90, 180, 270):
-        f.leaf("hub", a)
-    return f.build(
-        "no1v",
-        roles={"leaf": "lone"},
-        removed=("lone",),
-        dropped=(("lone", "hub"),),
-        expected_f={"leaf": 8},
+def _embed(
+    adjacency: list[set[int]], cycles: list[list[int]]
+) -> tuple[PlaneGraph, set[int]]:
+    """The first planar embedding in which every witness cycle is a face,
+    with the indices of those faces.  A cycle that bounds two faces (the
+    fragment is that cycle alone) is the first of them."""
+    wanted = {_edges_of(zip(c, c[1:] + c[:1])) for c in cycles}
+    for graph in planar_embeddings(tuple(map(frozenset, adjacency)), _EMBEDDING_LIMIT):
+        witness: dict[frozenset, int] = {}
+        for i, walk in enumerate(graph.faces):
+            edges = _edges_of((graph.origin[h], graph.target[h]) for h in walk)
+            if len(edges) == len(walk) and edges in wanted:
+                witness.setdefault(edges, i)
+        if len(witness) == len(wanted):
+            return graph, set(witness.values())
+    raise ValueError("no embedding has every witness cycle as a face")
+
+
+def _outer_corner(graph: PlaneGraph, witness: set[int], v: int) -> int:
+    """The index in v's rotation right after the first neighbour u whose
+    corner (the one that follows u) lies outside the witness faces."""
+    nbrs = graph.rotation[v]
+    return next(
+        (
+            i + 1
+            for i, u in enumerate(nbrs)
+            if graph.face_of[graph.half_edge(u, v)] not in witness
+        ),
+        len(nbrs),
     )
 
 
-def _no2v3f() -> Configuration:
-    f = _Fragment()
-    f.put("mid", None, _pol(0))
-    f.put("top", None, _pol(120))
-    f.put("bot", None, _pol(240))
-    f.edge("mid", "top")
-    f.edge("mid", "bot")
-    f.edge("top", "bot")
-    f.leaf("top", 90)
-    f.leaf("top", 150)
-    f.leaf("bot", -90)
-    f.leaf("bot", -150)
-    return f.build(
-        "no2v3f",
-        roles={"deg2": "mid"},
-        removed=("mid",),
-        dropped=(("mid", "top"), ("mid", "bot")),
-        expected_f={"deg2": 6},
-    )
+def _reducible(config_id: str) -> Configuration:
+    removed, recolored, pair, expected, completed_square = _REDUCTIONS[config_id]
+    ids, want, cycles, adjacency = _fragment(config_id)
+    graph, witness = _embed(adjacency, cycles)
+    x = frozenset(ids[name] for name in removed.split())
+    r = frozenset(ids[name] for name in recolored.split())
+    core = x | r
 
+    rotation = [list(nbrs) for nbrs in graph.rotation]
+    near = {u for v in core for u in adjacency[v]} - core
+    dist = dict.fromkeys(core, 0) | dict.fromkeys(near, 1)
+    v = 0
+    while v < len(rotation):  # pads join the queue as they are made
+        if v in dist:
+            pads = range(len(rotation), len(rotation) + want[v] - len(rotation[v]))
+            at = _outer_corner(graph, witness, v) if v < graph.vertex_count else 1
+            rotation[v][at:at] = pads
+            for p in pads:
+                rotation.append([v])
+                want.append(_MAX_DEGREE)
+                if dist[v] == 0:
+                    dist[p] = 1
+        v += 1
 
-def _no2v4f() -> Configuration:
-    f = _Fragment()
-    f.put("mid", None, _pol(0))
-    f.put("top", None, _pol(90))
-    f.put("far", None, _pol(180))
-    f.put("bot", None, _pol(270))
-    f.edge("mid", "top")
-    f.edge("top", "far")
-    f.edge("far", "bot")
-    f.edge("bot", "mid")
-    f.leaf("top", 45)
-    f.leaf("top", 135)
-    f.leaf("bot", -45)
-    f.leaf("bot", -135)
-    return f.build(
-        "no2v4f",
-        roles={"deg2": "mid"},
-        removed=("mid",),
-        dropped=(("mid", "top"), ("mid", "bot")),
-        expected_f={"deg2": 5},
-    )
-
-
-def _no22v() -> Configuration:
-    f = _Fragment()
-    f.put("a", None, _pol(0))
-    f.put("b", None, _pol(180))
-    f.edge("a", "b")
-    sa = f.stem("a", 0)
-    sb = f.stem("b", 180)
-    return f.build(
-        "no22v",
-        roles={"deg2_a": "a", "deg2_b": "b"},
-        removed=("a", "b"),
-        dropped=(("a", "b"), ("a", sa), ("b", sb)),
-        expected_f={"deg2_a": 7, "deg2_b": 7},
-    )
-
-
-def _no23v() -> Configuration:
-    f = _Fragment()
-    f.put("a", None, _pol(0))
-    f.put("b", None, _pol(180))
-    f.edge("a", "b")
-    f.stem("a", 0)
-    f.stem("b", 240)
-    f.stem("b", 120)
-    return f.build(
-        "no23v",
-        roles={"deg2": "a", "deg3": "b"},
-        recolored=("a", "b"),
-        dropped=(("a", "b"),),
-        expected_f={"deg2": 6, "deg3": 3},
-    )
-
-
-def _no33v() -> Configuration:
-    f = _Fragment()
-    f.put("a", None, _pol(0))
-    f.put("b", None, _pol(180))
-    f.edge("a", "b")
-    f.stem("a", 60)
-    f.stem("a", -60)
-    f.stem("b", 240)
-    f.stem("b", 120)
-    return f.build(
-        "no33v",
-        roles={"deg3_a": "a", "deg3_b": "b"},
-        recolored=("a", "b"),
-        dropped=(("a", "b"),),
-        expected_f={"deg3_a": 2, "deg3_b": 2},
-    )
-
-
-def _no242v() -> Configuration:
-    f = _Fragment()
-    f.put("a", None, _pol(0))
-    f.put("mid", None, (0.0, 0.0))
-    f.put("c", None, _pol(180))
-    f.edge("a", "mid")
-    f.edge("mid", "c")
-    sa = f.stem("a", 0)
-    f.stem("mid", 60)
-    f.stem("mid", 120)
-    sc = f.stem("c", 180)
-    return f.build(
-        "no242v",
-        roles={"deg2_a": "a", "middle": "mid", "deg2_b": "c"},
-        removed=("a", "c"),
-        recolored=("mid",),
-        dropped=(("a", "mid"), ("mid", "c"), ("a", sa), ("c", sc)),
-        expected_f={"deg2_a": 6, "middle": 2, "deg2_b": 6},
-    )
-
-
-def _no243v() -> Configuration:
-    f = _Fragment()
-    f.put("a", None, _pol(0))
-    f.put("mid", None, (0.0, 0.0))
-    f.put("c", None, _pol(180))
-    f.edge("a", "mid")
-    f.edge("mid", "c")
-    sa = f.stem("a", 0)
-    f.stem("mid", 60)
-    f.stem("mid", 120)
-    f.stem("c", 150)
-    f.stem("c", 210)
-    return f.build(
-        "no243v",
-        roles={"deg2": "a", "middle": "mid", "deg3": "c"},
-        removed=("a",),
-        recolored=("mid", "c"),
-        dropped=(("a", "mid"), ("a", sa)),
-        expected_f={"deg2": 6, "middle": 1, "deg3": 2},
-    )
-
-
-def _no2v_3f() -> Configuration:
-    f = _Fragment()
-    f.put("anchor", None, _pol(0, 0.75))
-    f.put("t1", None, _pol(120, 0.75))
-    f.put("t2", None, _pol(240, 0.75))
-    f.put("deg2", None, (1.5, 0.0))
-    f.edge("anchor", "t1")
-    f.edge("t1", "t2")
-    f.edge("t2", "anchor")
-    f.edge("anchor", "deg2")
-    f.stem("anchor", 90, radius=0.75)
-    f.leaf("t1", 90, 0.75)
-    f.leaf("t1", 150, 0.75)
-    f.leaf("t2", 210, 0.75)
-    f.leaf("t2", 270, 0.75)
-    sd = f.stem("deg2", 0, radius=0.75)
-    return f.build(
-        "no2v_3f",
-        roles={"deg2": "deg2", "anchor": "anchor"},
-        removed=("deg2",),
-        recolored=("anchor",),
-        dropped=(("anchor", "deg2"), ("deg2", sd)),
-        expected_f={"anchor": 1, "deg2": 5},
-    )
-
-
-def _no3v_33f() -> Configuration:
-    f = _Fragment()
-    f.put("deg3", None, (0.0, 0.0))
-    f.put("right", None, _pol(0))
-    f.put("shared", None, _pol(120))
-    f.put("left", None, _pol(240))
-    f.edge("right", "shared")
-    f.edge("shared", "left")
-    f.edge("right", "deg3")
-    f.edge("deg3", "left")
-    f.edge("shared", "deg3")
-    f.leaf("right", -30)
-    f.leaf("right", 30)
-    f.leaf("shared", 120)
-    f.leaf("left", 210)
-    f.leaf("left", 270)
-    return f.build(
-        "no3v_33f",
-        roles={"deg3": "deg3", "shared_end": "shared"},
-        recolored=("deg3",),
-        dropped=(("deg3", "shared"),),
-        expected_f={"deg3": 4},
-    )
-
-
-def _no3v_44f() -> Configuration:
-    f = _Fragment()
-    f.put("deg3", None, (0.0, 0.0))
-    f.put("right", None, _pol(0))
-    f.put("shared", None, _pol(90))
-    f.put("left", None, _pol(180))
-    f.put("ne", None, _pol(45, 1.4142))
-    f.put("nw", None, _pol(135, 1.4142))
-    f.edge("right", "ne")
-    f.edge("ne", "shared")
-    f.edge("shared", "nw")
-    f.edge("nw", "left")
-    f.edge("right", "deg3")
-    f.edge("deg3", "left")
-    f.edge("shared", "deg3")
-    f.leaf("right", -30)
-    f.leaf("right", 30)
-    f.leaf("shared", 90)
-    f.leaf("left", 150)
-    f.leaf("left", 210)
-    return f.build(
-        "no3v_44f",
-        roles={"deg3": "deg3", "shared_end": "shared"},
-        recolored=("deg3",),
-        dropped=(("deg3", "shared"),),
-        expected_f={"deg3": 2},
-    )
-
-
-def _no3v3f3f() -> Configuration:
-    f = _Fragment()
-    f.put("deg3", None, _pol(0))
-    f.put("a", None, _pol(120))
-    f.put("b", None, _pol(240))
-    f.put("apex", None, _pol(180, 2.0))
-    f.edge("a", "b")
-    f.edge("b", "deg3")
-    f.edge("deg3", "a")
-    f.edge("b", "apex")
-    f.edge("apex", "a")
-    f.leaf("deg3", 0)
-    f.stem("a", 120)
-    f.stem("b", 240)
-    f.leaf("apex", 150)
-    f.leaf("apex", 210)
-    return f.build(
-        "no3v3f3f",
-        roles={"deg3": "deg3", "shared_a": "a", "shared_b": "b"},
-        recolored=("a", "b"),
-        dropped=(("a", "b"),),
-        expected_f={"shared_a": 2, "shared_b": 2},
-    )
-
-
-def _no3v3f_3f() -> Configuration:
-    f = _Fragment()
-    f.put("deg3", None, _pol(0))
-    f.put("pivot", None, _pol(120))
-    f.put("t3", None, _pol(240))
-    px, py = f.points["pivot"]
-    dx, dy = f.points["deg3"]
-    tx, ty = f.points["t3"]
-    f.points["far_a"] = (2 * px - dx, 2 * py - dy)
-    f.points["far_b"] = (2 * px - tx, 2 * py - ty)
-    f.edge("deg3", "pivot")
-    f.edge("pivot", "t3")
-    f.edge("t3", "deg3")
-    f.edge("far_a", "far_b")
-    f.edge("far_b", "pivot")
-    f.edge("pivot", "far_a")
-    f.stem("deg3", 0)
-    f.leaf("t3", 210)
-    f.leaf("t3", 270)
-    f.leaf("far_a", 150)
-    f.leaf("far_a", 210)
-    f.leaf("far_b", 30)
-    f.leaf("far_b", 90)
-    return f.build(
-        "no3v3f_3f",
-        roles={"deg3": "deg3", "pivot": "pivot"},
-        recolored=("deg3", "pivot"),
-        dropped=(("deg3", "pivot"),),
-        expected_f={"deg3": 3, "pivot": 2},
-    )
-
-
-def _no3v_3f3v() -> Configuration:
-    f = _Fragment()
-    f.put("anchor", None, _pol(0))
-    f.put("deg3_on", None, _pol(120))
-    f.put("t3", None, _pol(240))
-    f.put("deg3_off", None, (2.0, 0.0))
-    f.edge("anchor", "deg3_on")
-    f.edge("deg3_on", "t3")
-    f.edge("t3", "anchor")
-    f.edge("anchor", "deg3_off")
-    f.stem("anchor", -80)
-    f.stem("deg3_on", 120)
-    f.leaf("t3", 210)
-    f.leaf("t3", 270)
-    f.leaf("deg3_off", -30)
-    f.leaf("deg3_off", 30)
-    return f.build(
-        "no3v_3f3v",
-        roles={"deg3_off": "deg3_off", "anchor": "anchor", "deg3_on": "deg3_on"},
-        recolored=("anchor", "deg3_on"),
-        dropped=(("anchor", "deg3_on"),),
-        expected_f={"anchor": 1, "deg3_on": 3},
-    )
-
-
-def _no3v_m3f3f() -> Configuration:
-    f = _Fragment()
-    f.put("near", None, _pol(0))
-    f.put("far", None, _pol(120))
-    f.put("apex_lo", None, _pol(240))
-    f.put("apex_hi", None, _pol(60, 2.0))
-    f.edge("near", "far")
-    f.edge("far", "apex_lo")
-    f.edge("apex_lo", "near")
-    f.edge("far", "apex_hi")
-    f.edge("apex_hi", "near")
-    f.stem("near", 0, fan=2)
-    f.stem("far", 120)
-    f.leaf("apex_lo", 210)
-    f.leaf("apex_lo", 270)
-    f.leaf("apex_hi", 30)
-    f.leaf("apex_hi", 90)
-    return f.build(
-        "no3v_m3f3f",
-        roles={"near_end": "near", "far_end": "far", "deg3": "pad0"},
-        recolored=("near", "far"),
-        dropped=(("near", "far"),),
-        expected_f={"near_end": 2, "far_end": 1},
-    )
-
-
-def _no2v__m3f3f() -> Configuration:
-    f = _Fragment()
-    f.put("near", None, _pol(0))
-    f.put("far", None, _pol(120))
-    f.put("apex_lo", None, _pol(240))
-    f.put("apex_hi", None, _pol(60, 2.0))
-    f.put("middle", "near", (1.0, 0.0))
-    f.put("deg2", "middle", (1.0, 0.0))
-    f.edge("near", "far")
-    f.edge("far", "apex_lo")
-    f.edge("apex_lo", "near")
-    f.edge("far", "apex_hi")
-    f.edge("apex_hi", "near")
-    f.edge("near", "middle")
-    f.edge("middle", "deg2")
-    f.stem("far", 120)
-    f.leaf("apex_lo", 210)
-    f.leaf("apex_lo", 270)
-    f.leaf("apex_hi", 30)
-    f.leaf("apex_hi", 90)
-    f.stem("middle", -120)
-    f.stem("middle", -60)
-    f.stem("deg2", 90)
-    return f.build(
-        "no2v__m3f3f",
-        roles={
-            "deg2": "deg2",
-            "middle": "middle",
-            "near_end": "near",
-            "far_end": "far",
-        },
-        recolored=("near", "far", "middle", "deg2"),
-        dropped=(("near", "far"),),
-        # The per-endpoint split of the demands 2 and 3 is easy to get
-        # backwards, so only the multiset is pinned for this entry.
-        expected_f_multiset=(1, 2, 3, 6),
-        check_completed_square=True,
+    dropped = {frozenset((v, u)) for v in x for u in rotation[v]}
+    if pair:
+        dropped.add(frozenset(ids[r] for r in pair.split()))
+    by_role = isinstance(expected, dict)
+    return Configuration(
+        config_id=config_id,
+        kind="reducible",
+        pattern=build_from_rotation(rotation),
+        roles=ids,
+        removed=x,
+        recolored=r,
+        dropped_edges=frozenset(dropped),
+        expected_f=expected if by_role else None,
+        expected_f_multiset=None if by_role else expected,
+        check_completed_square=completed_square,
     )
 
 
 def _triangle() -> PlaneGraph:
-    g, _ = named_layout(
-        {"a": (0.0, 0.0), "b": (2.0, 0.0), "c": (1.0, 1.5)},
-        [("a", "b"), ("b", "c"), ("c", "a")],
+    return build_from_layout(
+        [(0.0, 0.0), (2.0, 0.0), (1.0, 1.5)], [(0, 1), (1, 2), (2, 0)]
     )
-    return g
 
 
 def _k4() -> PlaneGraph:
-    g, _ = named_layout(
-        {"a": (0.0, 0.0), "b": (2.0, 0.0), "c": (1.0, 2.0), "m": (1.0, 0.7)},
-        [
-            ("a", "b"),
-            ("b", "c"),
-            ("c", "a"),
-            ("m", "a"),
-            ("m", "b"),
-            ("m", "c"),
-        ],
+    # A triangle with a centre vertex joined to its three corners.
+    return build_from_layout(
+        [(0.0, 0.0), (2.0, 0.0), (1.0, 2.0), (1.0, 0.7)],
+        [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)],
     )
-    return g
 
 
 def _three_fans_patch() -> PlaneGraph:
     # A 3-face flanked by edge-sharing 3-faces on two of its sides; the rim
     # through the two apexes closes a 5-cycle.
-    g, _ = named_layout(
-        {
-            "u": (0.0, 0.0),
-            "v": (2.0, 0.0),
-            "w": (1.0, -1.5),
-            "a": (1.0, 1.2),
-            "b": (2.8, -1.2),
-        },
-        [
-            ("u", "v"),
-            ("v", "w"),
-            ("w", "u"),
-            ("u", "a"),
-            ("a", "v"),
-            ("v", "b"),
-            ("b", "w"),
-        ],
+    return build_from_layout(
+        [(0.0, 0.0), (2.0, 0.0), (1.0, -1.5), (1.0, 1.2), (2.8, -1.2)],
+        [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (1, 4), (4, 2)],
     )
-    return g
 
 
 def _tri_in_quad_patch() -> PlaneGraph:
-    # A 3-face sharing two edges with the same 4-face: the wedge vertex is
+    # A 3-face sharing two edges with the same 4-face: the wedge vertex 1 is
     # forced to degree 2 on the 3-face.
-    g, _ = named_layout(
-        {
-            "u": (0.0, 0.0),
-            "wedge": (1.0, 0.6),
-            "w": (2.0, 0.0),
-            "z": (1.0, 2.0),
-        },
-        [("u", "wedge"), ("wedge", "w"), ("u", "w"), ("u", "z"), ("z", "w")],
+    return build_from_layout(
+        [(0.0, 0.0), (1.0, 0.6), (2.0, 0.0), (1.0, 2.0)],
+        [(0, 1), (1, 2), (0, 2), (0, 3), (3, 2)],
     )
-    return g
 
 
 def _tri_beside_quad_patch() -> PlaneGraph:
     # A 3-face sharing exactly one edge with a 4-face; the rim is a 5-cycle.
-    g, _ = named_layout(
-        {
-            "u": (0.0, 0.0),
-            "v": (2.0, 0.0),
-            "w": (1.0, -1.5),
-            "a": (2.0, 1.6),
-            "b": (0.0, 1.6),
-        },
-        [("u", "v"), ("v", "w"), ("w", "u"), ("v", "a"), ("a", "b"), ("b", "u")],
+    return build_from_layout(
+        [(0.0, 0.0), (2.0, 0.0), (1.0, -1.5), (2.0, 1.6), (0.0, 1.6)],
+        [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 0)],
     )
-    return g
 
 
 def _conn() -> Configuration:
@@ -682,36 +396,16 @@ def _no34f() -> Configuration:
     )
 
 
-_BUILDERS = {
-    "conn": _conn,
-    "no1v": _no1v,
-    "no2v3f": _no2v3f,
-    "no2v4f": _no2v4f,
-    "no22v": _no22v,
-    "no23v": _no23v,
-    "no33v": _no33v,
-    "no242v": _no242v,
-    "no243v": _no243v,
-    "no2v_3f": _no2v_3f,
-    "no3v_33f": _no3v_33f,
-    "no333f": _no333f,
-    "no34f": _no34f,
-    "no3v_44f": _no3v_44f,
-    "no3v3f3f": _no3v3f3f,
-    "no3v3f_3f": _no3v3f_3f,
-    "no3v_3f3v": _no3v_3f3v,
-    "no3v_m3f3f": _no3v_m3f3f,
-    "no2v__m3f3f": _no2v__m3f3f,
-}
+_STRUCTURAL = {"conn": _conn, "no333f": _no333f, "no34f": _no34f}
 
 
 @lru_cache(maxsize=None)
 def get_configuration(config_id: str) -> Configuration:
-    from .errors import UnknownConfig
-
-    if config_id not in _BUILDERS:
-        raise UnknownConfig(config_id)
-    return _BUILDERS[config_id]()
+    if config_id in _REDUCTIONS:
+        return _reducible(config_id)
+    if config_id in _STRUCTURAL:
+        return _STRUCTURAL[config_id]()
+    raise UnknownConfig(config_id)
 
 
 def catalog() -> list[Configuration]:

@@ -467,7 +467,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json())
+    try:
+        print(report.to_json(), flush=True)
+    except BrokenPipeError:
+        # The reader stopped early (as `| head` does).  Point stdout at
+        # devnull so the interpreter's last flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

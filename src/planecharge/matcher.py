@@ -1,31 +1,23 @@
 """Detect catalog configurations inside a concrete plane graph.
 
-Each configuration is stated once, as a declarative spec in ``_SPEC_TEXT``.
-One generic backtracking search finds every embedding of a spec, and one
-generic validator re-checks a reported embedding by running the same spec
-with its roles and faces fixed.  Degree requirements follow the forbidden
-structures' statements, with derived degrees (for example the degree-4
-middle of a 2-2 path) required exactly; the degenerate variants those
-requirements exclude are owned by earlier entries in the catalog scan order,
-so the union over the order stays exhaustive.
+Each configuration is stated once, as a declarative spec in
+``catalog.SPEC_TEXT``, which also gives the clause grammar; the catalog
+builds each generic instance from the same spec.  One generic backtracking
+search finds every embedding of a spec, and one generic validator re-checks
+a reported embedding by running the same spec with its roles and faces
+fixed.  Degree requirements follow the forbidden structures' statements,
+with derived degrees (for example the degree-4 middle of a 2-2 path)
+required exactly; the degenerate variants those requirements exclude are
+owned by earlier entries in the catalog scan order, so the union over the
+order stays exhaustive.
 
-A spec is a list of clauses separated by ``;``:
-
-- ``role NAME [DEGREE]``: a vertex, of exactly that degree if one is given;
-- ``face NAME LENGTH``: a witness face of exactly that length;
-- ``edge A B`` / ``nonedge A B``: roles A and B are adjacent, or not;
-- ``on R F`` / ``off R F``: role R lies on face F, or not;
-- ``share F G A B``: the edge between roles A and B lies on faces F and G;
-- ``meet F G R``: faces F and G have exactly the vertex R in common;
-- ``lt X Y``: a tie-break, the id of X is below that of Y.
-
-Roles are distinct vertices and faces are distinct faces.  The search binds
-roles and faces in the order the spec lists them, and a report lists the
-faces in that order.  Each slot draws its candidates from the first
-constraint that ties it to a slot already bound (the neighbours of a role,
-the vertices of a face, the faces at a vertex, the two faces beside an
-edge), else from every vertex of its degree or every face of its length; so
-a spec that lists a 3-face first is done at once on a triangle-free host.
+The search binds roles and faces in the order the spec lists them, and a
+report lists the faces in that order.  Each slot draws its candidates from
+the first constraint that ties it to a slot already bound (the neighbours
+of a role, the vertices of a face, the faces at a vertex, the two faces
+beside an edge), else from every vertex of its degree or every face of its
+length; so a spec that lists a 3-face first is done at once on a
+triangle-free host.
 The two structural entries that have no fixed shape add one predicate each,
 which returns the report's trailing faces, or None when there is no match.
 """
@@ -35,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .catalog import CATALOG_ORDER
+from .catalog import CATALOG_ORDER, spec_clauses
 from .errors import UnknownConfig
 from .plane_graph import PlaneGraph
 
@@ -48,43 +40,6 @@ class MatchEmbedding:
 
     def role(self, name: str) -> int:
         return dict(self.roles)[name]
-
-
-_SPEC_TEXT = {
-    "conn": "",
-    "no1v": "role leaf 1",
-    "no2v3f": "face f 3; role deg2 2; on deg2 f",
-    "no2v4f": "face f 4; role deg2 2; on deg2 f",
-    "no22v": "role deg2_a 2; role deg2_b 2; edge deg2_a deg2_b; lt deg2_a deg2_b",
-    "no23v": "role deg2 2; role deg3 3; edge deg2 deg3",
-    "no33v": "role deg3_a 3; role deg3_b 3; edge deg3_a deg3_b; lt deg3_a deg3_b",
-    "no242v": "role middle 4; role deg2_a 2; role deg2_b 2; edge deg2_a middle;"
-    " edge middle deg2_b; nonedge deg2_a deg2_b; lt deg2_a deg2_b",
-    "no243v": "role middle 4; role deg2 2; role deg3 3; edge deg2 middle;"
-    " edge middle deg3; nonedge deg2 deg3",
-    "no2v_3f": "face f 3; role anchor 4; role deg2 2; on anchor f;"
-    " edge deg2 anchor; off deg2 f",
-    "no3v_33f": "face fa 3; role deg3 3; role shared_end; face fb 3; lt fa fb;"
-    " share fa fb deg3 shared_end",
-    "no333f": "face f 3",
-    "no34f": "face f 3; role shared_u; role shared_v; face g 4;"
-    " share f g shared_u shared_v; lt shared_u shared_v",
-    "no3v_44f": "face fa 4; role deg3 3; role shared_end; face fb 4; lt fa fb;"
-    " share fa fb deg3 shared_end",
-    "no3v3f3f": "face f 3; role deg3 3; role shared_a; role shared_b; face g 3;"
-    " on deg3 f; off deg3 g; share f g shared_a shared_b; lt shared_a shared_b",
-    "no3v3f_3f": "face f 3; role deg3 3; role pivot; face g 3; on deg3 f;"
-    " meet f g pivot",
-    "no3v_3f3v": "face f 3; role anchor 4; role deg3_on 3; role deg3_off 3;"
-    " on anchor f; on deg3_on f; edge deg3_off anchor; off deg3_off f",
-    "no3v_m3f3f": "face fa 3; role near_end; role far_end; face fb 3; role deg3 3;"
-    " lt fa fb; share fa fb near_end far_end; edge deg3 near_end;"
-    " off deg3 fa; off deg3 fb",
-    "no2v__m3f3f": "face fa 3; role near_end; role far_end; face fb 3;"
-    " role middle 4; role deg2 2; lt fa fb; share fa fb near_end far_end;"
-    " edge near_end middle; edge middle deg2; off middle fa; off middle fb;"
-    " off deg2 fa; off deg2 fb",
-}
 
 
 def _disconnected(g: PlaneGraph, faces: tuple) -> Optional[tuple]:
@@ -186,10 +141,9 @@ class _Spec:
     predicate: Optional[Callable]
 
 
-def _compile(text: str, predicate: Optional[Callable]) -> _Spec:
+def _compile(clauses: list[list[str]], predicate: Optional[Callable]) -> _Spec:
     """Give each slot its source and the checks it completes; roles are
     indexed in name order, faces in the order they are listed."""
-    clauses = [c.split() for c in text.split(";") if c.strip()]
     declared = [c for c in clauses if c[0] in ("role", "face")]
     names = sorted(c[1] for c in declared if c[0] == "role")
     face_names = [c[1] for c in declared if c[0] == "face"]
@@ -217,7 +171,9 @@ def _compile(text: str, predicate: Optional[Callable]) -> _Spec:
     return _Spec(tuple(names), len(face_names), tuple(steps), predicate)
 
 
-_SPECS = {cid: _compile(_SPEC_TEXT[cid], _PREDICATES.get(cid)) for cid in CATALOG_ORDER}
+_SPECS = {
+    cid: _compile(spec_clauses(cid), _PREDICATES.get(cid)) for cid in CATALOG_ORDER
+}
 
 
 # -- search and validation -----------------------------------------------------

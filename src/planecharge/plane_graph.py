@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AsymmetricAdjacency,
@@ -236,15 +236,6 @@ def build_from_rotation(spec: RotationSpec) -> PlaneGraph:
     return PlaneGraph(spec)
 
 
-def trace_faces(graph: PlaneGraph) -> tuple[tuple[int, ...], ...]:
-    """The cached face walks of the embedding (tuples of half-edge ids)."""
-    return graph.faces
-
-
-def degree(graph: PlaneGraph, v: int) -> int:
-    return graph.degree(v)
-
-
 def adjacency_has_cycle_of_length(adjacency: Sequence[Iterable[int]], k: int) -> bool:
     """Exhaustive search for a simple cycle of exactly length k (3 <= k <= 8).
 
@@ -378,18 +369,6 @@ def build_from_layout(
     edges: Iterable[tuple[int, int]],
 ) -> PlaneGraph:
     return build_from_rotation(rotation_from_layout(points, list(edges)))
-
-
-def named_layout(
-    points: Mapping[str, tuple[float, float]],
-    edges: Iterable[tuple[str, str]],
-) -> tuple[PlaneGraph, dict[str, int]]:
-    """build_from_layout over named points; also returns the name -> id map."""
-    names = list(points)
-    index = {name: i for i, name in enumerate(names)}
-    coords = [points[name] for name in names]
-    graph = build_from_layout(coords, [(index[a], index[b]) for a, b in edges])
-    return graph, index
 
 
 # -- graph file format --------------------------------------------------------

@@ -306,3 +306,22 @@ def test_reports_identical_across_processes(graph_dir):
     first = subprocess.run(cmd, capture_output=True, text=True, check=True)
     second = subprocess.run(cmd, capture_output=True, text=True, check=True)
     assert first.stdout == second.stdout
+
+
+def test_closed_pipe_exits_quietly(graph_dir):
+    """A reader that closes stdout before the report is written (as `| head`
+    does) gets no traceback: stderr stays empty and the verdict's code
+    stands."""
+    import subprocess
+    import sys
+
+    for argv in (["square", str(graph_dir / "q3.graph")], ["verify-catalog"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "planecharge.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # the read end is gone before anything is written
+        stderr = proc.stderr.read()
+        assert proc.wait() == 0
+        assert stderr == b""

@@ -17,11 +17,9 @@ from planecharge.plane_graph import (
     adjacency_has_cycle_of_length,
     build_from_rotation,
     class_membership,
-    degree,
     from_file_dict,
     has_cycle_of_length,
     to_file_dict,
-    trace_faces,
 )
 
 
@@ -63,7 +61,7 @@ def test_sharpness9_degrees(named):
 
 def test_degree_errors():
     g = build_from_rotation(cycle_rotation(4))
-    assert degree(g, 0) == 2
+    assert g.degree(0) == 2
     with pytest.raises(UnknownVertex):
         g.degree(7)
 
@@ -96,7 +94,7 @@ def test_twin_involution_and_face_partition(named):
         for h in range(2 * g.edge_count):
             assert g.twin[g.twin[h]] == h
             assert g.twin[h] != h
-        walked = [h for walk in trace_faces(g) for h in walk]
+        walked = [h for walk in g.faces for h in walk]
         assert sorted(walked) == list(range(2 * g.edge_count))
         assert sum(g.face_lengths()) == 2 * g.edge_count
 
