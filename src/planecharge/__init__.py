@@ -34,7 +34,6 @@ from .matcher import MatchEmbedding, find_any_reducible, find_configuration
 from .plane_graph import (
     ClassReport,
     PlaneGraph,
-    build_from_layout,
     build_from_rotation,
     class_membership,
     has_cycle_of_length,
@@ -70,7 +69,6 @@ __all__ = [
     "ReductionReport",
     "SimpleGraph",
     "apply_rules",
-    "build_from_layout",
     "build_from_rotation",
     "catalog",
     "chromatic_number",

@@ -28,7 +28,7 @@ id order.  ``_REDUCTIONS`` gives the rest of an entry by role name.
 Structural entries (disconnectedness and the two face-adjacency bans) have
 no generic instance; they record derivation cases that lean on other
 entries or on the forbidden 5-cycle, each with a concrete forced patch
-where one can be built.
+where one can be built.  A patch is stated directly as a rotation system.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Mapping, Optional
 
 from .corpus import planar_embeddings
 from .errors import UnknownConfig
-from .plane_graph import PlaneGraph, build_from_layout, build_from_rotation
+from .plane_graph import MAX_DEGREE, PlaneGraph, build_from_rotation
 
 # A spec is a list of clauses separated by ``;``:
 #
@@ -118,7 +118,6 @@ CATALOG_ORDER = tuple(SPEC_TEXT)
 STRUCTURAL_IDS = ("conn", "no333f", "no34f")
 REDUCIBLE_IDS = tuple(c for c in CATALOG_ORDER if c not in STRUCTURAL_IDS)
 
-_MAX_DEGREE = 4
 # Far above the number of embeddings of any fragment (at most 3).
 _EMBEDDING_LIMIT = 10**4
 
@@ -180,7 +179,7 @@ def _fragment(
     edges = []
     for kind, *args in spec_clauses(config_id):
         if kind == "role":
-            degree[args[0]] = int(args[1]) if args[1:] else _MAX_DEGREE
+            degree[args[0]] = int(args[1]) if args[1:] else MAX_DEGREE
         elif kind == "face":
             on[args[0]], length[args[0]] = set(), int(args[1])
         elif kind == "edge":
@@ -200,7 +199,7 @@ def _fragment(
         for face, roles in on.items():
             if role in roles and roles <= ids.keys():
                 free = range(len(want), len(want) + length[face] - len(roles))
-                want.extend(_MAX_DEGREE for _ in free)
+                want.extend(MAX_DEGREE for _ in free)
                 cycles.append(sorted(ids[r] for r in roles) + list(free))
 
     adjacency: list[set[int]] = [set() for _ in want]
@@ -267,7 +266,7 @@ def _reducible(config_id: str) -> Configuration:
             rotation[v][at:at] = pads
             for p in pads:
                 rotation.append([v])
-                want.append(_MAX_DEGREE)
+                want.append(MAX_DEGREE)
                 if dist[v] == 0:
                     dist[p] = 1
         v += 1
@@ -291,43 +290,29 @@ def _reducible(config_id: str) -> Configuration:
 
 
 def _triangle() -> PlaneGraph:
-    return build_from_layout(
-        [(0.0, 0.0), (2.0, 0.0), (1.0, 1.5)], [(0, 1), (1, 2), (2, 0)]
-    )
+    return build_from_rotation([[2, 1], [0, 2], [1, 0]])
 
 
 def _k4() -> PlaneGraph:
     # A triangle with a centre vertex joined to its three corners.
-    return build_from_layout(
-        [(0.0, 0.0), (2.0, 0.0), (1.0, 2.0), (1.0, 0.7)],
-        [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)],
-    )
+    return build_from_rotation([[2, 3, 1], [0, 3, 2], [1, 3, 0], [2, 1, 0]])
 
 
 def _three_fans_patch() -> PlaneGraph:
     # A 3-face flanked by edge-sharing 3-faces on two of its sides; the rim
     # through the two apexes closes a 5-cycle.
-    return build_from_layout(
-        [(0.0, 0.0), (2.0, 0.0), (1.0, -1.5), (1.0, 1.2), (2.8, -1.2)],
-        [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (1, 4), (4, 2)],
-    )
+    return build_from_rotation([[3, 1, 2], [0, 3, 4, 2], [0, 1, 4], [1, 0], [1, 2]])
 
 
 def _tri_in_quad_patch() -> PlaneGraph:
     # A 3-face sharing two edges with the same 4-face: the wedge vertex 1 is
     # forced to degree 2 on the 3-face.
-    return build_from_layout(
-        [(0.0, 0.0), (1.0, 0.6), (2.0, 0.0), (1.0, 2.0)],
-        [(0, 1), (1, 2), (0, 2), (0, 3), (3, 2)],
-    )
+    return build_from_rotation([[3, 1, 2], [2, 0], [0, 1, 3], [2, 0]])
 
 
 def _tri_beside_quad_patch() -> PlaneGraph:
     # A 3-face sharing exactly one edge with a 4-face; the rim is a 5-cycle.
-    return build_from_layout(
-        [(0.0, 0.0), (2.0, 0.0), (1.0, -1.5), (2.0, 1.6), (0.0, 1.6)],
-        [(0, 1), (1, 2), (2, 0), (1, 3), (3, 4), (4, 0)],
-    )
+    return build_from_rotation([[4, 1, 2], [0, 3, 2], [0, 1], [4, 1], [3, 0]])
 
 
 def _conn() -> Configuration:

@@ -31,6 +31,7 @@ from .errors import GraphError
 from .plane_graph import (
     PlaneGraph,
     class_membership,
+    dump_graph_file,
     load_graph_file,
     to_file_dict,
 )
@@ -125,6 +126,18 @@ def _match_dict(emb: matcher.MatchEmbedding) -> dict:
 
 def _charge_map(charges: dict) -> dict:
     return {str(k): c.twelfths for k, c in sorted(charges.items())}
+
+
+def _transfer_list(transfers) -> list:
+    return [
+        {
+            "rule": t.rule,
+            "source": str(t.source),
+            "sink": str(t.sink),
+            "twelfths": t.amount.twelfths,
+        }
+        for t in transfers
+    ]
 
 
 def _cmd_inspect(args) -> RunReport:
@@ -314,25 +327,9 @@ def _cmd_discharge(args) -> RunReport:
             "sink_received_twelfths": _charge_map(face_audit.sink_received),
         }
         if args.ledger:
-            payload["face_audit"]["transfers"] = [
-                {
-                    "rule": t.rule,
-                    "source": str(t.source),
-                    "sink": str(t.sink),
-                    "twelfths": t.amount.twelfths,
-                }
-                for t in face_audit.transfers
-            ]
+            payload["face_audit"]["transfers"] = _transfer_list(face_audit.transfers)
     if args.ledger:
-        payload["transfers"] = [
-            {
-                "rule": t.rule,
-                "source": str(t.source),
-                "sink": str(t.sink),
-                "twelfths": t.amount.twelfths,
-            }
-            for t in state.log
-        ]
+        payload["transfers"] = _transfer_list(state.log)
     outcome = "info" if audit.reconciliation_ok else "fail"
     return RunReport(
         "discharge",
@@ -350,10 +347,7 @@ def _cmd_enumerate(args) -> RunReport:
     written = []
     for i, g in enumerate(enumerate_class(args.n)):
         name = f"class_v{g.vertex_count}_{i:04d}.graph"
-        path = os.path.join(args.out, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(to_file_dict(g), fh, sort_keys=True)
-            fh.write("\n")
+        dump_graph_file(g, os.path.join(args.out, name))
         written.append(name)
     return RunReport(
         "enumerate",
@@ -376,18 +370,15 @@ def _cmd_gen(args) -> RunReport:
 
 
 def _cmd_examples(args) -> RunReport:
+    examples = named_examples()
     payload = {
         ng.name: {"graph": to_file_dict(ng.graph), "provenance": ng.provenance}
-        for ng in named_examples()
+        for ng in examples
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for ng in named_examples():
-            with open(
-                os.path.join(args.out, f"{ng.name}.graph"), "w", encoding="utf-8"
-            ) as fh:
-                json.dump(to_file_dict(ng.graph), fh, sort_keys=True)
-                fh.write("\n")
+        for ng in examples:
+            dump_graph_file(ng.graph, os.path.join(args.out, f"{ng.name}.graph"))
     return RunReport("examples", {"out": args.out}, "info", payload)
 
 

@@ -1,5 +1,9 @@
 """Example graphs, desk-scale class enumeration, and seeded lattice members.
 
+Every graph here is stated as a rotation system: the named examples as
+literals, and lattice patches by listing each cell's lattice neighbours in
+clockwise order.
+
 Enumeration grows class members only: each member on n vertices comes from
 one on n-1 by attaching a new vertex, since every parent of a member is a
 member.  A child whose new vertex closes a 5-cycle is dropped at once;
@@ -14,7 +18,6 @@ algorithm.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,9 +25,9 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import NOutOfRange
 from .plane_graph import (
+    MAX_DEGREE,
     PlaneGraph,
     adjacency_has_cycle_of_length,
-    build_from_layout,
     build_from_rotation,
 )
 
@@ -41,68 +44,48 @@ class NamedGraph:
     provenance: str
 
 
-def _pol(angle_deg: float, radius: float = 1.0) -> tuple[float, float]:
-    a = math.radians(angle_deg)
-    return (radius * math.cos(a), radius * math.sin(a))
-
-
 def _sharpness9() -> PlaneGraph:
-    points = [
-        (0, 0),  # 0: center of the inner plus
-        (1, 0),  # 1
-        (0, 1),  # 2
-        (-1, 0),  # 3
-        (0, -1),  # 4
-        (2, 2),  # 5
-        (-2, 2),  # 6
-        (2, -2),  # 7
-        (-2, -2),  # 8
-    ]
-    edges = [
-        (1, 0), (0, 3), (2, 0), (0, 4),
-        (5, 1), (1, 7), (5, 2), (2, 6),
-        (6, 3), (3, 8), (7, 4), (4, 8),
-        (5, 6), (6, 8), (8, 7), (7, 5),
-    ]
-    return build_from_layout(points, edges)
+    # A plus 0-1, 0-2, 0-3, 0-4 inside the 4-cycle of corners 5-6-8-7;
+    # each corner joins the two arms beside it.
+    return build_from_rotation([
+        [3, 2, 1, 4], [0, 5, 7], [6, 5, 0], [6, 0, 8], [0, 7, 8],
+        [6, 7, 1, 2], [5, 2, 3, 8], [8, 4, 1, 5], [6, 3, 4, 7],
+    ])
 
 
 def _k24() -> PlaneGraph:
-    points = [(0, 1.5), (0, 0.5), (0, -0.5), (0, -1.5), (2, 0), (-2, 0)]
-    edges = [(4, i) for i in range(4)] + [(5, i) for i in range(4)]
-    return build_from_layout(points, edges)
+    # Hubs 4 and 5 on either side of the column 0, 1, 2, 3.
+    return build_from_rotation([
+        [4, 5], [4, 5], [5, 4], [5, 4], [1, 0, 3, 2], [0, 1, 2, 3],
+    ])
 
 
 def _c6() -> PlaneGraph:
-    return build_from_layout([_pol(60 * k) for k in range(6)],
-                             [(k, (k + 1) % 6) for k in range(6)])
+    return build_from_rotation([[1, 5], [2, 0], [1, 3], [2, 4], [3, 5], [4, 0]])
 
 
 def _q3() -> PlaneGraph:
-    points = [(2, 2), (-2, 2), (-2, -2), (2, -2), (1, 1), (-1, 1), (-1, -1), (1, -1)]
-    edges = (
-        [(k, (k + 1) % 4) for k in range(4)]
-        + [(4 + k, 4 + (k + 1) % 4) for k in range(4)]
-        + [(k, 4 + k) for k in range(4)]
-    )
-    return build_from_layout(points, edges)
+    # Outer 4-cycle 0-3, inner 4-cycle 4-7, spokes k-(4+k).
+    return build_from_rotation([
+        [1, 3, 4], [0, 5, 2], [1, 6, 3], [2, 7, 0],
+        [5, 0, 7], [1, 4, 6], [5, 7, 2], [6, 4, 3],
+    ])
 
 
 def _grid3x3() -> PlaneGraph:
-    points = [(i % 3, i // 3) for i in range(9)]
-    edges = [(i, i + 1) for i in range(9) if i % 3 < 2]
-    edges += [(i, i + 3) for i in range(6)]
-    return build_from_layout(points, edges)
+    # Vertex i sits at column i % 3 and row i // 3.
+    return build_from_rotation([
+        [3, 1], [0, 4, 2], [1, 5], [6, 4, 0], [3, 7, 5, 1],
+        [4, 8, 2], [7, 3], [6, 8, 4], [7, 5],
+    ])
 
 
 def _hexprism() -> PlaneGraph:
-    points = [_pol(60 * k, 2) for k in range(6)] + [_pol(60 * k, 1) for k in range(6)]
-    edges = (
-        [(k, (k + 1) % 6) for k in range(6)]
-        + [(6 + k, 6 + (k + 1) % 6) for k in range(6)]
-        + [(k, 6 + k) for k in range(6)]
-    )
-    return build_from_layout(points, edges)
+    # Outer 6-cycle 0-5, inner 6-cycle 6-11, spokes k-(6+k).
+    return build_from_rotation([
+        [6, 1, 5], [2, 0, 7], [1, 8, 3], [2, 9, 4], [3, 10, 5], [4, 11, 0],
+        [7, 0, 11], [8, 1, 6], [2, 7, 9], [3, 8, 10], [9, 11, 4], [10, 6, 5],
+    ])
 
 
 def named_examples() -> list[NamedGraph]:
@@ -369,8 +352,8 @@ def _members(n: int) -> tuple[PlaneGraph, ...]:
     out: dict[tuple, Optional[PlaneGraph]] = {}
     for member in _members(n - 1):
         parent = [member.neighbors(v) for v in range(n - 1)]
-        open_slots = [v for v in range(n - 1) if len(parent[v]) < 4]
-        for k in range(1, min(4, len(open_slots)) + 1):
+        open_slots = [v for v in range(n - 1) if len(parent[v]) < MAX_DEGREE]
+        for k in range(1, min(MAX_DEGREE, len(open_slots)) + 1):
             for chosen in itertools.combinations(open_slots, k):
                 if _closes_5_cycle(parent, chosen):
                     continue  # the parent has none, so this child is out
@@ -397,19 +380,19 @@ def enumerate_class(n_max: int) -> Iterator[PlaneGraph]:
 
 
 def _square_neighbors(cell: tuple[int, int]) -> list[tuple[int, int]]:
+    """The four lattice neighbours in clockwise order: left, up, right, down."""
     x, y = cell
-    return [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
+    return [(x - 1, y), (x, y + 1), (x + 1, y), (x, y - 1)]
 
 
 def _hex_neighbors(cell: tuple[int, int]) -> list[tuple[int, int]]:
+    """The three neighbours in the brick-wall hexagonal lattice, in clockwise
+    order: a cell with x + y even has its vertical neighbour above (up,
+    right, left), any other cell below (left, right, down)."""
     x, y = cell
-    vertical = (x, y + 1) if (x + y) % 2 == 0 else (x, y - 1)
-    return [(x + 1, y), (x - 1, y), vertical]
-
-
-def _hex_position(cell: tuple[int, int]) -> tuple[float, float]:
-    x, y = cell
-    return (float(x), 2.0 * y + (0.25 if (x + y) % 2 == 0 else 0.0))
+    if (x + y) % 2 == 0:
+        return [(x, y + 1), (x + 1, y), (x - 1, y)]
+    return [(x - 1, y), (x + 1, y), (x, y - 1)]
 
 
 def random_class_member(seed: int, n: int) -> PlaneGraph:
@@ -419,10 +402,7 @@ def random_class_member(seed: int, n: int) -> PlaneGraph:
     if n < 2:
         raise ValueError("need at least 2 vertices")
     rng = random.Random(seed)
-    if rng.random() < 0.5:
-        neighbors, position = _square_neighbors, lambda c: (float(c[0]), float(c[1]))
-    else:
-        neighbors, position = _hex_neighbors, _hex_position
+    neighbors = _square_neighbors if rng.random() < 0.5 else _hex_neighbors
     cells = {(0, 0)}
     while len(cells) < n:
         frontier = sorted(
@@ -431,10 +411,6 @@ def random_class_member(seed: int, n: int) -> PlaneGraph:
         cells.add(frontier[rng.randrange(len(frontier))])
     ordered = sorted(cells)
     index = {c: i for i, c in enumerate(ordered)}
-    edges = [
-        (index[c], index[d])
-        for c in ordered
-        for d in neighbors(c)
-        if d in cells and index[c] < index[d]
-    ]
-    return build_from_layout([position(c) for c in ordered], edges)
+    return build_from_rotation(
+        [[index[d] for d in neighbors(c) if d in cells] for c in ordered]
+    )

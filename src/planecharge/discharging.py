@@ -8,7 +8,7 @@ ledger is exact and every audit is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import Disconnected, NotBigFace
@@ -55,6 +55,10 @@ THIRD = Charge(4)
 QUARTER = Charge(3)
 SIXTH = Charge(2)
 
+# The shortest face that gives charge away: the rules draw only from faces of
+# at least this length, and only they have an edge-level audit.
+BIG_FACE = 6
+
 TOTAL_TWELFTHS = -96  # (-8) units: balanced charging on any connected plane graph
 
 
@@ -70,14 +74,11 @@ class Transfer:
 class ChargeState:
     vertex_charge: dict[int, Charge]
     face_charge: dict[int, Charge]
-    edge_charge: Optional[dict[tuple[int, int], Charge]] = None
     log: tuple[Transfer, ...] = ()
 
     def total(self) -> Charge:
         t = sum(c.twelfths for c in self.vertex_charge.values())
         t += sum(c.twelfths for c in self.face_charge.values())
-        if self.edge_charge:
-            t += sum(c.twelfths for c in self.edge_charge.values())
         return Charge(t)
 
 
@@ -134,7 +135,7 @@ def rule_transfers(graph: PlaneGraph) -> list[Transfer]:
     of each 3-face from the big faces across its edges (see ``_rule_draw``)."""
     transfers: list[Transfer] = []
     for i, walk in enumerate(graph.faces):
-        if len(walk) < 6:
+        if len(walk) < BIG_FACE:
             continue
         for h in walk:
             sink = ("vertex", graph.origin[h])
@@ -147,7 +148,7 @@ def rule_transfers(graph: PlaneGraph) -> list[Transfer]:
             continue
         for h in walk:
             j = graph.opposite_face(h)
-            if graph.face_length(j) >= 6:
+            if graph.face_length(j) >= BIG_FACE:
                 transfers.append(Transfer(draw[0], ("face", j), ("face", i), draw[1]))
     return transfers
 
@@ -210,7 +211,7 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
         raise IndexError(f"no face with index {face}")
     walk = graph.faces[face]
     length = len(walk)
-    if length < 6:
+    if length < BIG_FACE:
         raise NotBigFace(face, length)
     origin, target = graph.origin, graph.target
     # edges[pos] is the walk edge at position pos, as (low, high).
@@ -348,7 +349,6 @@ class FinalAudit:
     negatives: tuple[NegativeElement, ...]
     reconciliation_ok: bool
     state: ChargeState
-    audits: tuple[FaceAudit, ...] = field(repr=False, default=())
 
 
 def final_audit(graph: PlaneGraph) -> FinalAudit:
@@ -369,12 +369,10 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
             negatives.append(NegativeElement("face", i, state.face_charge[i]))
 
     reconciliation_ok = state.total().twelfths == TOTAL_TWELFTHS
-    audits = []
     for i, walk in enumerate(graph.faces):
-        if len(walk) < 6:
+        if len(walk) < BIG_FACE:
             continue
         audit = edge_level_audit(graph, i)
-        audits.append(audit)
         reconciliation_ok = (
             reconciliation_ok
             and audit.conserved()
@@ -387,5 +385,4 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
         negatives=tuple(negatives),
         reconciliation_ok=reconciliation_ok,
         state=state,
-        audits=tuple(audits),
     )

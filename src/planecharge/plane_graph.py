@@ -10,7 +10,6 @@ instances are safe to share between threads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +22,9 @@ from .errors import (
 )
 
 RotationSpec = Sequence[Sequence[int]]
+
+# The class's degree bound: no vertex of a member has more neighbours.
+MAX_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -327,7 +329,7 @@ def class_membership(graph: PlaneGraph) -> ClassReport:
     max_deg = max((graph.degree(v) for v in range(graph.vertex_count)), default=0)
     has5 = has_cycle_of_length(graph, 5)
     euler_ok = euler_consistent(graph)
-    in_class = max_deg <= 4 and not has5 and euler_ok
+    in_class = max_deg <= MAX_DEGREE and not has5 and euler_ok
     return ClassReport(
         is_simple=True,  # construction rejects loops and parallel edges
         is_connected=graph.is_connected(),
@@ -336,39 +338,6 @@ def class_membership(graph: PlaneGraph) -> ClassReport:
         euler_ok=euler_ok,
         in_class=in_class,
     )
-
-
-def rotation_from_layout(
-    points: Sequence[tuple[float, float]],
-    edges: Iterable[tuple[int, int]],
-) -> list[list[int]]:
-    """Clockwise rotation lists read off a straight-line drawing.
-
-    Neighbors are ordered by decreasing angle around each vertex, so a
-    crossing-free drawing yields a rotation system with the drawing's faces.
-    """
-    n = len(points)
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    rotation = []
-    for u, nbrs in enumerate(adjacency):
-        ux, uy = points[u]
-        angles = {}
-        for v in nbrs:
-            angles[v] = math.atan2(points[v][1] - uy, points[v][0] - ux)
-        if len(set(angles.values())) != len(nbrs):
-            raise ValueError(f"coincident neighbor directions at vertex {u}")
-        rotation.append(sorted(nbrs, key=lambda v: -angles[v]))
-    return rotation
-
-
-def build_from_layout(
-    points: Sequence[tuple[float, float]],
-    edges: Iterable[tuple[int, int]],
-) -> PlaneGraph:
-    return build_from_rotation(rotation_from_layout(points, list(edges)))
 
 
 # -- graph file format --------------------------------------------------------

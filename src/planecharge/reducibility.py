@@ -22,6 +22,7 @@ from .catalog import (
 )
 from .choosability import DemandFunction, is_f_choosable
 from .errors import OverlappingRoles, UnknownEdgeInY, UnknownVertex
+from .matcher import find_configuration
 from .plane_graph import PlaneGraph, has_cycle_of_length
 from .square import SimpleGraph, as_simple, induced_subgraph, neighbors_within2, square
 
@@ -179,8 +180,6 @@ def _completed_square_choosable(report: ReductionReport) -> bool:
 def _verify_structural(
     config: Configuration, reducible_passed: Mapping[str, bool]
 ) -> tuple[bool, tuple[str, ...]]:
-    from .matcher import find_configuration
-
     notes = []
     ok = True
     for case in config.cases:

@@ -9,9 +9,9 @@ from .plane_graph import PlaneGraph
 
 
 class SimpleGraph:
-    """Abstract simple graph: vertex count plus sorted neighbor sets."""
+    """Abstract simple graph: vertex count plus neighbor sets."""
 
-    __slots__ = ("vertex_count", "neighbors", "_adjacency")
+    __slots__ = ("vertex_count", "_adjacency")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         adj: list[set[int]] = [set() for _ in range(vertex_count)]
@@ -24,7 +24,6 @@ class SimpleGraph:
             adj[v].add(u)
         self.vertex_count = vertex_count
         self._adjacency = tuple(frozenset(s) for s in adj)
-        self.neighbors = tuple(tuple(sorted(s)) for s in adj)
 
     @property
     def edge_count(self) -> int:
@@ -83,13 +82,9 @@ def as_simple(graph: AnyGraph) -> SimpleGraph:
     return SimpleGraph(graph.vertex_count, graph.edges())
 
 
-def _adjacency_of(graph: AnyGraph) -> tuple[frozenset[int], ...]:
-    return graph._adjacency
-
-
 def neighbors_within2(graph: AnyGraph, v: int) -> frozenset[int]:
     """All vertices u != v at distance 1 or 2 from v."""
-    adj = _adjacency_of(graph)
+    adj = graph._adjacency
     if not isinstance(v, int) or not 0 <= v < graph.vertex_count:
         raise UnknownVertex(v)
     out = set(adj[v])

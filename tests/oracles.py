@@ -4,13 +4,15 @@ Everything here recomputes results the slow, obviously-correct way:
 exhaustive permutations for cycles and matches, explicit list enumeration
 and unreduced atom-pattern enumeration for choosability, unpruned
 rotation products for planarity, every cell-consistent vertex order for
-canonical forms, and vertex augmentation over every connected
-max-degree-4 graph rather than class members only.
+canonical forms, vertex augmentation over every connected max-degree-4
+graph rather than class members only, and rotations read off straight-line
+drawings by angle.
 """
 
 import itertools
+import math
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from planecharge.choosability import ListAssignment, l_coloring
 from planecharge.matcher import MatchEmbedding
@@ -375,3 +377,29 @@ def brute_force_matches(g, config_id):
     else:
         raise ValueError(config_id)
     return out
+
+
+def rotation_from_layout(
+    points: Sequence[tuple[float, float]],
+    edges: Iterable[tuple[int, int]],
+) -> list[list[int]]:
+    """Clockwise rotation lists read off a straight-line drawing.
+
+    Neighbors are ordered by decreasing angle around each vertex, so a
+    crossing-free drawing yields a rotation system with the drawing's faces.
+    """
+    n = len(points)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    rotation = []
+    for u, nbrs in enumerate(adjacency):
+        ux, uy = points[u]
+        angles = {}
+        for v in nbrs:
+            angles[v] = math.atan2(points[v][1] - uy, points[v][0] - ux)
+        if len(set(angles.values())) != len(nbrs):
+            raise ValueError(f"coincident neighbor directions at vertex {u}")
+        rotation.append(sorted(nbrs, key=lambda v: -angles[v]))
+    return rotation

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -198,6 +199,15 @@ def test_gen_command():
     assert report.payload["graph"]["n"] == 12
     again = run(["gen", "--seed", "7", "--n", "12"])
     assert again.payload == report.payload
+
+
+def test_examples_report_digest():
+    """The named examples are stated as rotation literals; their report must
+    keep every byte."""
+    text = run(["examples"]).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ff0b0ecc0c43f14be19063266ee43add8edb833bef3deccef17d81e2a1a4add0"
+    )
 
 
 def test_reports_byte_identical(graph_dir):

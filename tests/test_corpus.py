@@ -7,6 +7,7 @@ from oracles import (
     brute_canonical_form,
     connected_max4_oracle,
     naive_planar_embedding_exists,
+    rotation_from_layout,
 )
 from planecharge.corpus import (
     canonical_form,
@@ -18,7 +19,11 @@ from planecharge.corpus import (
 )
 from planecharge.errors import NOutOfRange
 from planecharge.matcher import find_any_reducible
-from planecharge.plane_graph import adjacency_has_cycle_of_length, class_membership
+from planecharge.plane_graph import (
+    adjacency_has_cycle_of_length,
+    build_from_rotation,
+    class_membership,
+)
 from planecharge.square import SimpleGraph, square
 
 
@@ -292,3 +297,48 @@ def test_random_members_cover_both_lattices():
         if 6 in lengths and 4 not in lengths:
             kinds.add("hex")
     assert kinds == {"square", "hex"}
+
+
+def _lattice_drawing(seed, n):
+    """The lattice patch random_class_member(seed, n) draws, as a
+    straight-line drawing: the same seeded cell growth, with square cells
+    at (x, y) and hexagonal cells at (x, 2y + 0.25) when x + y is even and
+    at (x, 2y) otherwise.  Returns the lattice name and the plane graph the
+    drawing's angles give."""
+    def square_nbrs(c):
+        x, y = c
+        return {(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)}
+
+    def hex_nbrs(c):
+        x, y = c
+        return {(x + 1, y), (x - 1, y), (x, y + 1 if (x + y) % 2 == 0 else y - 1)}
+
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        kind, nbrs, position = "square", square_nbrs, lambda c: c
+    else:
+        kind, nbrs = "hex", hex_nbrs
+        position = lambda c: (c[0], 2 * c[1] + (0.25 if sum(c) % 2 == 0 else 0.0))
+    cells = {(0, 0)}
+    while len(cells) < n:
+        frontier = sorted({d for c in cells for d in nbrs(c)} - cells)
+        cells.add(frontier[rng.randrange(len(frontier))])
+    ordered = sorted(cells)
+    index = {c: i for i, c in enumerate(ordered)}
+    edges = [
+        (index[c], index[d]) for c in ordered for d in nbrs(c) if d in cells and c < d
+    ]
+    points = [position(c) for c in ordered]
+    return kind, build_from_rotation(rotation_from_layout(points, edges))
+
+
+def test_lattice_rotation_equals_drawing():
+    """The lattice neighbour orders give exactly the rotation that the
+    angles of the lattice drawing give."""
+    kinds = {"square": 0, "hex": 0}
+    for seed in range(240):
+        n = 2 + seed % 48
+        kind, drawn = _lattice_drawing(seed, n)
+        kinds[kind] += 1
+        assert random_class_member(seed, n).rotation == drawn.rotation, (seed, n)
+    assert min(kinds.values()) >= 80, kinds

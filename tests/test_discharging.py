@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rotation_from_layout
 from planecharge.corpus import random_class_member
 from planecharge.discharging import (
     HALF,
@@ -20,7 +21,7 @@ from planecharge.discharging import (
 )
 from planecharge.errors import Disconnected, NotBigFace
 from planecharge.matcher import find_any_reducible, find_configuration
-from planecharge.plane_graph import build_from_layout, build_from_rotation
+from planecharge.plane_graph import build_from_rotation
 
 
 def pol(a, r=1.0):
@@ -128,7 +129,7 @@ def test_audit_all_deg4_hexagon():
                 )
             )
             edges.append((k, 6 + 2 * k + j))
-    g = build_from_layout(points, edges)
+    g = build_from_rotation(rotation_from_layout(points, edges))
     face = [i for i in range(g.face_count) if g.face_length(i) == 6][0]
     audit = edge_level_audit(g, face)
     assert all(c == THIRD for c in audit.edge_final.values())
@@ -141,7 +142,7 @@ def hex_with_triangle_fans():
     # exercising SubR1, SubR2, SubR3 and SubR5 in one audit
     points = [pol(60 * k) for k in range(6)] + [(1.6, 1.0), (2.4, 0.6)]
     edges = [(k, (k + 1) % 6) for k in range(6)] + [(0, 6), (1, 6), (0, 7), (6, 7)]
-    return build_from_layout(points, edges)
+    return build_from_rotation(rotation_from_layout(points, edges))
 
 
 def test_audit_subrules_fire_and_reconcile():
@@ -222,7 +223,7 @@ def test_pendant_vertex_walk_degeneracy():
     Positional seeding and the sub-rules must stay consistent anyway."""
     points = [pol(60 * k) for k in range(6)] + [(2.0, 0.0)]
     edges = [(k, (k + 1) % 6) for k in range(6)] + [(0, 6)]
-    g = build_from_layout(points, edges)
+    g = build_from_rotation(rotation_from_layout(points, edges))
     assert sorted(g.face_lengths()) == [6, 8]
     outer = g.face_lengths().index(8)
     assert g.face_vertices(outer).count(0) == 2

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_force_matches
+from oracles import brute_force_matches, rotation_from_layout
 from planecharge.catalog import CATALOG_ORDER, REDUCIBLE_IDS, get_configuration
 from planecharge.corpus import named_examples, random_class_member
 from planecharge.errors import UnknownConfig
@@ -11,7 +11,7 @@ from planecharge.matcher import (
     find_configuration,
     validate_embedding,
 )
-from planecharge.plane_graph import build_from_layout, build_from_rotation
+from planecharge.plane_graph import build_from_rotation
 
 
 def path_graph(n):
@@ -65,19 +65,19 @@ def test_k24_distance_two(named):
 
 
 def test_k4_structural_faces():
-    k4 = build_from_layout(
+    k4 = build_from_rotation(rotation_from_layout(
         [(0, 0), (2, 0), (1, 2), (1, 0.7)],
         [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)],
-    )
+    ))
     assert find_configuration(k4, "no333f")
     assert find_configuration(k4, "no3v_33f")
 
 
 def test_triangle_in_quad_no34f():
-    g = build_from_layout(
+    g = build_from_rotation(rotation_from_layout(
         [(0, 0), (1, 0.6), (2, 0), (1, 2)],
         [(0, 1), (1, 2), (0, 2), (0, 3), (3, 2)],
-    )
+    ))
     assert find_configuration(g, "no34f")
     assert find_configuration(g, "no2v3f")
 
@@ -170,7 +170,7 @@ def test_oracle_equivalence_on_high_degree_hosts(rim):
     edges = [(0, k + 1) for k in range(rim)] + [
         (k + 1, (k + 1) % rim + 1) for k in range(rim)
     ]
-    wheel = build_from_layout(points, edges)
+    wheel = build_from_rotation(rotation_from_layout(points, edges))
     for config_id in CATALOG_ORDER:
         assert set(find_configuration(wheel, config_id)) == brute_force_matches(
             wheel, config_id
