@@ -210,6 +210,34 @@ def test_examples_report_digest():
     )
 
 
+def test_discharge_reports_digest(tmp_path, monkeypatch, class_members_7):
+    """Every size-7 class member's ledger report, and the face ledger of each
+    of its 6+-faces, keep every byte.  Together these fire all nine rules,
+    including R3, R4, SubR1 and SubR2, which no triangle-free lattice does."""
+    monkeypatch.chdir(tmp_path)  # relative paths keep the reports free of temp dirs
+    texts = []
+    rules = set()
+    for k, g in enumerate(class_members_7):
+        name = f"m{k:03d}.graph"
+        dump_graph_file(g, name)
+        reports = [run(["discharge", name, "--ledger"])]
+        reports += [
+            run(["discharge", name, "--face", str(i), "--ledger"])
+            for i in range(g.face_count)
+            if g.face_length(i) >= 6
+        ]
+        for r in reports:
+            texts.append(r.to_json())
+            rules.update(t["rule"] for t in r.payload["transfers"])
+            rules.update(t["rule"] for t in r.payload.get("face_audit", {}).get("transfers", ()))
+    assert len(class_members_7) == 151
+    assert len(texts) == 308
+    assert rules == {"R1", "R2", "R3", "R4", "SubR1", "SubR2", "SubR3", "SubR4", "SubR5"}
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "271865e7a6e9020c680b221fab70a296c3ca0c56b359ae1a3f0058c36dcefb43"
+    )
+
+
 def test_reports_byte_identical(graph_dir):
     a = run(["match", str(graph_dir / "grid3x3.graph")]).to_json()
     b = run(["match", str(graph_dir / "grid3x3.graph")]).to_json()
