@@ -20,7 +20,6 @@ from .corpus import (
     random_class_member,
 )
 from .discharging import (
-    Charge,
     ChargeState,
     FaceAudit,
     FinalAudit,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CATALOG_ORDER",
     "CatalogEntryResult",
-    "Charge",
     "ChargeState",
     "ChoosabilityVerdict",
     "ClassReport",

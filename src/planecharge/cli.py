@@ -125,7 +125,7 @@ def _match_dict(emb: matcher.MatchEmbedding) -> dict:
 
 
 def _charge_map(charges: dict) -> dict:
-    return {str(k): c.twelfths for k, c in sorted(charges.items())}
+    return {str(k): c for k, c in sorted(charges.items())}
 
 
 def _transfer_list(transfers) -> list:
@@ -134,7 +134,7 @@ def _transfer_list(transfers) -> list:
             "rule": t.rule,
             "source": str(t.source),
             "sink": str(t.sink),
-            "twelfths": t.amount.twelfths,
+            "twelfths": t.amount,
         }
         for t in transfers
     ]
@@ -302,9 +302,9 @@ def _cmd_discharge(args) -> RunReport:
     payload: dict = {
         "vertex_charge_twelfths": _charge_map(state.vertex_charge),
         "face_charge_twelfths": _charge_map(state.face_charge),
-        "total_twelfths": state.total().twelfths,
+        "total_twelfths": state.total(),
         "negatives": [
-            {"kind": n.kind, "id": str(n.ident), "twelfths": n.charge.twelfths}
+            {"kind": n.kind, "id": str(n.ident), "twelfths": n.charge}
             for n in audit.negatives
         ],
         "reconciliation_ok": audit.reconciliation_ok,
@@ -319,10 +319,9 @@ def _cmd_discharge(args) -> RunReport:
         payload["face_audit"] = {
             "face": face_audit.face,
             "length": face_audit.length,
-            "residual_twelfths": face_audit.residual.twelfths,
+            "residual_twelfths": face_audit.residual,
             "edge_final_twelfths": {
-                f"{u}-{v}": c.twelfths
-                for (u, v), c in sorted(face_audit.edge_final.items())
+                f"{u}-{v}": c for (u, v), c in sorted(face_audit.edge_final.items())
             },
             "sink_received_twelfths": _charge_map(face_audit.sink_received),
         }

@@ -1,15 +1,15 @@
 """Exact charge accounting: balanced charging, the four global transfer
 rules, and per-face edge-level audits.
 
-All amounts are integer multiples of one twelfth of a unit charge; every
-constant the rules use (1, 1/2, 1/3, 1/4, 1/6) is such a multiple, so the
+Amounts are plain ints counting twelfths of a unit charge; every constant
+the rules use (1, 1/2, 1/3, 1/4, 1/6) is a whole number of twelfths, so the
 ledger is exact and every audit is bit-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import Disconnected, NotBigFace
 from .plane_graph import PlaneGraph
@@ -17,43 +17,12 @@ from .plane_graph import PlaneGraph
 ElementKey = tuple  # ("vertex", v) | ("face", i) | ("edge", (u, v))
 
 
-@dataclass(frozen=True, order=True)
-class Charge:
-    """An exact charge, counted in integer twelfths."""
-
-    twelfths: int
-
-    @classmethod
-    def of(cls, numerator: int, denominator: int = 1) -> "Charge":
-        if denominator <= 0 or (12 * numerator) % denominator != 0:
-            raise ValueError(
-                f"{numerator}/{denominator} is not an integer number of twelfths"
-            )
-        return cls(12 * numerator // denominator)
-
-    def __add__(self, other: "Charge") -> "Charge":
-        return Charge(self.twelfths + other.twelfths)
-
-    def __sub__(self, other: "Charge") -> "Charge":
-        return Charge(self.twelfths - other.twelfths)
-
-    def __neg__(self) -> "Charge":
-        return Charge(-self.twelfths)
-
-    @property
-    def is_negative(self) -> bool:
-        return self.twelfths < 0
-
-    def __str__(self) -> str:
-        return f"{self.twelfths}/12"
-
-
-ZERO = Charge(0)
-ONE = Charge(12)
-HALF = Charge(6)
-THIRD = Charge(4)
-QUARTER = Charge(3)
-SIXTH = Charge(2)
+# The rule amounts, in twelfths.
+ONE = 12
+HALF = 6
+THIRD = 4
+QUARTER = 3
+SIXTH = 2
 
 # The shortest face that gives charge away: the rules draw only from faces of
 # at least this length, and only they have an edge-level audit.
@@ -62,24 +31,21 @@ BIG_FACE = 6
 TOTAL_TWELFTHS = -96  # (-8) units: balanced charging on any connected plane graph
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     rule: str
     source: ElementKey
     sink: ElementKey
-    amount: Charge
+    amount: int
 
 
 @dataclass(frozen=True)
 class ChargeState:
-    vertex_charge: dict[int, Charge]
-    face_charge: dict[int, Charge]
+    vertex_charge: dict[int, int]
+    face_charge: dict[int, int]
     log: tuple[Transfer, ...] = ()
 
-    def total(self) -> Charge:
-        t = sum(c.twelfths for c in self.vertex_charge.values())
-        t += sum(c.twelfths for c in self.face_charge.values())
-        return Charge(t)
+    def total(self) -> int:
+        return sum(self.vertex_charge.values()) + sum(self.face_charge.values())
 
 
 def initial_charges(graph: PlaneGraph) -> ChargeState:
@@ -89,13 +55,11 @@ def initial_charges(graph: PlaneGraph) -> ChargeState:
         raise Disconnected("initial charges need a connected graph")
     state = ChargeState(
         vertex_charge={
-            v: Charge.of(graph.degree(v) - 4) for v in range(graph.vertex_count)
+            v: ONE * (graph.degree(v) - 4) for v in range(graph.vertex_count)
         },
-        face_charge={
-            i: Charge.of(len(walk) - 4) for i, walk in enumerate(graph.faces)
-        },
+        face_charge={i: ONE * (len(walk) - 4) for i, walk in enumerate(graph.faces)},
     )
-    assert state.total().twelfths == TOTAL_TWELFTHS
+    assert state.total() == TOTAL_TWELFTHS
     return state
 
 
@@ -115,7 +79,7 @@ def _touches_three_face(graph: PlaneGraph, i: int) -> bool:
 _VERTEX_DRAWS = {2: ("R1", ONE), 3: ("R2", HALF)}  # by vertex degree
 
 
-def _rule_draw(graph: PlaneGraph, sink: ElementKey) -> Optional[tuple[str, Charge]]:
+def _rule_draw(graph: PlaneGraph, sink: ElementKey) -> Optional[tuple[str, int]]:
     """The rule and amount by which ``sink`` draws from a 6+-face, per
     incidence: R1 = 1 for a degree-2 vertex and R2 = 1/2 for a degree-3
     vertex, per occurrence on the face's walk; R3 = 1/2 for a 3-face that
@@ -161,12 +125,12 @@ def apply_rules(graph: PlaneGraph, state: ChargeState) -> ChargeState:
     for t in transfers:
         kind, key = t.source
         assert kind == "face"
-        face_charge[key] = face_charge[key] - t.amount
+        face_charge[key] -= t.amount
         kind, key = t.sink
         if kind == "vertex":
-            vertex_charge[key] = vertex_charge[key] + t.amount
+            vertex_charge[key] += t.amount
         else:
-            face_charge[key] = face_charge[key] + t.amount
+            face_charge[key] += t.amount
     return ChargeState(
         vertex_charge=vertex_charge,
         face_charge=face_charge,
@@ -186,22 +150,19 @@ class FaceAudit:
 
     face: int
     length: int
-    residual: Charge
-    edge_seed: dict[tuple[int, int], Charge]
-    edge_final: dict[tuple[int, int], Charge]
-    sink_received: dict[ElementKey, Charge]
+    residual: int
+    edge_seed: dict[tuple[int, int], int]
+    edge_final: dict[tuple[int, int], int]
+    sink_received: dict[ElementKey, int]
     transfers: tuple[Transfer, ...]
 
-    def negative_edges(self) -> list[tuple[tuple[int, int], Charge]]:
-        return sorted(
-            (e, c) for e, c in self.edge_final.items() if c.is_negative
-        )
+    def negative_edges(self) -> list[tuple[tuple[int, int], int]]:
+        return sorted((e, c) for e, c in self.edge_final.items() if c < 0)
 
     def conserved(self) -> bool:
-        moved = sum(c.twelfths for c in self.sink_received.values())
-        kept = sum(c.twelfths for c in self.edge_final.values())
-        seeded = sum(c.twelfths for c in self.edge_seed.values())
-        return kept + moved == seeded
+        moved = sum(self.sink_received.values())
+        kept = sum(self.edge_final.values())
+        return kept + moved == sum(self.edge_seed.values())
 
 
 def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
@@ -220,19 +181,18 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
         for h in walk
     ]
 
-    # Ledgers are kept in plain twelfths and wrapped as Charge at the end.
     seed: dict[tuple[int, int], int] = {}
     for e in edges:
-        seed[e] = seed.get(e, 0) + THIRD.twelfths
+        seed[e] = seed.get(e, 0) + THIRD
 
     taken = [0] * length
     received: dict[ElementKey, int] = {}
     transfers: list[Transfer] = []
 
-    def take(rule: str, pos: int, sink: ElementKey, amount: Charge) -> None:
+    def take(rule: str, pos: int, sink: ElementKey, amount: int) -> None:
         pos %= length
-        taken[pos] += amount.twelfths
-        received[sink] = received.get(sink, 0) + amount.twelfths
+        taken[pos] += amount
+        received[sink] = received.get(sink, 0) + amount
         transfers.append(Transfer(rule, ("edge", edges[pos]), sink, amount))
 
     for pos, h in enumerate(walk):
@@ -286,10 +246,10 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
     audit = FaceAudit(
         face=face,
         length=length,
-        residual=Charge(12 * (length - 4) - 4 * length),
-        edge_seed={e: Charge(t) for e, t in seed.items()},
-        edge_final={e: Charge(t) for e, t in edge_final.items()},
-        sink_received={k: Charge(t) for k, t in received.items()},
+        residual=12 * (length - 4) - 4 * length,
+        edge_seed=seed,
+        edge_final=edge_final,
+        sink_received=received,
         transfers=tuple(transfers),
     )
     assert audit.conserved()
@@ -302,8 +262,8 @@ class FaceReconciliation:
 
     face: int
     ok: bool
-    audit_received: dict[ElementKey, Charge]
-    rule_draws: dict[ElementKey, Charge]
+    audit_received: dict[ElementKey, int]
+    rule_draws: dict[ElementKey, int]
     mismatched: tuple[ElementKey, ...]
 
 
@@ -311,19 +271,15 @@ def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
     """Check that what each sink collects from the face's edges under the
     sub-rules equals what it draws from the face under the global rules."""
     audit = edge_level_audit(graph, face)
-    draws: dict[ElementKey, Charge] = {}
+    draws: dict[ElementKey, int] = {}
     for h in graph.faces[face]:
         for sink in (("vertex", graph.origin[h]), ("face", graph.opposite_face(h))):
             draw = _rule_draw(graph, sink)
             if draw is not None:
-                draws[sink] = draws.get(sink, ZERO) + draw[1]
+                draws[sink] = draws.get(sink, 0) + draw[1]
     keys = set(audit.sink_received) | set(draws)
     mismatched = tuple(
-        sorted(
-            k
-            for k in keys
-            if audit.sink_received.get(k, ZERO) != draws.get(k, ZERO)
-        )
+        sorted(k for k in keys if audit.sink_received.get(k, 0) != draws.get(k, 0))
     )
     return FaceReconciliation(
         face=face,
@@ -341,7 +297,7 @@ def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
 class NegativeElement:
     kind: str  # "vertex" | "face" | "edge"
     ident: Union[int, tuple]  # vertex id, face index, or (face, (u, v))
-    charge: Charge
+    charge: int
 
 
 @dataclass(frozen=True)
@@ -361,14 +317,14 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
     """
     state = apply_rules(graph, initial_charges(graph))
     negatives: list[NegativeElement] = []
-    for v in sorted(state.vertex_charge):
-        if state.vertex_charge[v].is_negative:
-            negatives.append(NegativeElement("vertex", v, state.vertex_charge[v]))
-    for i in sorted(state.face_charge):
-        if state.face_charge[i].is_negative:
-            negatives.append(NegativeElement("face", i, state.face_charge[i]))
+    for v, c in sorted(state.vertex_charge.items()):
+        if c < 0:
+            negatives.append(NegativeElement("vertex", v, c))
+    for i, c in sorted(state.face_charge.items()):
+        if c < 0:
+            negatives.append(NegativeElement("face", i, c))
 
-    reconciliation_ok = state.total().twelfths == TOTAL_TWELFTHS
+    reconciliation_ok = state.total() == TOTAL_TWELFTHS
     for i, walk in enumerate(graph.faces):
         if len(walk) < BIG_FACE:
             continue
@@ -376,8 +332,8 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
         reconciliation_ok = (
             reconciliation_ok
             and audit.conserved()
-            and audit.residual.twelfths == 12 * (audit.length - 4) - 4 * audit.length
-            and not audit.residual.is_negative
+            and audit.residual == 12 * (audit.length - 4) - 4 * audit.length
+            and audit.residual >= 0
         )
         for e, c in audit.negative_edges():
             negatives.append(NegativeElement("edge", (i, e), c))

@@ -149,9 +149,9 @@ def test_criterion_5_charge_identity(named, class_members_7):
         if not g.is_connected():
             continue
         state = initial_charges(g)
-        ok = ok and state.total().twelfths == TOTAL_TWELFTHS
+        ok = ok and state.total() == TOTAL_TWELFTHS
         after = apply_rules(g, state)
-        ok = ok and after.total().twelfths == TOTAL_TWELFTHS
+        ok = ok and after.total() == TOTAL_TWELFTHS
     _criterion(
         5,
         ok,
