@@ -238,8 +238,7 @@ def _entry_payload(result: reducibility.CatalogEntryResult) -> dict:
 def _cmd_verify_lemma(args) -> RunReport:
     if args.id not in CATALOG_ORDER:
         raise CliInputError(f"unknown configuration id {args.id!r}")
-    results = {r.config_id: r for r in reducibility.verify_catalog()}
-    result = results[args.id]
+    result = reducibility.verify_entry(args.id)
     return RunReport(
         "verify-lemma",
         {"id": args.id},

@@ -173,7 +173,7 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
     walk = graph.faces[face]
     length = len(walk)
     if length < BIG_FACE:
-        raise NotBigFace(face, length)
+        raise NotBigFace(face, length, BIG_FACE)
     origin, target = graph.origin, graph.target
     # edges[pos] is the walk edge at position pos, as (low, high).
     edges = [

@@ -36,8 +36,10 @@ class UnknownVertex(GraphError):
 
 
 class KOutOfRange(GraphError):
-    def __init__(self, k: int):
-        super().__init__(f"cycle length {k} outside supported range 3..8")
+    def __init__(self, k: int, lengths: range):
+        super().__init__(
+            f"cycle length {k} outside supported range {lengths[0]}..{lengths[-1]}"
+        )
         self.k = k
 
 
@@ -75,8 +77,10 @@ class Disconnected(GraphError):
 
 
 class NotBigFace(GraphError):
-    def __init__(self, face: int, length: int):
-        super().__init__(f"face {face} has length {length}; edge-level audit needs length >= 6")
+    def __init__(self, face: int, length: int, big_face: int):
+        super().__init__(
+            f"face {face} has length {length}; edge-level audit needs length >= {big_face}"
+        )
         self.face = face
         self.length = length
 

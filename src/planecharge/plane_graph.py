@@ -26,6 +26,9 @@ RotationSpec = Sequence[Sequence[int]]
 # The class's degree bound: no vertex of a member has more neighbours.
 MAX_DEGREE = 4
 
+# The cycle lengths adjacency_has_cycle_of_length searches for.
+CYCLE_LENGTHS = range(3, 9)
+
 
 @dataclass(frozen=True)
 class ClassReport:
@@ -239,14 +242,15 @@ def build_from_rotation(spec: RotationSpec) -> PlaneGraph:
 
 
 def adjacency_has_cycle_of_length(adjacency: Sequence[Iterable[int]], k: int) -> bool:
-    """Exhaustive search for a simple cycle of exactly length k (3 <= k <= 8).
+    """Exhaustive search for a simple cycle of exactly length k, for k in
+    ``CYCLE_LENGTHS``.
 
     Works on any adjacency structure; each cycle is rooted at its smallest
     vertex so the search space stays tiny for the graphs handled here.  An
     odd k on a bipartite graph is answered by 2-coloring alone.
     """
-    if not 3 <= k <= 8:
-        raise KOutOfRange(k)
+    if k not in CYCLE_LENGTHS:
+        raise KOutOfRange(k, CYCLE_LENGTHS)
     adj = [set(nbrs) for nbrs in adjacency]
     n = len(adj)
     if k % 2 and _is_bipartite(adj):

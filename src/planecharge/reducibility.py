@@ -14,12 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from .catalog import (
-    CATALOG_ORDER,
-    Configuration,
-    catalog,
-    get_configuration,
-)
+from .catalog import Configuration, catalog, get_configuration
 from .choosability import DemandFunction, is_f_choosable
 from .errors import OverlappingRoles, UnknownEdgeInY, UnknownVertex
 from .matcher import find_configuration
@@ -177,49 +172,61 @@ def _completed_square_choosable(report: ReductionReport) -> bool:
     return is_f_choosable(complete, demands).choosable
 
 
-def _verify_structural(
-    config: Configuration, reducible_passed: Mapping[str, bool]
-) -> tuple[bool, tuple[str, ...]]:
+def _reducible_result(config: Configuration) -> CatalogEntryResult:
+    report = verify_configuration(config)
+    passed = report.passed
+    notes: tuple[str, ...] = ()
+    if config.check_completed_square and passed:
+        filled = _completed_square_choosable(report)
+        notes = (
+            "choosable with the missing core pair added"
+            if filled
+            else "FAIL: not choosable once the missing pair is added",
+        )
+        passed = passed and filled
+    return CatalogEntryResult(config.config_id, config.kind, passed, report, notes)
+
+
+def _structural_result(
+    config: Configuration, reducible: Mapping[str, CatalogEntryResult]
+) -> CatalogEntryResult:
+    """A structural entry passes when every case's cited reducible entries
+    (looked up in ``reducible``) pass and its patch check holds."""
     notes = []
     ok = True
     for case in config.cases:
-        case_ok = all(reducible_passed.get(c, False) for c in case.cites)
+        case_ok = all(c in reducible and reducible[c].passed for c in case.cites)
         if case.patch_check == "five_cycle":
             case_ok = case_ok and has_cycle_of_length(case.patch, 5)
         elif case.patch_check == "match":
             case_ok = case_ok and bool(find_configuration(case.patch, case.cites[0]))
         ok = ok and case_ok
         notes.append(f"{'ok' if case_ok else 'FAIL'}: {case.description}")
-    return ok, tuple(notes)
+    return CatalogEntryResult(config.config_id, config.kind, ok, None, tuple(notes))
+
+
+def verify_entry(config_id: str) -> CatalogEntryResult:
+    """Verify one catalog entry: a reducible entry on its own, a structural
+    entry together with the reducible entries its cases cite."""
+    config = get_configuration(config_id)
+    if config.kind == "reducible":
+        return _reducible_result(config)
+    cited = dict.fromkeys(c for case in config.cases for c in case.cites)
+    return _structural_result(
+        config, {c: _reducible_result(get_configuration(c)) for c in cited}
+    )
 
 
 def verify_catalog() -> list[CatalogEntryResult]:
-    """Verify every catalog entry; failures are reported, never raised."""
-    results: dict[str, CatalogEntryResult] = {}
-    reducible_passed: dict[str, bool] = {}
-    for config in catalog():
-        if config.kind != "reducible":
-            continue
-        report = verify_configuration(config)
-        passed = report.passed
-        notes: tuple[str, ...] = ()
-        if config.check_completed_square and passed:
-            filled = _completed_square_choosable(report)
-            notes = (
-                "choosable with the missing core pair added"
-                if filled
-                else "FAIL: not choosable once the missing pair is added",
-            )
-            passed = passed and filled
-        reducible_passed[config.config_id] = passed
-        results[config.config_id] = CatalogEntryResult(
-            config.config_id, config.kind, passed, report, notes
-        )
-    for config in catalog():
-        if config.kind == "reducible":
-            continue
-        ok, notes = _verify_structural(config, reducible_passed)
-        results[config.config_id] = CatalogEntryResult(
-            config.config_id, config.kind, ok, None, notes
-        )
-    return [results[c] for c in CATALOG_ORDER]
+    """Verify every catalog entry, each reducible one once; failures are
+    reported, never raised."""
+    configs = catalog()
+    reducible = {
+        c.config_id: _reducible_result(c) for c in configs if c.kind == "reducible"
+    }
+    return [
+        reducible[c.config_id]
+        if c.kind == "reducible"
+        else _structural_result(c, reducible)
+        for c in configs
+    ]

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planecharge import reducibility
+from planecharge.catalog import CATALOG_ORDER
 from planecharge.choosability import MAX_CHOOSABILITY_VERTICES
 from planecharge.cli import (
     REPORT_SCHEMA,
@@ -106,6 +108,36 @@ def test_verify_lemma(graph_dir):
     ) == {6, 3}
     with pytest.raises(CliInputError):
         run(["verify-lemma", "nope"])
+
+
+def test_verify_lemma_equals_catalog_entry():
+    catalog_report = run(["verify-catalog"])
+    entries = catalog_report.payload["entries"]
+    assert [e["id"] for e in entries] == list(CATALOG_ORDER)
+    for entry in entries:
+        report = run(["verify-lemma", entry["id"]])
+        assert report.payload == entry
+        assert report.outcome == ("pass" if entry["passed"] else "fail")
+
+
+def test_verify_lemma_verifies_only_what_it_reports(monkeypatch):
+    """A reducible entry verifies itself alone; no333f verifies only the two
+    reducible entries its cases cite."""
+    calls = []
+    real = reducibility.verify_reduction
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reducibility, "verify_reduction", counted)
+    for config_id, expected in (("no1v", 1), ("no333f", 2), ("no34f", 1), ("conn", 0)):
+        calls.clear()
+        assert run(["verify-lemma", config_id]).outcome == "pass"
+        assert len(calls) == expected, config_id
+    calls.clear()
+    run(["verify-catalog"])
+    assert len(calls) == 16
 
 
 def test_verify_catalog(tmp_path):

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_has_cycle
-from planecharge.corpus import random_class_member
+from planecharge.corpus import enumerate_class, random_class_member
+from planecharge.discharging import edge_level_audit
 from planecharge.errors import (
     AsymmetricAdjacency,
     DuplicateNeighbor,
     KOutOfRange,
+    NOutOfRange,
+    NotBigFace,
     SelfLoop,
     UnknownVertex,
 )
@@ -114,6 +117,21 @@ def test_has_cycle_examples(named):
         has_cycle_of_length(c5, 2)
     with pytest.raises(KOutOfRange):
         has_cycle_of_length(c5, 9)
+
+
+def test_limit_messages(named):
+    """Each limit is stated once, as a named constant, and its error message
+    keeps every byte."""
+    c5 = build_from_rotation(cycle_rotation(5))
+    with pytest.raises(KOutOfRange) as err:
+        has_cycle_of_length(c5, 9)
+    assert str(err.value) == "cycle length 9 outside supported range 3..8"
+    with pytest.raises(NotBigFace) as err:
+        edge_level_audit(named["q3"], 0)
+    assert str(err.value) == "face 0 has length 4; edge-level audit needs length >= 6"
+    with pytest.raises(NOutOfRange) as err:
+        list(enumerate_class(9))
+    assert str(err.value) == "enumeration size 9 outside supported range 2..8"
 
 
 def test_has_cycle_matches_naive_enumeration(class_members_6):
