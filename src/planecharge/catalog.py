@@ -13,8 +13,8 @@ An instance is built in three steps.
   A witness face is a cycle through the roles that ``on``, ``share`` and
   ``meet`` put on it, in id order, and then through its free vertices: new
   vertices that fill the face up to its length.
-- Embedding: the first of ``corpus.planar_embeddings`` in which every
-  witness cycle is a face.
+- Embedding: the first of ``corpus.iter_planar_embeddings`` in which
+  every witness cycle is a face; the search stops there.
 - Completion: every core vertex, and every vertex at distance one from the
   core, gets new pad neighbours up to its spec degree (4 if the spec gives
   none).  A core vertex's pads (stems) are at distance one, so they are
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .corpus import planar_embeddings
+from .corpus import iter_planar_embeddings
 from .errors import UnknownConfig
 from .plane_graph import MAX_DEGREE, PlaneGraph, build_from_rotation
 
@@ -117,9 +117,6 @@ _REDUCTIONS = {
 CATALOG_ORDER = tuple(SPEC_TEXT)
 STRUCTURAL_IDS = ("conn", "no333f", "no34f")
 REDUCIBLE_IDS = tuple(c for c in CATALOG_ORDER if c not in STRUCTURAL_IDS)
-
-# Far above the number of embeddings of any fragment (at most 3).
-_EMBEDDING_LIMIT = 10**4
 
 
 def spec_clauses(config_id: str) -> list[list[str]]:
@@ -222,7 +219,7 @@ def _embed(
     with the indices of those faces.  A cycle that bounds two faces (the
     fragment is that cycle alone) is the first of them."""
     wanted = {_edges_of(zip(c, c[1:] + c[:1])) for c in cycles}
-    for graph in planar_embeddings(tuple(map(frozenset, adjacency)), _EMBEDDING_LIMIT):
+    for graph in iter_planar_embeddings(tuple(map(frozenset, adjacency))):
         witness: dict[frozenset, int] = {}
         for i, walk in enumerate(graph.faces):
             edges = _edges_of((graph.origin[h], graph.target[h]) for h in walk)

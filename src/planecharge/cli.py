@@ -108,8 +108,19 @@ def _load(path: str) -> PlaneGraph:
         return load_graph_file(path)
     except OSError as exc:
         raise CliInputError(f"cannot read graph file {path!r}: {exc.strerror}")
-    except (ValueError, GraphError) as exc:
+    except (ValueError, GraphError, RecursionError) as exc:
         raise CliInputError(f"bad graph file {path!r}: {exc}")
+
+
+def _write_graphs(out: str, graphs: dict[str, PlaneGraph]) -> None:
+    """Write each graph to a file of its name in the directory ``out``,
+    which is created if missing."""
+    try:
+        os.makedirs(out, exist_ok=True)
+        for name, g in graphs.items():
+            dump_graph_file(g, os.path.join(out, name))
+    except OSError as exc:
+        raise CliInputError(f"cannot write {out!r}: {exc.strerror}")
 
 
 def _simple_dict(graph: SimpleGraph) -> dict:
@@ -177,7 +188,7 @@ def _parse_lists(text: str, n: int) -> ListAssignment:
             if not isinstance(colors, list):
                 raise ValueError(f"the list of vertex {v} is not an array")
         return ListAssignment.from_lists(data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise CliInputError(f"bad --lists value: {exc}")
 
 
@@ -261,17 +272,18 @@ def _cmd_verify_catalog(args) -> RunReport:
         payload,
     )
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+                fh.write("\n")
+        except OSError as exc:
+            raise CliInputError(f"cannot write {args.report!r}: {exc.strerror}")
     return report
 
 
 def _cmd_match(args) -> RunReport:
     g = _load(args.graph)
     if args.config is not None:
-        if args.config not in CATALOG_ORDER:
-            raise CliInputError(f"unknown configuration id {args.config!r}")
         matches = matcher.find_configuration(g, args.config)
         payload = {
             "config": args.config,
@@ -341,17 +353,16 @@ def _cmd_enumerate(args) -> RunReport:
     if args.n not in ENUMERATION_SIZES:
         lo, hi = ENUMERATION_SIZES[0], ENUMERATION_SIZES[-1]
         raise CliInputError(f"--n must be in {lo}..{hi}, got {args.n}")
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-    for i, g in enumerate(enumerate_class(args.n)):
-        name = f"class_v{g.vertex_count}_{i:04d}.graph"
-        dump_graph_file(g, os.path.join(args.out, name))
-        written.append(name)
+    members = {
+        f"class_v{g.vertex_count}_{i:04d}.graph": g
+        for i, g in enumerate(enumerate_class(args.n))
+    }
+    _write_graphs(args.out, members)
     return RunReport(
         "enumerate",
         {"n": args.n, "out": args.out},
         "info",
-        {"count": len(written), "files": written},
+        {"count": len(members), "files": list(members)},
     )
 
 
@@ -374,9 +385,7 @@ def _cmd_examples(args) -> RunReport:
         for ng in examples
     }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        for ng in examples:
-            dump_graph_file(ng.graph, os.path.join(args.out, f"{ng.name}.graph"))
+        _write_graphs(args.out, {f"{ng.name}.graph": ng.graph for ng in examples})
     return RunReport("examples", {"out": args.out}, "info", payload)
 
 

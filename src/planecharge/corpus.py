@@ -11,8 +11,9 @@ the rest are deduplicated by a branch-and-bound canonical form, and each
 new isomorphism class is then searched for a planar rotation system
 directly: a graph is accepted exactly when some rotation system traces
 E - V + 2 faces, and keeps that embedding.  Sizes are tiny, so the
-exhaustive search with face-count pruning beats importing a planarity
-algorithm.
+exhaustive search beats importing a planarity algorithm.  That search is
+one lazy generator, ``iter_planar_embeddings``, which keeps its face count
+running and states Euler's edge bound once, for triangle-free graphs too.
 """
 
 from __future__ import annotations
@@ -24,14 +25,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import NOutOfRange
-from .plane_graph import (
-    MAX_DEGREE,
-    PlaneGraph,
-    adjacency_has_cycle_of_length,
-    build_from_rotation,
-)
-
-Adjacency = tuple[frozenset[int], ...]
+from .plane_graph import MAX_DEGREE, PlaneGraph, build_from_rotation
 
 # The vertex counts enumerate_class accepts.
 ENUMERATION_SIZES = range(2, 9)
@@ -193,40 +187,44 @@ def canonical_form(n: int, adjacency: Sequence[frozenset[int]]) -> tuple:
 
 def find_planar_embedding(adjacency: Sequence[frozenset[int]]) -> Optional[PlaneGraph]:
     """A rotation system tracing E - V + 2 faces, or None if none exists."""
-    found = planar_embeddings(adjacency, limit=1)
-    return found[0] if found else None
+    return next(iter_planar_embeddings(adjacency), None)
 
 
 def planar_embeddings(
     adjacency: Sequence[frozenset[int]], limit: int
 ) -> list[PlaneGraph]:
-    """Up to ``limit`` distinct planar rotation systems for an abstract graph.
+    """The first ``limit`` rotation systems of ``iter_planar_embeddings``."""
+    return list(itertools.islice(iter_planar_embeddings(adjacency), limit))
+
+
+def iter_planar_embeddings(adjacency: Sequence[frozenset[int]]) -> Iterator[PlaneGraph]:
+    """Every planar rotation system of a connected graph, up to reflection
+    of the whole map, in a fixed order.
 
     Backtracking over per-vertex cyclic orders (one vertex pinned up to
-    rotation and reflection), pruning on the face count: closed face walks
-    only accumulate, and the unfinished half-edge chains bound how many
-    faces can still appear.
+    rotation and reflection), pruning on the face count.  Once v has its
+    rotation, only faces through half-edges into v can close, so the count
+    of closed faces and of the half-edges on them is kept running: closed
+    faces must not exceed E - V + 2, and the other half-edges, at least
+    ``min_len`` per face, must still be able to make up the rest.
     """
     n = len(adjacency)
     edge_count = sum(len(s) for s in adjacency) // 2
     if edge_count == 0:
-        if n <= 1 and limit > 0:
-            return [build_from_rotation([[] for _ in range(n)])]
-        return []
+        if n <= 1:
+            yield build_from_rotation([[] for _ in range(n)])
+        return
+    # A face walk of length 2 is all of K2, and one of length 3 a triangle.
+    if n == 2:
+        min_len = 2
+    elif any(adjacency[u] & adjacency[v] for u in range(n) for v in adjacency[u]):
+        min_len = 3
+    else:
+        min_len = 4
     target_faces = edge_count - n + 2
-    if n >= 3 and edge_count > 3 * n - 6:
-        return []
-    min_degree = min(len(s) for s in adjacency)
-    min_face_len = 3 if min_degree >= 2 else 2
-
-    half_id: dict[tuple[int, int], int] = {}
-    half_list: list[tuple[int, int]] = []
-    for u in range(n):
-        for v in sorted(adjacency[u]):
-            half_id[(u, v)] = len(half_list)
-            half_list.append((u, v))
-    twin = [half_id[(v, u)] for (u, v) in half_list]
-    total_halves = len(half_list)
+    # Euler's bound: the faces use each of the 2E half-edges once.
+    if 2 * edge_count < min_len * target_faces:
+        return
 
     # BFS order from a max-degree vertex keeps the assigned region connected,
     # so face walks close early.
@@ -242,68 +240,61 @@ def planar_embeddings(
                 order.append(v)
                 queue.append(v)
     if len(order) < n:
-        return []  # disconnected: no single plane drawing is attempted
+        return  # disconnected: no single plane drawing is attempted
 
+    half_id = {
+        h: i for i, h in enumerate((u, v) for u in range(n) for v in adjacency[u])
+    }
+    total_halves = 2 * edge_count
+    # successor[h] is the half-edge after h on its face, once h's head has
+    # its rotation.
     successor: list[Optional[int]] = [None] * total_halves
 
-    def set_rotation(v: int, cyc: Sequence[int], value: bool) -> None:
-        for i, u in enumerate(cyc):
-            w = cyc[(i + 1) % len(cyc)]
-            successor[twin[half_id[(v, u)]]] = half_id[(v, w)] if value else None
-
-    def prune() -> bool:
-        mark = [0] * total_halves  # 1 = open chain, 2 = closed face
-        closed = 0
-        open_halves = 0
-        for h0 in range(total_halves):
-            if mark[h0]:
-                continue
-            trail = [h0]
-            h = successor[h0]
-            while h is not None and h != h0 and not mark[h]:
-                trail.append(h)
-                h = successor[h]
-            if h == h0:
-                closed += 1
-                for t in trail:
-                    mark[t] = 2
-            else:
-                open_halves += len(trail)
-                for t in trail:
-                    mark[t] = 1
-        if closed > target_faces:
-            return False
-        return closed + open_halves // min_face_len >= target_faces
-
-    def choices(v: int, pinned: bool) -> Iterator[tuple[int, ...]]:
-        nbrs = sorted(adjacency[v])
-        first, rest = nbrs[0], nbrs[1:]
+    # Every rotation of each vertex in search order, with the half-edges
+    # into the vertex and the face successor each gets.
+    options = []
+    for i, v in enumerate(order):
+        first, *rest = sorted(adjacency[v])
+        level = []
         for tail in itertools.permutations(rest):
-            if pinned and len(nbrs) >= 3 and tail[0] > tail[-1]:
+            if i == 0 and len(rest) >= 2 and tail[0] > tail[-1]:
                 continue  # reflection of the whole map: skip one of each pair
-            yield (first,) + tail
+            cyc = (first, *tail)
+            into = [half_id[(u, v)] for u in cyc]
+            out = [half_id[(v, w)] for w in cyc[1:] + cyc[:1]]
+            level.append((cyc, into, out))
+        options.append(level)
+    rotations: list[tuple[int, ...]] = [()] * n
 
-    rotations: list[Optional[tuple[int, ...]]] = [None] * n
-    found: list[PlaneGraph] = []
-
-    def assign(i: int) -> bool:
+    def assign(i: int, closed: int, closed_halves: int) -> Iterator[PlaneGraph]:
         if i == n:
-            graph = build_from_rotation([list(rotations[v]) for v in range(n)])
+            graph = build_from_rotation(rotations)
             assert graph.face_count == target_faces
-            found.append(graph)
-            return len(found) >= limit
-        v = order[i]
-        for cyc in choices(v, pinned=(i == 0)):
-            rotations[v] = cyc
-            set_rotation(v, cyc, True)
-            if prune() and assign(i + 1):
-                return True
-            set_rotation(v, cyc, False)
-            rotations[v] = None
-        return False
+            yield graph
+            return
+        for cyc, into, out in options[i]:
+            for h, o in zip(into, out):
+                successor[h] = o
+            faces, halves = closed, closed_halves
+            for k, h in enumerate(into):
+                # Stop at an earlier half-edge of ``into``: the face was
+                # counted from there, if it closed.
+                walked = into[:k]
+                length, t = 1, successor[h]
+                while t is not None and t != h and t not in walked:
+                    length, t = length + 1, successor[t]
+                if t == h:
+                    faces, halves = faces + 1, halves + length
+            if (
+                faces <= target_faces
+                and faces + (total_halves - halves) // min_len >= target_faces
+            ):
+                rotations[order[i]] = cyc
+                yield from assign(i + 1, faces, halves)
+            for h in into:
+                successor[h] = None
 
-    assign(0)
-    return found
+    yield from assign(0, 0, 0)
 
 
 # -- class enumeration ----------------------------------------------------------
@@ -319,21 +310,6 @@ def _closes_5_cycle(
             if c != b and (parent[c] & parent[b]) - {a}:
                 return True
     return False
-
-
-def _embed_member(adjacency: Adjacency) -> Optional[PlaneGraph]:
-    """A planar embedding of a connected max-degree-4 graph without
-    5-cycles, or None if it has none."""
-    n = len(adjacency)
-    edge_count = sum(len(s) for s in adjacency) // 2
-    # Triangle-free simple planar graphs have at most 2n-4 edges.
-    if (
-        n >= 3
-        and edge_count > 2 * n - 4
-        and not adjacency_has_cycle_of_length(adjacency, 3)
-    ):
-        return None
-    return find_planar_embedding(adjacency)
 
 
 @lru_cache(maxsize=None)
@@ -363,7 +339,7 @@ def _members(n: int) -> tuple[PlaneGraph, ...]:
                 frozen = tuple(frozenset(s) for s in adj)
                 key = canonical_form(n, frozen)
                 if key not in out:
-                    out[key] = _embed_member(frozen)
+                    out[key] = find_planar_embedding(frozen)
     return tuple(g for g in out.values() if g is not None)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .errors import Disconnected, NotBigFace
+from .errors import Disconnected, GraphError, NotBigFace
 from .plane_graph import PlaneGraph
 
 ElementKey = tuple  # ("vertex", v) | ("face", i) | ("edge", (u, v))
@@ -53,6 +53,15 @@ def initial_charges(graph: PlaneGraph) -> ChargeState:
     on faces; the total is exactly -8 on a connected plane graph."""
     if not graph.is_connected():
         raise Disconnected("initial charges need a connected graph")
+    if graph.edge_count == 0:
+        raise GraphError("charge accounting needs at least one edge")
+    euler = graph.vertex_count - graph.edge_count + graph.face_count
+    if euler != 2:
+        # The total is -4 units times V - E + F, so only a plane rotation
+        # system sums to -8.
+        raise GraphError(
+            f"charge accounting needs a plane rotation system, but V - E + F = {euler}"
+        )
     state = ChargeState(
         vertex_charge={
             v: ONE * (graph.degree(v) - 4) for v in range(graph.vertex_count)

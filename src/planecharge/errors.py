@@ -31,7 +31,7 @@ class SelfLoop(GraphError):
 
 class UnknownVertex(GraphError):
     def __init__(self, v: int):
-        super().__init__(f"unknown vertex id {v}")
+        super().__init__(f"unknown vertex id {v!r}")
         self.vertex = v
 
 

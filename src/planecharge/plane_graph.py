@@ -360,7 +360,12 @@ def from_file_dict(data: dict) -> PlaneGraph:
         raise ValueError("graph file needs fields 'n' and 'rot'")
     n = data["n"]
     rot = data["rot"]
-    if type(n) is not int or not isinstance(rot, list) or len(rot) != n:
+    if (
+        type(n) is not int
+        or not isinstance(rot, list)
+        or len(rot) != n
+        or not all(isinstance(nbrs, list) for nbrs in rot)
+    ):
         raise ValueError("graph file field 'rot' must be an array of n arrays")
     return build_from_rotation(rot)
 

@@ -124,6 +124,25 @@ def naive_planar_embedding_exists(adjacency):
     return False
 
 
+def naive_planar_rotations(adjacency):
+    """Every rotation system of a graph without isolated vertices that
+    traces E - V + 2 faces, each cyclic order starting at the smallest
+    neighbour (no pinning, no pruning)."""
+    n = len(adjacency)
+    target = sum(len(s) for s in adjacency) // 2 - n + 2
+    per_vertex = []
+    for v in range(n):
+        first, *rest = sorted(adjacency[v])
+        per_vertex.append(
+            [(first, *tail) for tail in itertools.permutations(rest)]
+        )
+    return [
+        rotations
+        for rotations in itertools.product(*per_vertex)
+        if build_from_rotation(rotations).face_count == target
+    ]
+
+
 # -- brute-force canonical forms and unpruned augmentation ----------------------
 
 

@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,8 @@ from planecharge.cli import (
     main,
     run,
 )
-from planecharge.plane_graph import dump_graph_file, load_graph_file
-from planecharge.corpus import named_examples
+from planecharge.corpus import enumerate_class, named_examples
+from planecharge.plane_graph import dump_graph_file, load_graph_file, to_file_dict
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +200,37 @@ def test_bool_vertex_ids_exit_2(tmp_path, capsys, graph):
     assert len(lines) == 1
     assert lines[0].startswith("error: bad graph file ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("graph", [{"n": 0, "rot": []}, {"n": 1, "rot": [[]]}])
+def test_discharge_edgeless_graph_exits_2(tmp_path, capsys, graph):
+    path = tmp_path / "edgeless.graph"
+    path.write_text(json.dumps(graph))
+    assert main(["discharge", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: charge accounting needs at least one edge\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-catalog", "--report", "{missing}/report.json"],
+        ["enumerate", "--n", "3", "--out", "{file}"],
+        ["examples", "--out", "{file}"],
+    ],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    file = tmp_path / "taken"
+    file.write_text("")
+    paths = {"missing": str(tmp_path / "missing"), "file": str(file)}
+    argv = [a.format(**paths) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write {argv[-1]!r}: ")
 
 
 def test_parser_is_reused_without_leaking_state(graph_dir):
@@ -395,3 +428,130 @@ def test_closed_pipe_exits_quietly(graph_dir):
         stderr = proc.stderr.read()
         assert proc.wait() == 0
         assert stderr == b""
+
+
+# -- fuzzing every command that reads a graph file ------------------------------
+
+_DEEP = "[" * 50_000 + "]" * 50_000
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 7)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_ids = st.integers(-1, 6) | st.booleans() | st.text(max_size=2) | _json_values
+_rotations = st.lists(st.lists(st.integers(0, 5), max_size=4), min_size=1, max_size=6)
+
+
+@st.composite
+def _simple_graphs(draw):
+    """Valid graph files: a random simple graph on at most 6 vertices with
+    every rotation shuffled, so most are not plane maps."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=9)) if pairs else set()
+    rot = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        rot[u].append(v)
+        rot[v].append(u)
+    return {"n": n, "rot": [draw(st.permutations(nbrs)) for nbrs in rot]}
+
+
+_valid_texts = (
+    st.sampled_from(list(enumerate_class(5))).map(to_file_dict)
+    | _simple_graphs()
+).map(json.dumps)
+_malformed_texts = (
+    _rotations.map(lambda rot: json.dumps({"n": len(rot), "rot": rot}))
+    | st.fixed_dictionaries(
+        {
+            "n": st.integers(-1, 6) | _json_values,
+            "rot": st.lists(st.lists(_ids, max_size=4) | _json_values, max_size=6)
+            | _json_values,
+        }
+    ).map(json.dumps)
+    | _json_values.map(json.dumps)
+    | st.text(max_size=20)
+    | st.just(_DEEP)
+)
+_graph_texts = st.booleans().flatmap(
+    lambda valid: _valid_texts if valid else _malformed_texts
+)
+_list_texts = (
+    st.lists(st.lists(st.integers(0, 3) | st.text(max_size=1), max_size=3), max_size=5)
+    .map(json.dumps)
+    | _json_values.map(json.dumps)
+    | st.text(max_size=12)
+    | st.just(_DEEP)
+)
+_GRAPH_COMMANDS = {
+    "inspect": st.just([]),
+    "square": st.just([]),
+    "color": _list_texts.map(lambda text: [f"--lists={text}"]),
+    "choosable": st.integers(-1, 3).map(lambda k: [f"-k={k}"]),
+    "match": st.sampled_from([[], ["--config", "no1v"], ["--config", "no33v"]]),
+    "discharge": st.sampled_from(
+        [[], ["--ledger"], ["--face", "0"], ["--face", "1", "--ledger"]]
+    ),
+}
+
+
+def _assert_error_line_or_report(path, command, text, extra):
+    """Run one command on a graph file holding ``text``: either one `error:`
+    line, exit code 2 and an empty stdout, or a report with exit code 0 or 1
+    and an empty stderr.  An exception escaping ``main`` is a traceback."""
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command, str(path), *extra])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    else:
+        assert code in (0, 1) and err == ""
+        body = json.loads(out)
+        assert body["command"] == command
+        assert body["exit_code"] == code
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.graph"
+
+
+@pytest.mark.parametrize("command", sorted(_GRAPH_COMMANDS))
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "rot": [1, 0]}',
+        '{"n": 2, "rot": [null, null]}',
+        '{"n": 0, "rot": []}',
+        '{"n": 1, "rot": [[]]}',
+        '{"n": 4, "rot": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}',
+        '{"n": 2, "rot": [["a\\nb"], [0]]}',
+        _DEEP,
+    ],
+    ids=["int-rows", "null-rows", "n0", "n1", "k4-torus", "newline-id", "deep"],
+)
+def test_graph_file_edge_cases_exit_2_or_report(fuzz_path, command, text):
+    required = {"color": ["--lists=[[1]]"], "choosable": ["-k=2"]}
+    _assert_error_line_or_report(fuzz_path, command, text, required.get(command, []))
+
+
+def test_deeply_nested_lists_exit_2(fuzz_path):
+    text = '{"n": 1, "rot": [[]]}'
+    _assert_error_line_or_report(fuzz_path, "color", text, [f"--lists={_DEEP}"])
+
+
+@pytest.mark.parametrize("command", sorted(_GRAPH_COMMANDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_graph_input_exits_2_or_reports(fuzz_path, command, data):
+    text, extra = data.draw(_graph_texts), data.draw(_GRAPH_COMMANDS[command])
+    _assert_error_line_or_report(fuzz_path, command, text, extra)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -7,8 +8,10 @@ from oracles import (
     brute_canonical_form,
     connected_max4_oracle,
     naive_planar_embedding_exists,
+    naive_planar_rotations,
     rotation_from_layout,
 )
+from planecharge.catalog import catalog
 from planecharge.corpus import (
     canonical_form,
     enumerate_class,
@@ -259,6 +262,51 @@ def test_multiple_embeddings_distinct():
     assert len({h.rotation for h in found}) == len(found)
     for h in found:
         assert class_membership(h).in_class
+
+
+def test_embedding_order_digest(class_members_7):
+    """The search order is fixed: every member's rotation for n <= 7, every
+    embedding of each member in the order found, and the 16 catalog
+    patterns, which take the first embedding with their witness faces."""
+    digest = hashlib.sha256()
+    for g in class_members_7:
+        digest.update(repr(g.rotation).encode())
+        adjacency = tuple(g.neighbors(v) for v in range(g.vertex_count))
+        for h in planar_embeddings(adjacency, 10**6):
+            digest.update(repr(h.rotation).encode())
+    patterns = [entry.pattern for entry in catalog() if entry.pattern is not None]
+    assert len(patterns) == 16
+    for pattern in patterns:
+        digest.update(repr(pattern.rotation).encode())
+    assert digest.hexdigest() == (
+        "0f1fa02ad487e24bb819860ca6da5ebb2cadbde3fba14ce6223ddbf46733eeb1"
+    )
+
+
+def _mirror_class(rotation):
+    """A rotation system and its mirror image, as one key: each cyclic
+    order starts at its smallest neighbour."""
+
+    def start_low(cyc):
+        i = cyc.index(min(cyc))
+        return tuple(cyc[i:] + cyc[:i])
+
+    forward = tuple(start_low(list(r)) for r in rotation)
+    mirror = tuple(start_low(list(reversed(r))) for r in rotation)
+    return min(forward, mirror)
+
+
+def test_every_embedding_once_against_exhaustive(class_members_7):
+    """The pruned search yields every planar rotation system of each member
+    exactly once up to reflection."""
+    for g in class_members_7:
+        adjacency = tuple(g.neighbors(v) for v in range(g.vertex_count))
+        found = [
+            _mirror_class(h.rotation) for h in planar_embeddings(adjacency, 10**6)
+        ]
+        expected = {_mirror_class(r) for r in naive_planar_rotations(adjacency)}
+        assert len(found) == len(set(found))
+        assert set(found) == expected
 
 
 def test_every_member_in_class(class_members_7):

@@ -18,7 +18,7 @@ from planecharge.discharging import (
     reconcile_face,
     rule_transfers,
 )
-from planecharge.errors import Disconnected, NotBigFace
+from planecharge.errors import Disconnected, GraphError, NotBigFace
 from planecharge.matcher import find_any_reducible, find_configuration
 from planecharge.plane_graph import build_from_rotation
 
@@ -48,6 +48,19 @@ def test_initial_charges_sharpness9(named):
 def test_initial_charges_need_connectivity():
     g = build_from_rotation([[1], [0], [3], [2]])
     with pytest.raises(Disconnected):
+        initial_charges(g)
+
+
+@pytest.mark.parametrize("rotation", [[], [[]]])
+def test_initial_charges_need_an_edge(rotation):
+    with pytest.raises(GraphError, match="at least one edge"):
+        initial_charges(build_from_rotation(rotation))
+
+
+def test_initial_charges_need_a_plane_rotation_system():
+    # K4 with every rotation ascending traces 2 faces, not 4: a torus map.
+    g = build_from_rotation([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    with pytest.raises(GraphError, match="V - E \\+ F = 0"):
         initial_charges(g)
 
 
