@@ -128,16 +128,14 @@ def spec_clauses(config_id: str) -> list[list[str]]:
 class StructuralCase:
     """One branch of a structural entry's derivation.
 
-    ``patch_check`` is "five_cycle" (the forced patch contains a 5-cycle,
-    so the structure cannot occur in a 5-cycle-free graph), "match" (the
-    cited configuration must be detected inside the forced patch), or
-    "none" (pure induction, nothing to build).
+    A forced ``patch`` must contain a match of the first cited entry or,
+    when the case cites none, a 5-cycle (so the structure cannot occur in a
+    5-cycle-free graph).  A case without a patch is pure induction.
     """
 
     description: str
     cites: tuple[str, ...] = ()
     patch: Optional[PlaneGraph] = None
-    patch_check: str = "none"
 
 
 @dataclass(frozen=True)
@@ -337,20 +335,17 @@ def _no333f() -> Configuration:
                 " vertex on a 3-face",
                 cites=("no2v3f",),
                 patch=_triangle(),
-                patch_check="match",
             ),
             StructuralCase(
                 "two distinct non-adjacent 3-faces leave a 5-cycle around"
                 " the three faces",
                 patch=_three_fans_patch(),
-                patch_check="five_cycle",
             ),
             StructuralCase(
                 "two distinct adjacent 3-faces force a 3-vertex on two"
                 " 3-faces",
                 cites=("no3v_33f",),
                 patch=_k4(),
-                patch_check="match",
             ),
         ),
     )
@@ -367,12 +362,10 @@ def _no34f() -> Configuration:
                 " vertex on a 3-face",
                 cites=("no2v3f",),
                 patch=_tri_in_quad_patch(),
-                patch_check="match",
             ),
             StructuralCase(
                 "a single shared edge leaves a 5-cycle around the two faces",
                 patch=_tri_beside_quad_patch(),
-                patch_check="five_cycle",
             ),
         ),
     )

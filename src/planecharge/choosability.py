@@ -309,7 +309,7 @@ def chromatic_number(graph: SimpleGraph) -> int:
         raise TooManyVertices(n, MAX_CHROMATIC_VERTICES)
     if n == 0:
         return 0
-    adjacency = [graph.adjacency(v) for v in range(n)]
+    adjacency = [graph.neighbors(v) for v in range(n)]
     colors = [-1] * n
 
     def colorable(k: int, v: int, used: int) -> bool:

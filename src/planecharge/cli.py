@@ -35,13 +35,21 @@ from .plane_graph import (
     load_graph_file,
     to_file_dict,
 )
-from .square import SimpleGraph, as_simple, square
+from .square import SimpleGraph, square
 
 REPORT_SCHEMA = "planecharge-report/1"
 
 
 class CliInputError(Exception):
     """Bad input file or value; reported on stderr with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliInputError, so it prints one line like
+    every other bad input; subparsers are built with the same class."""
+
+    def error(self, message: str):
+        raise CliInputError(message)
 
 
 @dataclass(frozen=True)
@@ -195,7 +203,7 @@ def _parse_lists(text: str, n: int) -> ListAssignment:
 def _cmd_color(args) -> RunReport:
     g = _load(args.graph)
     assignment = _parse_lists(args.lists, g.vertex_count)
-    coloring = l_coloring(as_simple(g), assignment)
+    coloring = l_coloring(g, assignment)
     payload = {
         "colorable": coloring is not None,
         "coloring": None if coloring is None else [coloring[v] for v in range(g.vertex_count)],
@@ -208,7 +216,7 @@ def _cmd_color(args) -> RunReport:
 def _cmd_choosable(args) -> RunReport:
     g = _load(args.graph)
     try:
-        verdict = is_k_choosable(as_simple(g), args.k)
+        verdict = is_k_choosable(g, args.k)
     except (ValueError, GraphError) as exc:
         raise CliInputError(str(exc))
     payload = {
@@ -247,8 +255,6 @@ def _entry_payload(result: reducibility.CatalogEntryResult) -> dict:
 
 
 def _cmd_verify_lemma(args) -> RunReport:
-    if args.id not in CATALOG_ORDER:
-        raise CliInputError(f"unknown configuration id {args.id!r}")
     result = reducibility.verify_entry(args.id)
     return RunReport(
         "verify-lemma",
@@ -392,7 +398,7 @@ def _cmd_examples(args) -> RunReport:
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused by every run."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planecharge",
         description="plane-graph configuration checking, choosability, and"
         " exact discharging audits",
@@ -418,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_choosable)
 
     p = sub.add_parser("verify-lemma", help="verify one catalog entry")
-    p.add_argument("id")
+    p.add_argument("id", choices=CATALOG_ORDER)
     p.set_defaults(func=_cmd_verify_lemma)
 
     p = sub.add_parser("verify-catalog", help="verify all 19 catalog entries")

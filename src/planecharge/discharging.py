@@ -255,7 +255,7 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
     audit = FaceAudit(
         face=face,
         length=length,
-        residual=12 * (length - 4) - 4 * length,
+        residual=ONE * (length - 4) - THIRD * length,
         edge_seed=seed,
         edge_final=edge_final,
         sink_received=received,
@@ -321,8 +321,8 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
 
     The reconciliation flag asserts conservation: the vertex+face total is
     still exactly -8 after the rules, each audited face's edge ledger
-    conserves its seeded l/3, and each residual matches 2l/3 - 4 (which is
-    nonnegative for l >= 6).
+    conserves its seeded l/3, and each residual 2l/3 - 4 (nonnegative for
+    l >= 6) is what the face keeps of its initial charge after seeding.
     """
     state = apply_rules(graph, initial_charges(graph))
     negatives: list[NegativeElement] = []
@@ -341,7 +341,8 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
         reconciliation_ok = (
             reconciliation_ok
             and audit.conserved()
-            and audit.residual == 12 * (audit.length - 4) - 4 * audit.length
+            and audit.residual
+            == ONE * (audit.length - 4) - sum(audit.edge_seed.values())
             and audit.residual >= 0
         )
         for e, c in audit.negative_edges():

@@ -112,11 +112,11 @@ class PlaneGraph:
         return len(self.faces)
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        check_vertex(v, self.vertex_count)
         return len(self.rotation[v])
 
     def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
+        check_vertex(v, self.vertex_count)
         return self._adjacency[v]
 
     def edges(self) -> list[tuple[int, int]]:
@@ -128,8 +128,8 @@ class PlaneGraph:
         )
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        check_vertex(u, self.vertex_count)
+        check_vertex(v, self.vertex_count)
         return v in self._adjacency[u]
 
     def half_edge(self, u: int, v: int) -> int:
@@ -150,7 +150,7 @@ class PlaneGraph:
 
     def faces_at(self, v: int) -> list[int]:
         """Face indices incident to v, with multiplicity (one per corner)."""
-        self._check_vertex(v)
+        check_vertex(v, self.vertex_count)
         out = []
         for u in self.rotation[v]:
             out.append(self.face_of[self._half_edge_at[(v, u)]])
@@ -182,10 +182,6 @@ class PlaneGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < self.vertex_count:
-            raise UnknownVertex(v)
-
     def __repr__(self) -> str:
         return (
             f"PlaneGraph(V={self.vertex_count}, E={self.edge_count}, "
@@ -193,19 +189,23 @@ class PlaneGraph:
         )
 
 
+def check_vertex(v: int, n: int) -> None:
+    """Raise UnknownVertex unless v is a vertex id of an n-vertex graph: an
+    int in 0..n-1.  A bool is not a vertex id, though Python counts it as
+    an int."""
+    if type(v) is not int or not 0 <= v < n:
+        raise UnknownVertex(v)
+
+
 def _validate_rotation(n: int, rotation: tuple[tuple[int, ...], ...]) -> None:
-    """Reject self-listings, unknown ids and duplicates; ``PlaneGraph``
-    rejects asymmetric lists when it pairs up twin half-edges.  A bool is
-    not a vertex id, though Python counts it as an int."""
+    """Reject unknown ids, self-listings and duplicates; ``PlaneGraph``
+    rejects asymmetric lists when it pairs up twin half-edges."""
     for u, nbrs in enumerate(rotation):
         seen: set[int] = set()
         for v in nbrs:
-            if isinstance(v, bool):
-                raise UnknownVertex(v)
+            check_vertex(v, n)
             if v == u:
                 raise SelfLoop(u)
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise UnknownVertex(v)
             if v in seen:
                 raise DuplicateNeighbor(u, v)
             seen.add(v)
@@ -300,43 +300,29 @@ def has_cycle_of_length(graph: PlaneGraph, k: int) -> bool:
     return adjacency_has_cycle_of_length(graph._adjacency, k)
 
 
-def euler_consistent(graph: PlaneGraph) -> bool:
-    """Check V - E + F = 2 on every component (edgeless components pass)."""
-    comps = graph.components()
-    if not comps and graph.vertex_count == 0:
-        return True
-    face_comp: dict[int, int] = {}
-    comp_of_vertex = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of_vertex[v] = i
-    for fi, walk in enumerate(graph.faces):
-        face_comp[fi] = comp_of_vertex[graph.origin[walk[0]]]
-    for i, comp in enumerate(comps):
-        vs = len(comp)
-        es = sum(len(graph.rotation[v]) for v in comp) // 2
-        if es == 0:
-            continue  # a lone vertex is trivially embeddable
-        fs = sum(1 for fi, ci in face_comp.items() if ci == i)
-        if vs - es + fs != 2:
-            return False
-    return True
-
-
 def class_membership(graph: PlaneGraph) -> ClassReport:
     """Report whether the graph lies in the verified class.
 
-    Membership = simple, max degree <= 4, no 5-cycle, Euler-consistent
-    embedding.  Connectivity is reported but not required; disconnected
-    inputs are the caller's business (they are themselves a reducible case).
+    Membership = simple, max degree <= 4, no 5-cycle, plane embedding.
+    Connectivity is reported but not required; disconnected inputs are the
+    caller's business (they are themselves a reducible case).
+
+    The embedding is plane iff V - E + F = 2C - I, for C components of
+    which I are lone vertices: a component with an edge has V - E + F =
+    2 - 2g for the genus g of its rotation system, a lone vertex has 1, so
+    the sum reaches that bound exactly when every genus is 0.
     """
-    max_deg = max((graph.degree(v) for v in range(graph.vertex_count)), default=0)
+    max_deg = max(map(len, graph.rotation), default=0)
     has5 = has_cycle_of_length(graph, 5)
-    euler_ok = euler_consistent(graph)
+    components = len(graph.components())
+    euler_ok = (
+        graph.vertex_count - graph.edge_count + graph.face_count
+        == 2 * components - graph.rotation.count(())
+    )
     in_class = max_deg <= MAX_DEGREE and not has5 and euler_ok
     return ClassReport(
         is_simple=True,  # construction rejects loops and parallel edges
-        is_connected=graph.is_connected(),
+        is_connected=components <= 1,
         max_degree=max_deg,
         has_5_cycle=has5,
         euler_ok=euler_ok,

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from .catalog import Configuration, catalog, get_configuration
-from .choosability import DemandFunction, is_f_choosable
-from .errors import OverlappingRoles, UnknownEdgeInY, UnknownVertex
+from .choosability import MAX_DEMAND, DemandFunction, is_f_choosable
+from .errors import OverlappingRoles, UnknownEdgeInY
 from .matcher import find_configuration
-from .plane_graph import PlaneGraph, has_cycle_of_length
-from .square import SimpleGraph, as_simple, induced_subgraph, neighbors_within2, square
-
-LIST_BUDGET = 12
+from .plane_graph import PlaneGraph, check_vertex, has_cycle_of_length
+from .square import SimpleGraph, induced_subgraph, neighbors_within2, square
 
 
 @dataclass(frozen=True)
@@ -57,8 +55,7 @@ class CatalogEntryResult:
 
 def _check_roles(graph, x: frozenset[int], r: frozenset[int]) -> None:
     for v in x | r:
-        if not isinstance(v, int) or not 0 <= v < graph.vertex_count:
-            raise UnknownVertex(v)
+        check_vertex(v, graph.vertex_count)
     if x & r:
         raise OverlappingRoles(f"X and R overlap on {sorted(x & r)}")
 
@@ -74,7 +71,7 @@ def f_values(
     _check_roles(graph, x, r)
     core = x | r
     return {
-        v: LIST_BUDGET - len(neighbors_within2(graph, v) - core)
+        v: MAX_DEMAND - len(neighbors_within2(graph, v) - core)
         for v in sorted(core)
     }
 
@@ -90,25 +87,24 @@ def verify_reduction(
     x = frozenset(x)
     r = frozenset(r)
     y = frozenset(frozenset(e) for e in y)
-    simple = as_simple(graph)
-    _check_roles(simple, x, r)
+    _check_roles(graph, x, r)
     for e in y:
         u, v = sorted(e)
-        if not simple.has_edge(u, v):
+        if not graph.has_edge(u, v):
             raise UnknownEdgeInY(u, v)
 
     core = x | r
     condition1_ok = all(
-        frozenset((v, u)) in y for v in x for u in simple.adjacency(v)
+        frozenset((v, u)) in y for v in x for u in graph.neighbors(v)
     )
 
     kept_edges = [
         (u, v)
-        for u, v in simple.edges()
+        for u, v in graph.edges()
         if frozenset((u, v)) not in y and u not in x and v not in x
     ]
-    remainder = SimpleGraph(simple.vertex_count, kept_edges)
-    g_sq = square(simple)
+    remainder = SimpleGraph(graph.vertex_count, kept_edges)
+    g_sq = square(graph)
     h_sq = square(remainder)
     condition2_ok = all(
         u in core or v in core or h_sq.has_edge(u, v)
@@ -116,7 +112,7 @@ def verify_reduction(
         if not h_sq.has_edge(u, v)
     )
 
-    computed = f_values(simple, x, r)
+    computed = f_values(graph, x, r)
     induced, kept = induced_subgraph(g_sq, core)
     demands = DemandFunction(tuple(computed[v] for v in kept))
     verdict = is_f_choosable(induced, demands)
@@ -191,15 +187,16 @@ def _structural_result(
     config: Configuration, reducible: Mapping[str, CatalogEntryResult]
 ) -> CatalogEntryResult:
     """A structural entry passes when every case's cited reducible entries
-    (looked up in ``reducible``) pass and its patch check holds."""
+    (looked up in ``reducible``) pass and its forced patch, if it has one,
+    contains a match of the first cited entry or, citing none, a 5-cycle."""
     notes = []
     ok = True
     for case in config.cases:
         case_ok = all(c in reducible and reducible[c].passed for c in case.cites)
-        if case.patch_check == "five_cycle":
-            case_ok = case_ok and has_cycle_of_length(case.patch, 5)
-        elif case.patch_check == "match":
+        if case.patch is not None and case.cites:
             case_ok = case_ok and bool(find_configuration(case.patch, case.cites[0]))
+        elif case.patch is not None:
+            case_ok = case_ok and has_cycle_of_length(case.patch, 5)
         ok = ok and case_ok
         notes.append(f"{'ok' if case_ok else 'FAIL'}: {case.description}")
     return CatalogEntryResult(config.config_id, config.kind, ok, None, tuple(notes))

@@ -4,22 +4,26 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-from .errors import UnknownVertex
-from .plane_graph import PlaneGraph
+from .errors import SelfLoop
+from .plane_graph import PlaneGraph, check_vertex
 
 
 class SimpleGraph:
-    """Abstract simple graph: vertex count plus neighbor sets."""
+    """Abstract simple graph: vertex count plus neighbor sets.
+
+    It answers ``vertex_count``, ``neighbors``, ``edges`` and ``has_edge``
+    as ``PlaneGraph`` does, so every consumer of those takes either type.
+    """
 
     __slots__ = ("vertex_count", "_adjacency")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         adj: list[set[int]] = [set() for _ in range(vertex_count)]
         for u, v in edges:
+            check_vertex(u, vertex_count)
+            check_vertex(v, vertex_count)
             if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise UnknownVertex(u if not 0 <= u < vertex_count else v)
+                raise SelfLoop(u)
             adj[u].add(v)
             adj[v].add(u)
         self.vertex_count = vertex_count
@@ -37,26 +41,22 @@ class SimpleGraph:
             if u < v
         )
 
-    def adjacency(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
+    def neighbors(self, v: int) -> frozenset[int]:
+        check_vertex(v, self.vertex_count)
         return self._adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        check_vertex(u, self.vertex_count)
+        check_vertex(v, self.vertex_count)
         return v in self._adjacency[u]
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        check_vertex(v, self.vertex_count)
         return len(self._adjacency[v])
 
     def is_complete(self) -> bool:
         n = self.vertex_count
         return self.edge_count == n * (n - 1) // 2
-
-    def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < self.vertex_count:
-            raise UnknownVertex(v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGraph):
@@ -73,20 +73,12 @@ class SimpleGraph:
         return f"SimpleGraph(V={self.vertex_count}, E={self.edge_count})"
 
 
-AnyGraph = Union[PlaneGraph, SimpleGraph]
-
-
-def as_simple(graph: AnyGraph) -> SimpleGraph:
-    if isinstance(graph, SimpleGraph):
-        return graph
-    return SimpleGraph(graph.vertex_count, graph.edges())
-
-
-def neighbors_within2(graph: AnyGraph, v: int) -> frozenset[int]:
+def neighbors_within2(
+    graph: Union[PlaneGraph, SimpleGraph], v: int
+) -> frozenset[int]:
     """All vertices u != v at distance 1 or 2 from v."""
+    check_vertex(v, graph.vertex_count)
     adj = graph._adjacency
-    if not isinstance(v, int) or not 0 <= v < graph.vertex_count:
-        raise UnknownVertex(v)
     out = set(adj[v])
     for u in adj[v]:
         out |= adj[u]
@@ -94,7 +86,7 @@ def neighbors_within2(graph: AnyGraph, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def square(graph: AnyGraph) -> SimpleGraph:
+def square(graph: Union[PlaneGraph, SimpleGraph]) -> SimpleGraph:
     """The square: edges between all vertex pairs at distance 1 or 2."""
     n = graph.vertex_count
     edges = []
@@ -106,17 +98,17 @@ def square(graph: AnyGraph) -> SimpleGraph:
 
 
 def induced_subgraph(
-    graph: SimpleGraph, vertices: Iterable[int]
+    graph: Union[PlaneGraph, SimpleGraph], vertices: Iterable[int]
 ) -> tuple[SimpleGraph, tuple[int, ...]]:
     """Subgraph induced on a vertex set, relabeled to 0..k-1.
 
     Returns the subgraph together with the kept-id map: entry i of the map
     is the original id of the new vertex i (sorted by original id).
     """
+    vertices = list(vertices)
+    for v in vertices:
+        check_vertex(v, graph.vertex_count)
     kept = tuple(sorted(set(vertices)))
-    for v in kept:
-        if not isinstance(v, int) or not 0 <= v < graph.vertex_count:
-            raise UnknownVertex(v)
     index = {v: i for i, v in enumerate(kept)}
     edges = [
         (index[u], index[v])

@@ -5,12 +5,13 @@ exhaustive permutations for cycles and matches, explicit list enumeration
 and unreduced atom-pattern enumeration for choosability, unpruned
 rotation products for planarity, every cell-consistent vertex order for
 canonical forms, vertex augmentation over every connected max-degree-4
-graph rather than class members only, and rotations read off straight-line
-drawings by angle.
+graph rather than class members only, rotations read off straight-line
+drawings by angle, and Euler's formula checked component by component.
 """
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -25,6 +26,31 @@ def naive_has_cycle(adjacency, k):
         if all(perm[(i + 1) % k] in adjacency[perm[i]] for i in range(k)):
             return True
     return False
+
+
+def per_component_euler(g):
+    """Whether V - E + F = 2 holds on every component of plane graph g that
+    has an edge, and how many components g has.  Components come from a
+    union-find over the edges; each face counts toward the component of
+    the first vertex on its walk."""
+    parent = list(range(g.vertex_count))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    edges = g.edges()
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    euler = Counter(find(v) for v in range(g.vertex_count))
+    for u, _ in edges:
+        euler[find(u)] -= 1
+    for walk in g.faces:
+        euler[find(g.origin[walk[0]])] += 1
+    plane = all(euler[find(u)] == 2 for u, _ in edges)
+    return plane, len(euler)
 
 
 def naive_f_choosable(graph, demands):

@@ -26,7 +26,7 @@ from planecharge.discharging import (
 )
 from planecharge.matcher import find_any_reducible, find_configuration
 from planecharge.reducibility import verify_catalog
-from planecharge.square import SimpleGraph, as_simple, square
+from planecharge.square import SimpleGraph, square
 
 PINNED_DEMANDS = {
     "no1v": [8],
@@ -107,7 +107,7 @@ def test_criterion_2_sharpness_example(named):
 
 def test_criterion_3_k24(named):
     start = time.perf_counter()
-    g = as_simple(named["k24"])
+    g = named["k24"]
     chrom = chromatic_number(g)
     verdict = is_k_choosable(g, 2)
     witness_ok = (

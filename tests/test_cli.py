@@ -44,16 +44,43 @@ def test_inspect_missing_file(capsys):
     assert "missing.graph" in capsys.readouterr().err
 
 
-def test_bad_flag_exits_2(graph_dir):
-    with pytest.raises(SystemExit) as err:
-        run(["inspect", str(graph_dir / "q3.graph"), "--bogus"])
-    assert err.value.code == 2
+def assert_one_error_line(capsys, argv):
+    """main exits 2 with empty stdout and one stderr line starting error:."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    return lines[0]
 
 
-def test_unknown_command_exits_2():
-    with pytest.raises(SystemExit) as err:
-        run(["frobnicate"])
-    assert err.value.code == 2
+def test_bad_flag_exits_2(graph_dir, capsys):
+    line = assert_one_error_line(
+        capsys, ["inspect", str(graph_dir / "q3.graph"), "--bogus"]
+    )
+    assert "--bogus" in line
+
+
+def test_unknown_command_exits_2(capsys):
+    assert "frobnicate" in assert_one_error_line(capsys, ["frobnicate"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["match", "{k2}", "--config", "bogus"],
+        ["color", "{k2}"],
+        ["choosable", "{k2}", "-k", "x"],
+        ["verify-lemma", "bogus"],
+        [],
+    ],
+    ids=["bad-choice", "missing-option", "bad-int", "bad-id", "no-command"],
+)
+def test_usage_errors_print_one_line(tmp_path, capsys, argv):
+    k2 = tmp_path / "k2.graph"
+    k2.write_text('{"n": 2, "rot": [[1], [0]]}')
+    assert_one_error_line(capsys, [a.format(k2=k2) for a in argv])
 
 
 def test_square_command(graph_dir):
@@ -241,9 +268,8 @@ def test_parser_is_reused_without_leaking_state(graph_dir):
     assert second.inputs == {"graph": path, "face": None, "ledger": False}
     assert "face_audit" not in second.payload
     assert "transfers" not in second.payload
-    with pytest.raises(SystemExit) as err:
+    with pytest.raises(CliInputError):
         run(["discharge", path, "--face", "x"])
-    assert err.value.code == 2
     assert run(["inspect", path]).payload["vertices"] == 6
     assert _build_parser() is _build_parser()
 

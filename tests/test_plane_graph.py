@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_has_cycle
+from oracles import naive_has_cycle, per_component_euler
 from planecharge.corpus import enumerate_class, random_class_member
 from planecharge.discharging import edge_level_audit
 from planecharge.errors import (
@@ -17,6 +17,7 @@ from planecharge.errors import (
     UnknownVertex,
 )
 from planecharge.plane_graph import (
+    PlaneGraph,
     adjacency_has_cycle_of_length,
     build_from_rotation,
     class_membership,
@@ -24,6 +25,8 @@ from planecharge.plane_graph import (
     has_cycle_of_length,
     to_file_dict,
 )
+from planecharge.reducibility import f_values, verify_reduction
+from planecharge.square import SimpleGraph, induced_subgraph, neighbors_within2
 
 
 def cycle_rotation(n):
@@ -205,3 +208,79 @@ def test_faces_at_multiplicity():
     outer = g.face_lengths().index(6)
     assert g.face_vertices(outer).count(0) == 2
     assert g.faces_at(0).count(outer) == 2
+
+
+PLANE_TRIANGLE = build_from_rotation([[1, 2], [2, 0], [0, 1]])
+SIMPLE_TRIANGLE = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+
+# Every entry point that takes a vertex id, each given the bad id b.
+VERTEX_ENTRY_POINTS = {
+    "PlaneGraph": lambda b: PlaneGraph([[1, 2], [2, 0], [0, b]]),
+    "SimpleGraph": lambda b: SimpleGraph(3, [(0, 1), (1, b)]),
+    "PlaneGraph.degree": lambda b: PLANE_TRIANGLE.degree(b),
+    "PlaneGraph.neighbors": lambda b: PLANE_TRIANGLE.neighbors(b),
+    "PlaneGraph.has_edge(b, 0)": lambda b: PLANE_TRIANGLE.has_edge(b, 0),
+    "PlaneGraph.has_edge(0, b)": lambda b: PLANE_TRIANGLE.has_edge(0, b),
+    "SimpleGraph.degree": lambda b: SIMPLE_TRIANGLE.degree(b),
+    "SimpleGraph.neighbors": lambda b: SIMPLE_TRIANGLE.neighbors(b),
+    "SimpleGraph.has_edge(b, 0)": lambda b: SIMPLE_TRIANGLE.has_edge(b, 0),
+    "SimpleGraph.has_edge(0, b)": lambda b: SIMPLE_TRIANGLE.has_edge(0, b),
+    "neighbors_within2": lambda b: neighbors_within2(PLANE_TRIANGLE, b),
+    "induced_subgraph": lambda b: induced_subgraph(SIMPLE_TRIANGLE, [0, b]),
+    "f_values": lambda b: f_values(PLANE_TRIANGLE, [b], []),
+    "verify_reduction": lambda b: verify_reduction(PLANE_TRIANGLE, [b], [], []),
+}
+
+
+@pytest.mark.parametrize("bad", [True, -1, 3, "0"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(VERTEX_ENTRY_POINTS))
+def test_every_vertex_entry_point_rejects_bad_ids(entry, bad):
+    """The triangle has ids 0..2; a bool, a negative id, the vertex count
+    and a string are all unknown vertices."""
+    with pytest.raises(UnknownVertex):
+        VERTEX_ENTRY_POINTS[entry](bad)
+
+
+def test_simple_graph_rejects_loop():
+    with pytest.raises(SelfLoop):
+        SimpleGraph(3, [(0, 1), (2, 2)])
+
+
+def assert_euler_agrees(g):
+    plane, components = per_component_euler(g)
+    report = class_membership(g)
+    assert report.euler_ok == plane, g.rotation
+    assert report.is_connected == (components <= 1), g.rotation
+
+
+def test_euler_matches_per_component_oracle(class_members_7, named):
+    for g in class_members_7 + list(named.values()):
+        assert_euler_agrees(g)
+    # non-plane rotations of K4 and of two disjoint K4s, and one of them
+    # beside a lone vertex and a plane triangle
+    k4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+    assert not class_membership(build_from_rotation(k4)).euler_ok
+    shifted = [[v + 4 for v in nbrs] for nbrs in k4]
+    for rotation in (k4, k4 + shifted, k4 + [[]] + [[6, 7], [7, 5], [5, 6]]):
+        assert_euler_agrees(build_from_rotation(rotation))
+
+
+@st.composite
+def rotation_systems(draw, max_vertices=8):
+    """Any rotation system on up to max_vertices vertices: a random simple
+    graph, often disconnected, with a random cyclic order at each vertex,
+    so often not plane."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=12)) if pairs else set()
+    nbrs = [[] for _ in range(n)]
+    for u, v in sorted(edges):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return [draw(st.permutations(vs)) for vs in nbrs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_systems())
+def test_euler_matches_oracle_on_any_rotation_system(rotation):
+    assert_euler_agrees(build_from_rotation(rotation))

@@ -19,7 +19,7 @@ from planecharge.reducibility import (
     verify_configuration,
     verify_reduction,
 )
-from planecharge.square import SimpleGraph, as_simple, induced_subgraph, square
+from planecharge.square import SimpleGraph, induced_subgraph, square
 
 EXPECTED_F = {
     "no1v": [8],
@@ -173,9 +173,9 @@ def test_f_values_against_bfs_distances(config_id):
     """Independent oracle for the demand formula: recount the outside
     vertices within distance two using plain breadth-first distances."""
     config = get_configuration(config_id)
-    g = as_simple(config.pattern)
+    g = config.pattern
     core = config.core()
-    adj = [g.adjacency(v) for v in range(g.vertex_count)]
+    adj = [g.neighbors(v) for v in range(g.vertex_count)]
     got = f_values(g, config.removed, config.recolored)
     for v in core:
         outsiders = sum(
@@ -204,7 +204,7 @@ def rand_distance(adj, a, b):
 
 
 def _distances_from_core(g, core):
-    adj = [g.adjacency(v) for v in range(g.vertex_count)]
+    adj = [g.neighbors(v) for v in range(g.vertex_count)]
     return {
         v: min(rand_distance(adj, v, c) for c in core)
         for v in range(g.vertex_count)
@@ -216,7 +216,7 @@ def test_padding_extension_changes_nothing(config_id):
     """New vertices at distance 3 or more never move any demand value."""
     rng = random.Random(CATALOG_ORDER.index(config_id))
     config = get_configuration(config_id)
-    g = as_simple(config.pattern)
+    g = config.pattern
     core = config.core()
     base = f_values(g, config.removed, config.recolored)
     dist = _distances_from_core(g, core)
@@ -236,7 +236,7 @@ def test_overlap_identification_never_lowers_f(config_id):
     """Merging two outside vertices (keeping degrees legal) only raises f."""
     rng = random.Random(CATALOG_ORDER.index(config_id))
     config = get_configuration(config_id)
-    g = as_simple(config.pattern)
+    g = config.pattern
     core = config.core()
     base = f_values(g, config.removed, config.recolored)
     outside = sorted(set(range(g.vertex_count)) - core)
@@ -246,7 +246,7 @@ def test_overlap_identification_never_lowers_f(config_id):
         for w in outside
         if u < w
         and not g.has_edge(u, w)
-        and len(g.adjacency(u) | g.adjacency(w)) <= 4
+        and len(g.neighbors(u) | g.neighbors(w)) <= 4
     ]
     rng.shuffle(legal)
     for u, w in legal[:8]:

@@ -7,7 +7,6 @@ from planecharge.errors import UnknownVertex
 from planecharge.plane_graph import build_from_rotation
 from planecharge.square import (
     SimpleGraph,
-    as_simple,
     induced_subgraph,
     neighbors_within2,
     square,
@@ -101,7 +100,3 @@ def test_neighbor_count_consistency(named):
         for v in range(g.vertex_count):
             assert sq.degree(v) == len(neighbors_within2(g, v))
 
-
-def test_as_simple_identity():
-    g = complete(3)
-    assert as_simple(g) is g
