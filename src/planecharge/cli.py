@@ -15,7 +15,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import discharging, matcher, reducibility
@@ -77,11 +78,15 @@ class RunReport:
         return _dumps(body)
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def _dumps(value, newline: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for values whose dict
     keys are all str.  Any indent sends ``json.dumps`` to its pure-Python
-    encoder; this builds each container with one join instead.  ``newline``
-    is a line break plus the indent of the enclosing level."""
+    encoder; this builds each container with one join instead, and a list
+    of flat records (see ``_flat_records``) with one call to the C encoder.
+    ``newline`` is a line break plus the indent of the enclosing level."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -98,6 +103,8 @@ def _dumps(value, newline: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if c_make_encoder is not None and _flat_records(value):
+            return _dumps_records(value, newline)
         items = [_dumps(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
@@ -109,6 +116,38 @@ def _dumps(value, newline: str = "\n") -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _flat_records(records) -> bool:
+    """Whether a non-empty list or tuple holds only non-empty dicts whose
+    values are str, int, float, bool or None (exact types; subclasses take
+    the recursive path).  Each pass runs in C: a report's ledgers hold tens
+    of thousands of records."""
+    return (
+        set(map(type, records)) == {dict}
+        and all(records)
+        and set(map(type, chain.from_iterable(map(dict.values, records)))) <= _SCALAR_TYPES
+    )
+
+
+def _dumps_records(records, newline: str) -> str:
+    """``_dumps`` of flat records (see ``_flat_records``) at indent
+    ``newline``.  The C encoder writes every field separator as a comma
+    plus the field line's indent but puts no line break inside braces;
+    the braces are then set on lines of their own by one replace.  That
+    replace is exact: an encoded string escapes every line break, so each
+    raw line break in the text is a separator, and the one between two
+    records is the only separator with a brace on both sides (keys are
+    written quoted, scalar values end in no brace, and no record is
+    empty)."""
+    inner = newline + "  "
+    fields = inner + "  "
+    encode = c_make_encoder(
+        None, None, encode_basestring_ascii, None, ": ", "," + fields, True, False, True
+    )
+    text = "".join(encode(records, 0))  # '[{' ... '},' + fields + '{' ... '}]'
+    body = text[2:-2].replace("}," + fields + "{", inner + "}," + inner + "{" + fields)
+    return "[" + inner + "{" + fields + body + inner + "}" + newline + "]"
 
 
 def _load(path: str) -> PlaneGraph:
@@ -147,12 +186,17 @@ def _charge_map(charges: dict) -> dict:
     return {str(k): c for k, c in sorted(charges.items())}
 
 
-def _transfer_list(transfers) -> list:
+def _transfer_list(transfers, names: dict) -> list:
+    """The ledger records of ``transfers``; ``names`` maps each element key
+    already written in this report to its str(), and gains the new ones."""
+    for key in {t.source for t in transfers} | {t.sink for t in transfers}:
+        if key not in names:
+            names[key] = str(key)
     return [
         {
             "rule": t.rule,
-            "source": str(t.source),
-            "sink": str(t.sink),
+            "source": names[t.source],
+            "sink": names[t.sink],
             "twelfths": t.amount,
         }
         for t in transfers
@@ -166,7 +210,7 @@ def _cmd_inspect(args) -> RunReport:
         "vertices": g.vertex_count,
         "edges": g.edge_count,
         "faces": g.face_count,
-        "degrees": [g.degree(v) for v in range(g.vertex_count)],
+        "degrees": list(map(len, g.rotation)),
         "face_lengths": sorted(g.face_lengths()),
         "class": {
             "is_simple": report.is_simple,
@@ -316,6 +360,7 @@ def _cmd_discharge(args) -> RunReport:
     except GraphError as exc:
         raise CliInputError(str(exc))
     state = audit.state
+    names: dict = {}  # element key -> str(key), shared by the report's ledgers
     payload: dict = {
         "vertex_charge_twelfths": _charge_map(state.vertex_charge),
         "face_charge_twelfths": _charge_map(state.face_charge),
@@ -343,9 +388,11 @@ def _cmd_discharge(args) -> RunReport:
             "sink_received_twelfths": _charge_map(face_audit.sink_received),
         }
         if args.ledger:
-            payload["face_audit"]["transfers"] = _transfer_list(face_audit.transfers)
+            payload["face_audit"]["transfers"] = _transfer_list(
+                face_audit.transfers, names
+            )
     if args.ledger:
-        payload["transfers"] = _transfer_list(state.log)
+        payload["transfers"] = _transfer_list(state.log, names)
     outcome = "info" if audit.reconciliation_ok else "fail"
     return RunReport(
         "discharge",

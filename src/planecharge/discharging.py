@@ -63,24 +63,19 @@ def initial_charges(graph: PlaneGraph) -> ChargeState:
             f"charge accounting needs a plane rotation system, but V - E + F = {euler}"
         )
     state = ChargeState(
-        vertex_charge={
-            v: ONE * (graph.degree(v) - 4) for v in range(graph.vertex_count)
-        },
+        vertex_charge={v: ONE * (len(nbrs) - 4) for v, nbrs in enumerate(graph.rotation)},
         face_charge={i: ONE * (len(walk) - 4) for i, walk in enumerate(graph.faces)},
     )
     assert state.total() == TOTAL_TWELFTHS
     return state
 
 
-def _is_three_face(graph: PlaneGraph, i: int) -> bool:
-    return graph.face_length(i) == 3
-
-
 def _touches_three_face(graph: PlaneGraph, i: int) -> bool:
     """Face i shares an edge with some other 3-face."""
-    for h in graph.faces[i]:
-        j = graph.opposite_face(h)
-        if j != i and _is_three_face(graph, j):
+    faces, face_of, twin = graph.faces, graph.face_of, graph.twin
+    for h in faces[i]:
+        j = face_of[twin[h]]
+        if j != i and len(faces[j]) == 3:
             return True
     return False
 
@@ -96,8 +91,8 @@ def _rule_draw(graph: PlaneGraph, sink: ElementKey) -> Optional[tuple[str, int]]
     edge.  None when the element draws nothing."""
     kind, key = sink
     if kind == "vertex":
-        return _VERTEX_DRAWS.get(graph.degree(key))
-    if not _is_three_face(graph, key):
+        return _VERTEX_DRAWS.get(len(graph.rotation[key]))
+    if len(graph.faces[key]) != 3:
         return None
     return ("R3", HALF) if _touches_three_face(graph, key) else ("R4", THIRD)
 
@@ -106,23 +101,26 @@ def rule_transfers(graph: PlaneGraph) -> list[Transfer]:
     """The four global rules, computed from the incidence structure alone:
     first the vertex draws of each big face along its walk, then the draws
     of each 3-face from the big faces across its edges (see ``_rule_draw``)."""
+    faces, face_of, twin, origin = graph.faces, graph.face_of, graph.twin, graph.origin
     transfers: list[Transfer] = []
-    for i, walk in enumerate(graph.faces):
+    for i, walk in enumerate(faces):
         if len(walk) < BIG_FACE:
             continue
+        source = ("face", i)
         for h in walk:
-            sink = ("vertex", graph.origin[h])
+            sink = ("vertex", origin[h])
             draw = _rule_draw(graph, sink)
             if draw is not None:
-                transfers.append(Transfer(draw[0], ("face", i), sink, draw[1]))
-    for i, walk in enumerate(graph.faces):
-        draw = _rule_draw(graph, ("face", i))
+                transfers.append(Transfer(draw[0], source, sink, draw[1]))
+    for i, walk in enumerate(faces):
+        sink = ("face", i)
+        draw = _rule_draw(graph, sink)
         if draw is None:
             continue
         for h in walk:
-            j = graph.opposite_face(h)
-            if graph.face_length(j) >= BIG_FACE:
-                transfers.append(Transfer(draw[0], ("face", j), ("face", i), draw[1]))
+            j = face_of[twin[h]]
+            if len(faces[j]) >= BIG_FACE:
+                transfers.append(Transfer(draw[0], ("face", j), sink, draw[1]))
     return transfers
 
 
@@ -150,12 +148,39 @@ def apply_rules(graph: PlaneGraph, state: ChargeState) -> ChargeState:
 # -- edge-level audit of one big face -----------------------------------------
 
 
+# The sub-rule pulls, as (rule, walk-edge offset, amount) rows.  Walk vertex
+# pos sits between walk edges pos - 1 and pos, and a row pulls from walk
+# edge pos + offset; the rows of a 3-face across walk edge pos count from
+# that edge.  A 2-vertex pulls 1/3 from both walk edges at it and 1/6 from
+# the two one step further out.
+_SUBR5 = (("SubR5", -1, THIRD), ("SubR5", 0, THIRD), ("SubR5", -2, SIXTH), ("SubR5", 1, SIXTH))
+# A 3-vertex with a 3-face across the walk edge after it, else before it;
+# the three corners of a 3-vertex pairwise share an edge, so a 3-face at
+# that corner always lies across one of the two.
+_SUBR3_AFTER = (("SubR3", -1, THIRD), ("SubR3", 1, SIXTH))
+_SUBR3_BEFORE = (("SubR3", 0, THIRD), ("SubR3", -2, SIXTH))
+_SUBR4 = (("SubR4", -1, QUARTER), ("SubR4", 0, QUARTER))
+_SUBR1 = ("SubR1", 0, THIRD)
+# A 3-face flanking the 3-face across walk edge pos pulls from the walk edge
+# on its side of the shared edge: before it when the flank holds the walk
+# edge's first vertex, after it otherwise.
+_SUBR2_BEFORE = ("SubR2", -1, SIXTH)
+_SUBR2_AFTER = ("SubR2", 1, SIXTH)
+
+Draw = tuple  # (rule, walk position, sink, amount)
+
+
 @dataclass(frozen=True)
 class FaceAudit:
     """Scratch ledger for one 6+-face: each edge occurrence on the walk is
     seeded with 1/3, the sub-rules move edge charge to the 2-vertices,
     3-vertices, and 3-faces around the face, and the face keeps the
-    residual 2l/3 - 4."""
+    residual 2l/3 - 4.
+
+    ``draws`` holds one plain ``(rule, pos, sink, amount)`` tuple per
+    sub-rule draw on walk edge ``walk_edges[pos]``; ``transfers`` derives
+    the matching ``Transfer`` records from them each time it is read, so
+    the audits that only check sums build none."""
 
     face: int
     length: int
@@ -163,7 +188,16 @@ class FaceAudit:
     edge_seed: dict[tuple[int, int], int]
     edge_final: dict[tuple[int, int], int]
     sink_received: dict[ElementKey, int]
-    transfers: tuple[Transfer, ...]
+    walk_edges: tuple[tuple[int, int], ...]
+    draws: tuple[Draw, ...]
+
+    @property
+    def transfers(self) -> tuple[Transfer, ...]:
+        edges = self.walk_edges
+        return tuple(
+            Transfer(rule, ("edge", edges[pos]), sink, amount)
+            for rule, pos, sink, amount in self.draws
+        )
 
     def negative_edges(self) -> list[tuple[tuple[int, int], int]]:
         return sorted((e, c) for e, c in self.edge_final.items() if c < 0)
@@ -176,78 +210,69 @@ class FaceAudit:
 
 def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
     """The sub-rule ledger of big face ``face``; IndexError when the graph
-    has no face with that index (negative indices included)."""
+    has no face with that index (negative indices included).
+
+    One pass over the walk applies the pull tables above: the vertex draws
+    of every walk position come first in ``draws``, then the 3-face draws,
+    each in walk order."""
     if not 0 <= face < graph.face_count:
         raise IndexError(f"no face with index {face}")
-    walk = graph.faces[face]
+    faces, face_of, twin = graph.faces, graph.face_of, graph.twin
+    origin, target, rotation = graph.origin, graph.target, graph.rotation
+    walk = faces[face]
     length = len(walk)
     if length < BIG_FACE:
         raise NotBigFace(face, length, BIG_FACE)
-    origin, target = graph.origin, graph.target
     # edges[pos] is the walk edge at position pos, as (low, high).
-    edges = [
+    edges = tuple(
         (origin[h], target[h]) if origin[h] < target[h] else (target[h], origin[h])
         for h in walk
-    ]
+    )
+    # The face across each walk edge, and whether it is a 3-face (a 3-face
+    # is never the big face itself).
+    across = [face_of[twin[h]] for h in walk]
+    three = [len(faces[j]) == 3 for j in across]
+
+    taken = [0] * length
+    received: dict[ElementKey, int] = {}
+    vertex_draws: list[Draw] = []
+    face_draws: list[Draw] = []
+    for pos, h in enumerate(walk):
+        v = origin[h]
+        d = len(rotation[v])
+        if d == 2:
+            pulls = _SUBR5
+        elif d == 3:
+            pulls = _SUBR3_AFTER if three[pos] else _SUBR3_BEFORE if three[pos - 1] else _SUBR4
+        else:
+            pulls = ()
+        if pulls:
+            sink = ("vertex", v)
+            for rule, offset, amount in pulls:
+                p = (pos + offset) % length
+                taken[p] += amount
+                received[sink] = received.get(sink, 0) + amount
+                vertex_draws.append((rule, p, sink, amount))
+        if not three[pos]:
+            continue
+        g3 = across[pos]
+        sink = ("face", g3)
+        pulls = [_SUBR1]
+        # A triangle's half-edge on the shared edge is twin[h]; the face
+        # across each of its other two edges is never the triangle itself.
+        back = twin[h]
+        for hg in faces[g3]:
+            if hg != back and len(faces[face_of[twin[hg]]]) == 3:
+                pulls.append(_SUBR2_BEFORE if origin[hg] == v else _SUBR2_AFTER)
+        for rule, offset, amount in pulls:
+            p = (pos + offset) % length
+            taken[p] += amount
+            received[sink] = received.get(sink, 0) + amount
+            face_draws.append((rule, p, sink, amount))
 
     seed: dict[tuple[int, int], int] = {}
     for e in edges:
         seed[e] = seed.get(e, 0) + THIRD
-
-    taken = [0] * length
-    received: dict[ElementKey, int] = {}
-    transfers: list[Transfer] = []
-
-    def take(rule: str, pos: int, sink: ElementKey, amount: int) -> None:
-        pos %= length
-        taken[pos] += amount
-        received[sink] = received.get(sink, 0) + amount
-        transfers.append(Transfer(rule, ("edge", edges[pos]), sink, amount))
-
-    for pos, h in enumerate(walk):
-        # The walk vertex between edge positions pos-1 and pos.
-        v = origin[h]
-        d = len(graph.rotation[v])
-        if d == 2:
-            # Short pulls from both incident walk edges, long pulls from the
-            # walk edges one step further out.
-            take("SubR5", pos - 1, ("vertex", v), THIRD)
-            take("SubR5", pos, ("vertex", v), THIRD)
-            take("SubR5", pos - 2, ("vertex", v), SIXTH)
-            take("SubR5", pos + 1, ("vertex", v), SIXTH)
-        elif d == 3:
-            # A 3-face at a degree-3 walk vertex always shares one of the
-            # two walk edges at that corner (the three corners of a
-            # 3-vertex pairwise share an edge).
-            after = graph.opposite_face(h)
-            before = graph.opposite_face(walk[pos - 1])
-            if after != face and _is_three_face(graph, after):
-                take("SubR3", pos - 1, ("vertex", v), THIRD)
-                take("SubR3", pos + 1, ("vertex", v), SIXTH)
-            elif before != face and _is_three_face(graph, before):
-                take("SubR3", pos, ("vertex", v), THIRD)
-                take("SubR3", pos - 2, ("vertex", v), SIXTH)
-            else:
-                take("SubR4", pos - 1, ("vertex", v), QUARTER)
-                take("SubR4", pos, ("vertex", v), QUARTER)
-
-    for pos, h in enumerate(walk):
-        g3 = graph.opposite_face(h)
-        if g3 == face or not _is_three_face(graph, g3):
-            continue
-        take("SubR1", pos, ("face", g3), THIRD)
-        # An adjacent 3-face on one of g3's flanks pulls an extra 1/6 from
-        # the walk edge on that side of the shared edge.  A 3-face is a
-        # triangle, so its only half-edge on the shared edge is twin[h].
-        a = origin[h]
-        for hg in graph.faces[g3]:
-            if hg == graph.twin[h]:
-                continue
-            other = graph.opposite_face(hg)
-            if other != g3 and _is_three_face(graph, other):
-                flank_has_a = a in (origin[hg], target[hg])
-                take("SubR2", pos - 1 if flank_has_a else pos + 1, ("face", g3), SIXTH)
-
     edge_final = dict(seed)
     for e, t in zip(edges, taken):
         edge_final[e] -= t
@@ -259,7 +284,8 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
         edge_seed=seed,
         edge_final=edge_final,
         sink_received=received,
-        transfers=tuple(transfers),
+        walk_edges=edges,
+        draws=tuple(vertex_draws + face_draws),
     )
     assert audit.conserved()
     return audit
@@ -280,9 +306,10 @@ def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
     """Check that what each sink collects from the face's edges under the
     sub-rules equals what it draws from the face under the global rules."""
     audit = edge_level_audit(graph, face)
+    face_of, twin, origin = graph.face_of, graph.twin, graph.origin
     draws: dict[ElementKey, int] = {}
     for h in graph.faces[face]:
-        for sink in (("vertex", graph.origin[h]), ("face", graph.opposite_face(h))):
+        for sink in (("vertex", origin[h]), ("face", face_of[twin[h]])):
             draw = _rule_draw(graph, sink)
             if draw is not None:
                 draws[sink] = draws.get(sink, 0) + draw[1]

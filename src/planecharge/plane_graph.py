@@ -72,16 +72,14 @@ class PlaneGraph:
 
         # The half-edges out of u are numbered consecutively in rotation
         # order, so the next one around u is found by arithmetic.
-        origin: list[int] = []
-        target: list[int] = []
-        nxt: list[int] = []
-        for u, nbrs in enumerate(rotation):
-            first = len(origin)
-            origin.extend([u] * len(nbrs))
-            target.extend(nbrs)
-            if nbrs:
-                nxt.extend(range(first + 1, len(origin)))
-                nxt.append(first)
+        origin = [u for u, nbrs in enumerate(rotation) for _ in nbrs]
+        target = [v for nbrs in rotation for v in nbrs]
+        nxt = list(range(1, len(origin) + 1))
+        first = 0
+        for nbrs in rotation:
+            if nbrs:  # the last half-edge out of u wraps to its first
+                nxt[first + len(nbrs) - 1] = first
+                first += len(nbrs)
         half_edge_at = dict(zip(zip(origin, target), range(len(origin))))
         twin = [half_edge_at.get(e) for e in zip(target, origin)]
         if None in twin:  # u lists v but v does not list u

@@ -6,7 +6,8 @@ and unreduced atom-pattern enumeration for choosability, unpruned
 rotation products for planarity, every cell-consistent vertex order for
 canonical forms, vertex augmentation over every connected max-degree-4
 graph rather than class members only, rotations read off straight-line
-drawings by angle, and Euler's formula checked component by component.
+drawings by angle, Euler's formula checked component by component, and
+each big face's sub-rule ledger built one closure call per draw.
 """
 
 import itertools
@@ -16,6 +17,14 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from planecharge.choosability import ListAssignment, l_coloring
+from planecharge.discharging import (
+    BIG_FACE,
+    ONE,
+    QUARTER,
+    SIXTH,
+    THIRD,
+    Transfer,
+)
 from planecharge.matcher import MatchEmbedding
 from planecharge.plane_graph import build_from_rotation
 
@@ -422,6 +431,103 @@ def brute_force_matches(g, config_id):
     else:
         raise ValueError(config_id)
     return out
+
+
+# -- edge-level audit, one take() call per sub-rule draw ------------------------
+
+
+def closure_edge_level_audit(graph, face):
+    """The sub-rule ledger of big face ``face`` as a dict of the
+    ``FaceAudit`` fields, ``transfers`` included: each draw goes through one
+    ``take`` closure that builds its ``Transfer`` on the spot, and the walk
+    is read twice, vertex draws first."""
+    if not 0 <= face < graph.face_count:
+        raise IndexError(f"no face with index {face}")
+    walk = graph.faces[face]
+    length = len(walk)
+    if length < BIG_FACE:
+        raise ValueError(f"face {face} has length {length}")
+    origin, target = graph.origin, graph.target
+    # edges[pos] is the walk edge at position pos, as (low, high).
+    edges = [
+        (origin[h], target[h]) if origin[h] < target[h] else (target[h], origin[h])
+        for h in walk
+    ]
+
+    def _is_three_face(graph, i):
+        return graph.face_length(i) == 3
+
+    seed = {}
+    for e in edges:
+        seed[e] = seed.get(e, 0) + THIRD
+
+    taken = [0] * length
+    received = {}
+    transfers = []
+
+    def take(rule, pos, sink, amount):
+        pos %= length
+        taken[pos] += amount
+        received[sink] = received.get(sink, 0) + amount
+        transfers.append(Transfer(rule, ("edge", edges[pos]), sink, amount))
+
+    for pos, h in enumerate(walk):
+        # The walk vertex between edge positions pos-1 and pos.
+        v = origin[h]
+        d = len(graph.rotation[v])
+        if d == 2:
+            # Short pulls from both incident walk edges, long pulls from the
+            # walk edges one step further out.
+            take("SubR5", pos - 1, ("vertex", v), THIRD)
+            take("SubR5", pos, ("vertex", v), THIRD)
+            take("SubR5", pos - 2, ("vertex", v), SIXTH)
+            take("SubR5", pos + 1, ("vertex", v), SIXTH)
+        elif d == 3:
+            # A 3-face at a degree-3 walk vertex always shares one of the
+            # two walk edges at that corner (the three corners of a
+            # 3-vertex pairwise share an edge).
+            after = graph.opposite_face(h)
+            before = graph.opposite_face(walk[pos - 1])
+            if after != face and _is_three_face(graph, after):
+                take("SubR3", pos - 1, ("vertex", v), THIRD)
+                take("SubR3", pos + 1, ("vertex", v), SIXTH)
+            elif before != face and _is_three_face(graph, before):
+                take("SubR3", pos, ("vertex", v), THIRD)
+                take("SubR3", pos - 2, ("vertex", v), SIXTH)
+            else:
+                take("SubR4", pos - 1, ("vertex", v), QUARTER)
+                take("SubR4", pos, ("vertex", v), QUARTER)
+
+    for pos, h in enumerate(walk):
+        g3 = graph.opposite_face(h)
+        if g3 == face or not _is_three_face(graph, g3):
+            continue
+        take("SubR1", pos, ("face", g3), THIRD)
+        # An adjacent 3-face on one of g3's flanks pulls an extra 1/6 from
+        # the walk edge on that side of the shared edge.  A 3-face is a
+        # triangle, so its only half-edge on the shared edge is twin[h].
+        a = origin[h]
+        for hg in graph.faces[g3]:
+            if hg == graph.twin[h]:
+                continue
+            other = graph.opposite_face(hg)
+            if other != g3 and _is_three_face(graph, other):
+                flank_has_a = a in (origin[hg], target[hg])
+                take("SubR2", pos - 1 if flank_has_a else pos + 1, ("face", g3), SIXTH)
+
+    edge_final = dict(seed)
+    for e, t in zip(edges, taken):
+        edge_final[e] -= t
+
+    return {
+        "face": face,
+        "length": length,
+        "residual": ONE * (length - 4) - THIRD * length,
+        "edge_seed": seed,
+        "edge_final": edge_final,
+        "sink_received": received,
+        "transfers": tuple(transfers),
+    }
 
 
 def rotation_from_layout(

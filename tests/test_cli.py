@@ -5,7 +5,7 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planecharge import reducibility
@@ -399,10 +399,31 @@ _values = st.recursive(
     | st.dictionaries(_text, inner, max_size=4),
     max_leaves=20,
 )
+# Lists of flat records, the shape _dumps encodes in bulk: keys and values
+# that hold the separators and braces the bulk path splices on, empty
+# records among full ones, and a nested value among scalar ones.
+_record_text = st.text(st.sampled_from('}{,\n" :\u2028a'), max_size=5)
+_records = st.lists(
+    st.dictionaries(_record_text, _scalars | _record_text, min_size=1, max_size=4)
+    | st.just({})
+    | st.dictionaries(
+        _record_text,
+        st.lists(_scalars, max_size=2) | st.dictionaries(_record_text, _scalars, max_size=2),
+        min_size=1,
+        max_size=2,
+    ),
+    min_size=1,
+    max_size=5,
+)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_values)
+@given(_values | _records | _records.map(tuple) | st.dictionaries(_text, _records, max_size=3))
+@example([{"a": "},\n      {"}, {"b": 1}])
+@example([{"x": True}, {"x": 1}, {"x": float("nan")}])
+@example([{"a": 1}, {}, {"a": 2}])
+@example(({"a": 1}, {"b": [1, 2]}))
+@example({"k": [{"a": "\u2028", '"': None}], "j": [{"z": -0.0}, {"y": "}{"}]})
 def test_dumps_equals_json_dumps(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -445,14 +466,14 @@ def test_closed_pipe_exits_quietly(graph_dir):
     import sys
 
     for argv in (["square", str(graph_dir / "q3.graph")], ["verify-catalog"]):
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "planecharge.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        proc.stdout.close()  # the read end is gone before anything is written
-        stderr = proc.stderr.read()
-        assert proc.wait() == 0
+        ) as proc:
+            proc.stdout.close()  # the read end is gone before anything is written
+            stderr = proc.stderr.read()
+            assert proc.wait() == 0
         assert stderr == b""
 
 

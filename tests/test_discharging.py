@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rotation_from_layout
+from oracles import closure_edge_level_audit, rotation_from_layout
+from planecharge import discharging
 from planecharge.corpus import random_class_member
 from planecharge.discharging import (
     HALF,
@@ -269,3 +270,58 @@ def test_reconcile_draws_match_rule_transfers(named, class_members_7):
             assert rec.rule_draws == expected
             failing += not rec.ok
     assert failing
+
+
+def _audit_fields(audit):
+    return {
+        "face": audit.face,
+        "length": audit.length,
+        "residual": audit.residual,
+        "edge_seed": audit.edge_seed,
+        "edge_final": audit.edge_final,
+        "sink_received": audit.sink_received,
+        "transfers": audit.transfers,
+    }
+
+
+def test_audit_equals_closure_oracle(named, class_members_7):
+    """Every field of every big face's audit, the transfers in ledger order,
+    equals the one-closure-call-per-draw oracle."""
+    hosts = list(named.values()) + class_members_7 + [hex_with_triangle_fans()]
+    hosts += [random_class_member(seed, 8 + seed % 40) for seed in range(200)]
+    rules = set()
+    audits = 0
+    for g in hosts:
+        for i in big_faces(g):
+            expected = closure_edge_level_audit(g, i)
+            assert _audit_fields(edge_level_audit(g, i)) == expected
+            rules.update(t.rule for t in expected["transfers"])
+            audits += 1
+    assert audits > 400
+    assert rules == {"SubR1", "SubR2", "SubR3", "SubR4", "SubR5"}
+
+
+def test_transfers_are_built_only_when_read(monkeypatch):
+    """final_audit builds the global rule transfers and no sub-rule ones;
+    reconcile_face builds none; reading an audit's transfers builds one
+    per draw."""
+    built = []
+    real = discharging.Transfer
+
+    def counting_transfer(*args):
+        built.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(discharging, "Transfer", counting_transfer)
+    for g in (hex_with_triangle_fans(), random_class_member(7, 60)):
+        expected = len(rule_transfers(g))
+        built.clear()
+        final_audit(g)
+        assert len(built) == expected
+        built.clear()
+        for i in big_faces(g):
+            reconcile_face(g, i)
+        assert not built
+        audit = edge_level_audit(g, big_faces(g)[0])
+        assert audit.draws
+        assert len(audit.transfers) == len(built) == len(audit.draws)
