@@ -359,16 +359,21 @@ def _cmd_discharge(args) -> RunReport:
         audit = discharging.final_audit(g)
     except GraphError as exc:
         raise CliInputError(str(exc))
+    negatives = []
+    for n in audit.negatives:
+        if n.kind == "edge":  # str(n.ident), without the slower tuple repr
+            i, (u, v) = n.ident
+            ident = f"({i}, ({u}, {v}))"
+        else:
+            ident = str(n.ident)
+        negatives.append({"kind": n.kind, "id": ident, "twelfths": n.charge})
     state = audit.state
     names: dict = {}  # element key -> str(key), shared by the report's ledgers
     payload: dict = {
         "vertex_charge_twelfths": _charge_map(state.vertex_charge),
         "face_charge_twelfths": _charge_map(state.face_charge),
         "total_twelfths": state.total(),
-        "negatives": [
-            {"kind": n.kind, "id": str(n.ident), "twelfths": n.charge}
-            for n in audit.negatives
-        ],
+        "negatives": negatives,
         "reconciliation_ok": audit.reconciliation_ok,
     }
     if args.face is not None:

@@ -2,16 +2,22 @@
 
 A plane graph is stored as a half-edge structure: every undirected edge
 contributes two directed half-edges, and the cyclic order of half-edges
-around each vertex (the rotation) determines the embedding.  Faces are
-traced eagerly at construction time and cached; all queries are pure, so
-instances are safe to share between threads.
+around each vertex (the rotation) determines the embedding.  The arrays
+and the faces are built at construction, in a few passes that run in C
+where they can.  The neighbour frozensets (``neighbors``, ``_adjacency``)
+and the face vertex sets (``face_vertex_set``, read only by the matcher)
+are derived on first read.  Each is a pure function of the rotation, so
+two threads that both build one store equal values, and instances stay
+safe to share between threads.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from operator import add, eq
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AsymmetricAdjacency,
@@ -48,7 +54,10 @@ class PlaneGraph:
     Half-edge ``h`` runs from ``origin[h]`` to ``target[h]``; ``twin[h]`` is the
     opposite half-edge and ``next_around_origin[h]`` the next half-edge in the
     rotation at ``origin[h]``.  ``faces[i]`` is the i-th traced face walk as a
-    tuple of half-edge ids.
+    tuple of half-edge ids.  The half-edges out of u are numbered
+    consecutively in rotation order from ``_first[u]``, so the half-edge
+    from u to v is ``_first[u] + rotation[u].index(v)``.  ``_adjacency`` and
+    ``_face_vertex_sets`` are filled on first read, by ``__getattr__``.
     """
 
     __slots__ = (
@@ -60,44 +69,54 @@ class PlaneGraph:
         "next_around_origin",
         "faces",
         "face_of",
-        "_half_edge_at",
+        "_first",
         "_adjacency",
         "_face_vertex_sets",
     )
 
     def __init__(self, rotation: RotationSpec):
-        rotation = tuple(tuple(nbrs) for nbrs in rotation)
+        rotation = tuple(map(tuple, rotation))
         n = len(rotation)
-        _validate_rotation(n, rotation)
-
-        # The half-edges out of u are numbered consecutively in rotation
-        # order, so the next one around u is found by arithmetic.
-        origin = [u for u, nbrs in enumerate(rotation) for _ in nbrs]
-        target = [v for nbrs in rotation for v in nbrs]
-        nxt = list(range(1, len(origin) + 1))
-        first = 0
-        for nbrs in rotation:
-            if nbrs:  # the last half-edge out of u wraps to its first
-                nxt[first + len(nbrs) - 1] = first
-                first += len(nbrs)
-        half_edge_at = dict(zip(zip(origin, target), range(len(origin))))
-        twin = [half_edge_at.get(e) for e in zip(target, origin)]
-        if None in twin:  # u lists v but v does not list u
-            h = twin.index(None)
-            raise AsymmetricAdjacency(origin[h], target[h])
+        degrees = tuple(map(len, rotation))
+        origin = tuple(chain.from_iterable(map(repeat, range(n), degrees)))
+        target = tuple(chain.from_iterable(rotation))
+        # The next half-edge around u is the next id, but the last one out
+        # of u wraps to u's first, first[u].
+        first = []
+        nxt = list(range(1, len(target) + 1))
+        h = 0
+        for d in degrees:
+            first.append(h)
+            if d:
+                h += d
+                nxt[h - 1] = h - d
+        twin = _pair_twins(n, rotation, origin, target, first)
+        if twin is None:  # rejected: find the error id by id
+            _validate_rotation(n, rotation)
 
         self.vertex_count = n
         self.rotation = rotation
-        self.origin = tuple(origin)
-        self.target = tuple(target)
+        self.origin = origin
+        self.target = target
         self.twin = tuple(twin)
         self.next_around_origin = tuple(nxt)
-        self._half_edge_at = half_edge_at
-        self._adjacency = tuple(map(frozenset, rotation))
+        self._first = tuple(first)
         self.faces, self.face_of = _trace_faces(twin, nxt)
-        self._face_vertex_sets = tuple(
-            frozenset(map(origin.__getitem__, walk)) for walk in self.faces
-        )
+
+    def __getattr__(self, name: str):
+        # Reached only while a derived slot is still empty: build it once.
+        # Two threads may both build it; they store equal values.
+        if name == "_adjacency":
+            value = tuple(map(frozenset, self.rotation))
+        elif name == "_face_vertex_sets":
+            at = self.origin.__getitem__
+            value = tuple(frozenset(map(at, walk)) for walk in self.faces)
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        setattr(self, name, value)
+        return value
 
     # -- basic queries ----------------------------------------------------
 
@@ -128,10 +147,16 @@ class PlaneGraph:
     def has_edge(self, u: int, v: int) -> bool:
         check_vertex(u, self.vertex_count)
         check_vertex(v, self.vertex_count)
-        return v in self._adjacency[u]
+        return v in self.rotation[u]
 
     def half_edge(self, u: int, v: int) -> int:
-        return self._half_edge_at[(u, v)]
+        """The half-edge from u to v; KeyError((u, v)) when uv is no edge or
+        either is not a vertex id (bools and negative ids included)."""
+        if type(u) is int and type(v) is int and 0 <= u < self.vertex_count:
+            nbrs = self.rotation[u]
+            if v in nbrs:
+                return self._first[u] + nbrs.index(v)
+        raise KeyError((u, v))
 
     def face_length(self, i: int) -> int:
         return len(self.faces[i])
@@ -149,10 +174,8 @@ class PlaneGraph:
     def faces_at(self, v: int) -> list[int]:
         """Face indices incident to v, with multiplicity (one per corner)."""
         check_vertex(v, self.vertex_count)
-        out = []
-        for u in self.rotation[v]:
-            out.append(self.face_of[self._half_edge_at[(v, u)]])
-        return out
+        first = self._first[v]
+        return list(self.face_of[first : first + len(self.rotation[v])])
 
     def opposite_face(self, h: int) -> int:
         """Face on the other side of half-edge h's underlying edge."""
@@ -169,7 +192,7 @@ class PlaneGraph:
             comp = {s}
             while stack:
                 u = stack.pop()
-                for v in self._adjacency[u]:
+                for v in self.rotation[u]:
                     if not seen[v]:
                         seen[v] = True
                         comp.add(v)
@@ -195,9 +218,31 @@ def check_vertex(v: int, n: int) -> None:
         raise UnknownVertex(v)
 
 
+def _pair_twins(
+    n: int, rotation: tuple, origin: tuple, target: tuple, first: list
+) -> Optional[list[int]]:
+    """The twin of each half-edge, paired by position: the twin of u -> v is
+    ``first[v] + rotation[v].index(u)``.  None unless every id is an int in
+    0..n-1, no vertex lists itself, every listing is returned and twin is an
+    involution (a duplicate listing breaks it); all checks run in C."""
+    if target and (set(map(type, target)) != {int} or min(target) < 0 or max(target) >= n):
+        return None
+    try:
+        at = map(tuple.index, map(rotation.__getitem__, target), origin)
+        twin = list(map(add, map(first.__getitem__, target), at))
+    except ValueError:  # some v does not list u
+        return None
+    twice = list(map(twin.__getitem__, twin))
+    if any(map(eq, origin, target)) or twice != list(range(len(twin))):
+        return None
+    return twin
+
+
 def _validate_rotation(n: int, rotation: tuple[tuple[int, ...], ...]) -> None:
-    """Reject unknown ids, self-listings and duplicates; ``PlaneGraph``
-    rejects asymmetric lists when it pairs up twin half-edges."""
+    """Raise the error a rotation that ``_pair_twins`` rejects deserves:
+    per vertex in order, the first unknown id, self-listing or duplicate;
+    then the first half-edge, in id order, whose target does not list its
+    origin."""
     for u, nbrs in enumerate(rotation):
         seen: set[int] = set()
         for v in nbrs:
@@ -207,6 +252,11 @@ def _validate_rotation(n: int, rotation: tuple[tuple[int, ...], ...]) -> None:
             if v in seen:
                 raise DuplicateNeighbor(u, v)
             seen.add(v)
+    for u, nbrs in enumerate(rotation):
+        for v in nbrs:
+            if u not in rotation[v]:
+                raise AsymmetricAdjacency(u, v)
+    raise AssertionError("_pair_twins rejected a valid rotation")
 
 
 def _trace_faces(
@@ -295,7 +345,7 @@ def _is_bipartite(adj: Sequence[set[int]]) -> bool:
 
 def has_cycle_of_length(graph: PlaneGraph, k: int) -> bool:
     """True iff the graph contains a simple cycle of exactly length k."""
-    return adjacency_has_cycle_of_length(graph._adjacency, k)
+    return adjacency_has_cycle_of_length(graph.rotation, k)
 
 
 def class_membership(graph: PlaneGraph) -> ClassReport:
@@ -348,7 +398,7 @@ def from_file_dict(data: dict) -> PlaneGraph:
         type(n) is not int
         or not isinstance(rot, list)
         or len(rot) != n
-        or not all(isinstance(nbrs, list) for nbrs in rot)
+        or not all(map(isinstance, rot, repeat(list)))
     ):
         raise ValueError("graph file field 'rot' must be an array of n arrays")
     return build_from_rotation(rot)

@@ -6,8 +6,10 @@ and unreduced atom-pattern enumeration for choosability, unpruned
 rotation products for planarity, every cell-consistent vertex order for
 canonical forms, vertex augmentation over every connected max-degree-4
 graph rather than class members only, rotations read off straight-line
-drawings by angle, Euler's formula checked component by component, and
-each big face's sub-rule ledger built one closure call per draw.
+drawings by angle, Euler's formula checked component by component,
+each big face's sub-rule ledger built one closure call per draw, and plane
+graphs built with twins looked up in a (u, v)-keyed dict, every rotation
+validated id by id and every view built eagerly.
 """
 
 import itertools
@@ -25,8 +27,119 @@ from planecharge.discharging import (
     THIRD,
     Transfer,
 )
+from planecharge.errors import AsymmetricAdjacency, DuplicateNeighbor, SelfLoop
 from planecharge.matcher import MatchEmbedding
-from planecharge.plane_graph import build_from_rotation
+from planecharge.plane_graph import build_from_rotation, check_vertex
+
+
+# -- eagerly built plane graphs ------------------------------------------------
+
+
+class EagerPlaneGraph:
+    """A plane graph built the direct way: each rotation is validated id by
+    id, each twin is looked up in a dict keyed by (origin, target), and the
+    neighbour sets and face vertex sets are built at once.  It answers the
+    same arrays and views as ``PlaneGraph`` and raises the same errors."""
+
+    def __init__(self, rotation):
+        rotation = tuple(tuple(nbrs) for nbrs in rotation)
+        n = len(rotation)
+        _eager_validate_rotation(n, rotation)
+
+        # The half-edges out of u are numbered consecutively in rotation
+        # order, so the next one around u is found by arithmetic.
+        origin = [u for u, nbrs in enumerate(rotation) for _ in nbrs]
+        target = [v for nbrs in rotation for v in nbrs]
+        nxt = list(range(1, len(origin) + 1))
+        first = 0
+        for nbrs in rotation:
+            if nbrs:  # the last half-edge out of u wraps to its first
+                nxt[first + len(nbrs) - 1] = first
+                first += len(nbrs)
+        half_edge_at = dict(zip(zip(origin, target), range(len(origin))))
+        twin = [half_edge_at.get(e) for e in zip(target, origin)]
+        if None in twin:  # u lists v but v does not list u
+            h = twin.index(None)
+            raise AsymmetricAdjacency(origin[h], target[h])
+
+        self.vertex_count = n
+        self.rotation = rotation
+        self.origin = tuple(origin)
+        self.target = tuple(target)
+        self.twin = tuple(twin)
+        self.next_around_origin = tuple(nxt)
+        self._half_edge_at = half_edge_at
+        self._adjacency = tuple(map(frozenset, rotation))
+        self.faces, self.face_of = _eager_trace_faces(twin, nxt)
+        self._face_vertex_sets = tuple(
+            frozenset(map(origin.__getitem__, walk)) for walk in self.faces
+        )
+
+    def half_edge(self, u, v):
+        return self._half_edge_at[(u, v)]
+
+    def neighbors(self, v):
+        return self._adjacency[v]
+
+    def face_vertex_set(self, i):
+        return self._face_vertex_sets[i]
+
+    def faces_at(self, v):
+        return [self.face_of[self._half_edge_at[(v, u)]] for u in self.rotation[v]]
+
+    def components(self):
+        seen = [False] * self.vertex_count
+        comps = []
+        for s in range(self.vertex_count):
+            if seen[s]:
+                continue
+            stack = [s]
+            seen[s] = True
+            comp = {s}
+            while stack:
+                u = stack.pop()
+                for v in self._adjacency[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        comp.add(v)
+                        stack.append(v)
+            comps.append(frozenset(comp))
+        return comps
+
+
+def _eager_validate_rotation(n, rotation):
+    """Reject unknown ids, self-listings and duplicates; ``EagerPlaneGraph``
+    rejects asymmetric lists when it pairs up twin half-edges."""
+    for u, nbrs in enumerate(rotation):
+        seen = set()
+        for v in nbrs:
+            check_vertex(v, n)
+            if v == u:
+                raise SelfLoop(u)
+            if v in seen:
+                raise DuplicateNeighbor(u, v)
+            seen.add(v)
+
+
+def _eager_trace_faces(twin, nxt):
+    """Face walks and the face of each half-edge.  The face successor of h
+    is ``nxt[twin[h]]``; its orbits are the faces."""
+    face_of = [-1] * len(twin)
+    faces = []
+    for start in range(len(twin)):
+        if face_of[start] >= 0:
+            continue
+        walk = []
+        h = start
+        while face_of[h] < 0:
+            face_of[h] = len(faces)
+            walk.append(h)
+            h = nxt[twin[h]]
+        faces.append(tuple(walk))
+    return tuple(faces), tuple(face_of)
+
+
+# -- cycles, Euler, choosability and planarity ---------------------------------
 
 
 def naive_has_cycle(adjacency, k):

@@ -19,7 +19,8 @@ from planecharge.cli import (
     main,
     run,
 )
-from planecharge.corpus import enumerate_class, named_examples
+from planecharge.corpus import enumerate_class, named_examples, random_class_member
+from planecharge.discharging import final_audit
 from planecharge.plane_graph import dump_graph_file, load_graph_file, to_file_dict
 
 
@@ -299,6 +300,22 @@ def test_examples_report_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ff0b0ecc0c43f14be19063266ee43add8edb833bef3deccef17d81e2a1a4add0"
     )
+
+
+def test_negative_ids_read_as_str_of_ident(tmp_path):
+    """The discharge report writes each negative element's id as str() of
+    its ident: a vertex id, a face index or (face, (u, v))."""
+    hosts = [ng.graph for ng in named_examples()]
+    hosts += [random_class_member(seed, 20 + 3 * seed) for seed in range(50)]
+    kinds = set()
+    for k, g in enumerate(hosts):
+        path = str(tmp_path / f"h{k}.graph")
+        dump_graph_file(g, path)
+        written = [rec["id"] for rec in run(["discharge", path]).payload["negatives"]]
+        negatives = final_audit(g).negatives
+        assert written == [str(n.ident) for n in negatives]
+        kinds.update(n.kind for n in negatives)
+    assert kinds == {"vertex", "face", "edge"}
 
 
 def test_discharge_reports_digest(tmp_path, monkeypatch, class_members_7):

@@ -1,12 +1,15 @@
 import itertools
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_has_cycle, per_component_euler
+from oracles import EagerPlaneGraph, naive_has_cycle, per_component_euler
+from planecharge.catalog import catalog
 from planecharge.corpus import enumerate_class, random_class_member
-from planecharge.discharging import edge_level_audit
+from planecharge.discharging import BIG_FACE, edge_level_audit, final_audit, reconcile_face
 from planecharge.errors import (
     AsymmetricAdjacency,
     DuplicateNeighbor,
@@ -21,8 +24,10 @@ from planecharge.plane_graph import (
     adjacency_has_cycle_of_length,
     build_from_rotation,
     class_membership,
+    dump_graph_file,
     from_file_dict,
     has_cycle_of_length,
+    load_graph_file,
     to_file_dict,
 )
 from planecharge.reducibility import f_values, verify_reduction
@@ -284,3 +289,176 @@ def rotation_systems(draw, max_vertices=8):
 @given(rotation_systems())
 def test_euler_matches_oracle_on_any_rotation_system(rotation):
     assert_euler_agrees(build_from_rotation(rotation))
+
+
+# -- the constructor against the eager, dict-paired oracle ---------------------
+
+ARRAYS = ("origin", "target", "twin", "next_around_origin", "faces", "face_of")
+
+
+def half_edge_or_error(g, u, v):
+    try:
+        return g.half_edge(u, v)
+    except KeyError as err:
+        return err.args
+
+
+def assert_agrees_with_eager(rotation):
+    """Every array and view of the plane graph equals the eager oracle's."""
+    g = build_from_rotation(rotation)
+    eager = EagerPlaneGraph(rotation)
+    for name in ARRAYS:
+        assert getattr(g, name) == getattr(eager, name), (name, rotation)
+    n = g.vertex_count
+    for u, v in itertools.product(range(n), repeat=2):
+        assert half_edge_or_error(g, u, v) == half_edge_or_error(eager, u, v)
+    for v in range(n):
+        assert g.faces_at(v) == eager.faces_at(v)
+        assert g.neighbors(v) == eager.neighbors(v)
+    for i in range(g.face_count):
+        assert g.face_vertex_set(i) == eager.face_vertex_set(i)
+    assert g.components() == eager.components()
+
+
+def test_constructor_agrees_with_eager_oracle(named, class_members_7):
+    patterns = [entry.pattern for entry in catalog() if entry.pattern is not None]
+    assert len(patterns) == 16
+    lattice = [random_class_member(seed, 2 + (seed * 17) % 39) for seed in range(200)]
+    for g in list(named.values()) + class_members_7 + patterns + lattice:
+        assert_agrees_with_eager(g.rotation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_systems())
+def test_constructor_agrees_with_eager_oracle_on_any_rotation_system(rotation):
+    assert_agrees_with_eager(rotation)
+
+
+@st.composite
+def malformed_rotations(draw):
+    """A rotation system with one to three faults: a bad id (a bool, a
+    string, a float, a negative or too-large int), a self-listing, a
+    duplicate, a dropped listing or a one-sided listing."""
+    rotation = [list(nbrs) for nbrs in draw(rotation_systems())]
+    n = len(rotation)
+    for _ in range(draw(st.integers(1, 3))):
+        u = draw(st.integers(0, n - 1))
+        nbrs = rotation[u]
+        at = draw(st.integers(0, len(nbrs)))
+        strangers = [w for w in range(n) if w != u and w not in nbrs]
+        fault = draw(st.sampled_from(["id", "self", "duplicate", "drop", "one-sided"]))
+        if fault == "id":
+            bad = st.one_of(
+                st.booleans(),
+                st.text(max_size=2),
+                st.floats(),
+                st.integers(-3, -1),
+                st.integers(n, n + 3),
+            )
+            nbrs.insert(at, draw(bad))
+        elif fault == "duplicate" and nbrs:
+            nbrs.insert(at, draw(st.sampled_from(nbrs)))
+        elif fault == "drop" and nbrs:
+            del nbrs[at % len(nbrs)]
+        elif fault == "one-sided" and strangers:
+            nbrs.insert(at, draw(st.sampled_from(strangers)))
+        else:
+            nbrs.insert(at, u)
+    return rotation
+
+
+def raised(build, rotation):
+    try:
+        build(rotation)
+    except Exception as err:
+        return type(err), getattr(err, "pair", None), str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(malformed_rotations())
+def test_malformed_rotation_raises_the_eager_error(rotation):
+    """Each malformed rotation raises the eager oracle's error: the same
+    type, the same pair and the same message.  (A dropped listing and a
+    one-sided one can cancel out; such a rotation builds in both.)"""
+    expected = raised(EagerPlaneGraph, rotation)
+    if expected is None:
+        assert_agrees_with_eager(rotation)
+    else:
+        assert raised(PlaneGraph, rotation) == expected, rotation
+
+
+def built(g, view):
+    """Whether the derived view has been built, without building it."""
+    try:
+        object.__getattribute__(g, view)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_views_are_derived_on_first_read(tmp_path):
+    host = random_class_member(seed=3, n=120)
+    path = str(tmp_path / "host.graph")
+    dump_graph_file(host, path)
+    g = load_graph_file(path)
+    class_membership(g)
+    final_audit(g)
+    for i, walk in enumerate(g.faces):
+        if len(walk) >= BIG_FACE:
+            assert reconcile_face(g, i).ok
+    assert not built(g, "_face_vertex_sets")
+    assert not built(g, "_adjacency")
+    first = g.face_vertex_set(0)
+    assert built(g, "_face_vertex_sets")
+    assert g.face_vertex_set(0) is first
+    assert first == frozenset(g.face_vertices(0))
+    assert g.neighbors(0) == frozenset(g.rotation[0])
+    assert built(g, "_adjacency")
+    with pytest.raises(AttributeError):
+        g.no_such_view
+
+
+def test_views_built_by_racing_threads_agree():
+    """Threads that read the views of one fresh instance at once, with
+    frequent switches between them, all see the eager oracle's values."""
+    rotation = random_class_member(seed=5, n=150).rotation
+    eager = EagerPlaneGraph(rotation)
+    want = (
+        [eager.face_vertex_set(i) for i in range(len(eager.faces))],
+        [eager.neighbors(v) for v in range(len(rotation))],
+    )
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = build_from_rotation(rotation)
+            seen = []
+
+            def read(g=g, seen=seen):
+                seen.append((
+                    [g.face_vertex_set(i) for i in range(g.face_count)],
+                    [g.neighbors(v) for v in range(g.vertex_count)],
+                ))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert seen == [want] * 8
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize(
+    "u, v", [(0, 2), (True, 0), (0, True), (-1, 0), (0, -1), (3, 0), (0, 3), (0, 1.0)]
+)
+def test_half_edge_raises_key_error(u, v):
+    """The path 0 - 1 - 2: 02 is no edge, and a bool, a negative id, the
+    vertex count and a float are no vertex ids."""
+    g = build_from_rotation([[1], [0, 2], [1]])
+    with pytest.raises(KeyError) as err:
+        g.half_edge(u, v)
+    assert err.value.args == ((u, v),)
