@@ -42,7 +42,6 @@ from .reducibility import (
     CatalogEntryResult,
     ReductionReport,
     f_values,
-    generic_instance,
     verify_catalog,
     verify_reduction,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "final_audit",
     "find_any_reducible",
     "find_configuration",
-    "generic_instance",
     "get_configuration",
     "has_cycle_of_length",
     "induced_subgraph",

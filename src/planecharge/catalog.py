@@ -90,33 +90,33 @@ SPEC_TEXT = {
 }
 
 # Per reducible entry, by role name: the removed set X, the recolored set R,
-# the role pair that Y drops besides every edge at X, the expected demands
-# (by role, or only their multiset), and whether the core's square is checked
-# again with every missing core pair filled in.
+# the role pair that Y drops besides every edge at X, and the demand of each
+# core role.  ``reducibility`` checks every entry the same way, on the
+# completed square of its core.
 _REDUCTIONS = {
-    "no1v": ("leaf", "", "", {"leaf": 8}, False),
-    "no2v3f": ("deg2", "", "", {"deg2": 6}, False),
-    "no2v4f": ("deg2", "", "", {"deg2": 5}, False),
-    "no22v": ("deg2_a deg2_b", "", "", {"deg2_a": 7, "deg2_b": 7}, False),
-    "no23v": ("", "deg2 deg3", "deg2 deg3", {"deg2": 6, "deg3": 3}, False),
-    "no33v": ("", "deg3_a deg3_b", "deg3_a deg3_b", {"deg3_a": 2, "deg3_b": 2}, False),
-    "no242v": ("deg2_a deg2_b", "middle", "", {"deg2_a": 6, "middle": 2, "deg2_b": 6}, False),
-    "no243v": ("deg2", "middle deg3", "", {"deg2": 6, "middle": 1, "deg3": 2}, False),
-    "no2v_3f": ("deg2", "anchor", "", {"anchor": 1, "deg2": 5}, False),
-    "no3v_33f": ("", "deg3", "deg3 shared_end", {"deg3": 4}, False),
-    "no3v_44f": ("", "deg3", "deg3 shared_end", {"deg3": 2}, False),
-    "no3v3f3f": ("", "shared_a shared_b", "shared_a shared_b", {"shared_a": 2, "shared_b": 2}, False),
-    "no3v3f_3f": ("", "deg3 pivot", "deg3 pivot", {"deg3": 3, "pivot": 2}, False),
-    "no3v_3f3v": ("", "anchor deg3_on", "anchor deg3_on", {"anchor": 1, "deg3_on": 3}, False),
-    "no3v_m3f3f": ("", "near_end far_end", "near_end far_end", {"near_end": 2, "far_end": 1}, False),
-    # The per-endpoint split of the demands 2 and 3 is easy to get
-    # backwards, so only the multiset is pinned for this entry.
-    "no2v__m3f3f": ("", "near_end far_end middle deg2", "near_end far_end", (1, 2, 3, 6), True),
+    "no1v": ("leaf", "", "", {"leaf": 8}),
+    "no2v3f": ("deg2", "", "", {"deg2": 6}),
+    "no2v4f": ("deg2", "", "", {"deg2": 5}),
+    "no22v": ("deg2_a deg2_b", "", "", {"deg2_a": 7, "deg2_b": 7}),
+    "no23v": ("", "deg2 deg3", "deg2 deg3", {"deg2": 6, "deg3": 3}),
+    "no33v": ("", "deg3_a deg3_b", "deg3_a deg3_b", {"deg3_a": 2, "deg3_b": 2}),
+    "no242v": ("deg2_a deg2_b", "middle", "", {"deg2_a": 6, "middle": 2, "deg2_b": 6}),
+    "no243v": ("deg2", "middle deg3", "", {"deg2": 6, "middle": 1, "deg3": 2}),
+    "no2v_3f": ("deg2", "anchor", "", {"anchor": 1, "deg2": 5}),
+    "no3v_33f": ("", "deg3", "deg3 shared_end", {"deg3": 4}),
+    "no3v_44f": ("", "deg3", "deg3 shared_end", {"deg3": 2}),
+    "no3v3f3f": ("", "shared_a shared_b", "shared_a shared_b", {"shared_a": 2, "shared_b": 2}),
+    "no3v3f_3f": ("", "deg3 pivot", "deg3 pivot", {"deg3": 3, "pivot": 2}),
+    "no3v_3f3v": ("", "anchor deg3_on", "anchor deg3_on", {"anchor": 1, "deg3_on": 3}),
+    "no3v_m3f3f": ("", "near_end far_end", "near_end far_end", {"near_end": 2, "far_end": 1}),
+    # near_end is the end next to middle, so it has fewer outsiders.
+    "no2v__m3f3f": ("", "near_end far_end middle deg2", "near_end far_end",
+                    {"near_end": 3, "far_end": 2, "middle": 1, "deg2": 6}),
 }
 
 CATALOG_ORDER = tuple(SPEC_TEXT)
-STRUCTURAL_IDS = ("conn", "no333f", "no34f")
-REDUCIBLE_IDS = tuple(c for c in CATALOG_ORDER if c not in STRUCTURAL_IDS)
+REDUCIBLE_IDS = tuple(c for c in CATALOG_ORDER if c in _REDUCTIONS)
+STRUCTURAL_IDS = tuple(c for c in CATALOG_ORDER if c not in _REDUCTIONS)
 
 
 def spec_clauses(config_id: str) -> list[list[str]]:
@@ -150,17 +150,24 @@ class Configuration:
     recolored: frozenset[int] = frozenset()  # R: vertices whose color is redone
     dropped_edges: frozenset[frozenset[int]] = frozenset()  # Y
     expected_f: Optional[Mapping[str, int]] = None  # keyed by role name
-    expected_f_multiset: Optional[tuple[int, ...]] = None
-    check_completed_square: bool = False
     cases: tuple[StructuralCase, ...] = ()
 
     def core(self) -> frozenset[int]:
         return self.removed | self.recolored
 
-    def expected_f_by_vertex(self) -> Optional[dict[int, int]]:
-        if self.expected_f is None:
-            return None
+    def expected_f_by_vertex(self) -> dict[int, int]:
         return {self.roles[name]: f for name, f in self.expected_f.items()}
+
+
+def spec_degrees(config_id: str, roles: Mapping[str, int], n: int) -> list[int]:
+    """The spec degree of each of n instance vertices: its role's degree
+    clause, or MAX_DEGREE for a role without one and for every vertex that
+    has no role (free face vertices and pads)."""
+    want = [MAX_DEGREE] * n
+    for kind, *args in spec_clauses(config_id):
+        if kind == "role" and args[1:]:
+            want[roles[args[0]]] = int(args[1])
+    return want
 
 
 def _fragment(
@@ -168,13 +175,13 @@ def _fragment(
 ) -> tuple[dict[str, int], list[int], list[list[int]], list[set[int]]]:
     """The roles' ids, every fragment vertex's spec degree, the witness
     cycles and the adjacency of the fragment."""
-    degree: dict[str, int] = {}
+    names: list[str] = []
     on: dict[str, set[str]] = {}  # witness face -> the roles on it
     length: dict[str, int] = {}
     edges = []
     for kind, *args in spec_clauses(config_id):
         if kind == "role":
-            degree[args[0]] = int(args[1]) if args[1:] else MAX_DEGREE
+            names.append(args[0])
         elif kind == "face":
             on[args[0]], length[args[0]] = set(), int(args[1])
         elif kind == "edge":
@@ -186,24 +193,24 @@ def _fragment(
                 on[face].update(args[2:])
 
     ids: dict[str, int] = {}
-    want: list[int] = []
+    n = 0
     cycles: list[list[int]] = []
-    for role, d in degree.items():
-        ids[role] = len(want)
-        want.append(d)
+    for role in names:
+        ids[role] = n
+        n += 1
         for face, roles in on.items():
             if role in roles and roles <= ids.keys():
-                free = range(len(want), len(want) + length[face] - len(roles))
-                want.extend(MAX_DEGREE for _ in free)
+                free = range(n, n + length[face] - len(roles))
+                n = free.stop
                 cycles.append(sorted(ids[r] for r in roles) + list(free))
 
-    adjacency: list[set[int]] = [set() for _ in want]
+    adjacency: list[set[int]] = [set() for _ in range(n)]
     pairs = [(ids[a], ids[b]) for a, b in edges]
     pairs += [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
     for a, b in pairs:
         adjacency[a].add(b)
         adjacency[b].add(a)
-    return ids, want, cycles, adjacency
+    return ids, spec_degrees(config_id, ids, n), cycles, adjacency
 
 
 def _edges_of(pairs) -> frozenset[frozenset[int]]:
@@ -243,7 +250,7 @@ def _outer_corner(graph: PlaneGraph, witness: set[int], v: int) -> int:
 
 
 def _reducible(config_id: str) -> Configuration:
-    removed, recolored, pair, expected, completed_square = _REDUCTIONS[config_id]
+    removed, recolored, pair, expected = _REDUCTIONS[config_id]
     ids, want, cycles, adjacency = _fragment(config_id)
     graph, witness = _embed(adjacency, cycles)
     x = frozenset(ids[name] for name in removed.split())
@@ -269,7 +276,6 @@ def _reducible(config_id: str) -> Configuration:
     dropped = {frozenset((v, u)) for v in x for u in rotation[v]}
     if pair:
         dropped.add(frozenset(ids[r] for r in pair.split()))
-    by_role = isinstance(expected, dict)
     return Configuration(
         config_id=config_id,
         kind="reducible",
@@ -278,9 +284,7 @@ def _reducible(config_id: str) -> Configuration:
         removed=x,
         recolored=r,
         dropped_edges=frozenset(dropped),
-        expected_f=expected if by_role else None,
-        expected_f_multiset=None if by_role else expected,
-        check_completed_square=completed_square,
+        expected_f=expected,
     )
 
 

@@ -57,13 +57,17 @@ class TooManyVertices(GraphError):
 
 
 class OverlappingRoles(GraphError):
-    """X and R are not disjoint, or a role set leaves the vertex range."""
+    """X and R are not disjoint.  (An id outside the vertex range raises
+    UnknownVertex.)"""
 
 
 class UnknownEdgeInY(GraphError):
-    def __init__(self, u: int, v: int):
-        super().__init__(f"edge ({u},{v}) in Y is not an edge of the graph")
-        self.pair = (u, v)
+    """An entry of Y that is not an edge of the graph: a non-edge, or not
+    exactly two distinct vertices."""
+
+    def __init__(self, entry: tuple):
+        super().__init__(f"entry {entry} in Y is not an edge of the graph")
+        self.entry = entry
 
 
 class UnknownConfig(GraphError):

@@ -302,6 +302,16 @@ def test_examples_report_digest():
     )
 
 
+def test_verify_reports_digest():
+    """The verify-catalog report and every entry's verify-lemma report, in
+    catalog order, keep every byte."""
+    texts = [run(["verify-catalog"]).to_json()]
+    texts += [run(["verify-lemma", c]).to_json() for c in CATALOG_ORDER]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "44ad583101dc9bc7b2e254277274ac5c551aa601f92568873c28e1c2f2948f70"
+    )
+
+
 def test_negative_ids_read_as_str_of_ident(tmp_path):
     """The discharge report writes each negative element's id as str() of
     its ident: a vertex id, a face index or (face, (u, v))."""

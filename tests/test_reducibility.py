@@ -1,8 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from planecharge.catalog import (
+    _REDUCTIONS,
+    _STRUCTURAL,
     CATALOG_ORDER,
     REDUCIBLE_IDS,
     STRUCTURAL_IDS,
@@ -10,11 +13,13 @@ from planecharge.catalog import (
     get_configuration,
 )
 from planecharge.choosability import DemandFunction, is_f_choosable, clique_f_choosable
+from planecharge.corpus import enumerate_class, random_class_member
 from planecharge.errors import OverlappingRoles, UnknownConfig, UnknownEdgeInY
+from planecharge.matcher import find_configuration
 from planecharge.plane_graph import build_from_rotation
 from planecharge.reducibility import (
+    _reducible_result,
     f_values,
-    generic_instance,
     verify_catalog,
     verify_configuration,
     verify_reduction,
@@ -71,6 +76,14 @@ def test_catalog_shape():
         get_configuration("nope")
 
 
+def test_each_id_in_exactly_one_table():
+    for config_id in CATALOG_ORDER:
+        assert (config_id in _REDUCTIONS) != (config_id in _STRUCTURAL), config_id
+    assert set(CATALOG_ORDER) == _REDUCTIONS.keys() | _STRUCTURAL.keys()
+    assert set(REDUCIBLE_IDS) == _REDUCTIONS.keys()
+    assert set(STRUCTURAL_IDS) == _STRUCTURAL.keys()
+
+
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
 def test_expected_f_values(config_id):
     report = verify_configuration(config_id)
@@ -95,15 +108,41 @@ def test_induced_square_nearly_complete(config_id):
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
 def test_clique_criterion_agrees_where_complete(config_id):
     report = verify_configuration(config_id)
-    if report.induced_square.is_complete():
-        f = list(report.computed_f.values())
-        assert clique_f_choosable(f) == report.choosable
+    f = list(report.computed_f.values())
+    assert clique_f_choosable(f) == report.choosable
+
+
+@pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
+def test_only_an_incomplete_core_square_adds_a_note(config_id):
+    result = _reducible_result(get_configuration(config_id))
+    assert result.passed
+    if config_id == "no2v__m3f3f":
+        assert result.notes == ("choosable with the missing core pair added",)
+    else:
+        assert result.notes == ()
+
+
+@pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
+def test_missing_pad_around_the_core_fails(config_id):
+    """Dropping the last pad, a leaf on a neighbour of the core, leaves that
+    neighbour short of its spec degree."""
+    config = get_configuration(config_id)
+    g = config.pattern
+    last = g.vertex_count - 1
+    (stem,) = g.neighbors(last)
+    assert stem not in config.core()
+    assert config.core() & g.neighbors(stem)
+    rotation = [[u for u in nbrs if u != last] for nbrs in g.rotation[:last]]
+    broken = dataclasses.replace(config, pattern=build_from_rotation(rotation))
+    result = _reducible_result(broken)
+    assert not result.passed
+    assert "FAIL: a vertex around the core lacks its spec degree" in result.notes
 
 
 def test_structural_entries_have_no_instance():
     for config_id in STRUCTURAL_IDS:
         with pytest.raises(ValueError):
-            generic_instance(config_id)
+            verify_configuration(config_id)
 
 
 def test_verify_catalog_all_pass():
@@ -160,6 +199,10 @@ def test_role_validation():
         f_values(g, {0}, {0})
     with pytest.raises(UnknownEdgeInY):
         verify_reduction(g, set(), {0}, y=[frozenset((0, 2))])
+    with pytest.raises(UnknownEdgeInY, match=r"\(1, 1\)"):
+        verify_reduction(g, set(), {0}, y=[(1, 1)])
+    with pytest.raises(UnknownEdgeInY, match=r"\(0, 1, 2\)"):
+        verify_reduction(g, set(), {0}, y=[(0, 1, 2)])
 
 
 def test_f_values_match_direct_count():
@@ -279,8 +322,32 @@ def test_catalog_entry_fields():
             for v in config.removed:
                 for u in config.pattern.neighbors(v):
                     assert frozenset((v, u)) in config.dropped_edges
-            if config.expected_f is not None:
-                assert all(0 <= f <= 12 for f in config.expected_f.values())
+            assert all(0 <= f <= 12 for f in config.expected_f.values())
         else:
             assert config.pattern is None
             assert config.cases
+
+
+def test_no_host_has_lower_demands_than_its_instance():
+    """Oracle for the every-host argument: in every match of a reducible
+    entry, each core role's demand in the host is at least its demand in
+    the generic instance."""
+    hosts = list(enumerate_class(8))
+    hosts += [random_class_member(i, 2 + (i * 17) % 39) for i in range(1000)]
+    matched = set()
+    for config_id in REDUCIBLE_IDS:
+        config = get_configuration(config_id)
+        name_of = {v: name for name, v in config.roles.items()}
+        x_names = [name_of[v] for v in config.removed]
+        r_names = [name_of[v] for v in config.recolored]
+        base = f_values(config.pattern, config.removed, config.recolored)
+        for host in hosts:
+            for match in find_configuration(host, config_id):
+                roles = dict(match.roles)
+                got = f_values(
+                    host, [roles[n] for n in x_names], [roles[n] for n in r_names]
+                )
+                for v, f in base.items():
+                    assert got[roles[name_of[v]]] >= f, (config_id, match)
+                matched.add(config_id)
+    assert matched == set(REDUCIBLE_IDS)
