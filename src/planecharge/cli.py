@@ -84,9 +84,11 @@ _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 def _dumps(value, newline: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)`` for values whose dict
     keys are all str.  Any indent sends ``json.dumps`` to its pure-Python
-    encoder; this builds each container with one join instead, and a list
-    of flat records (see ``_flat_records``) with one call to the C encoder.
-    ``newline`` is a line break plus the indent of the enclosing level."""
+    encoder; this builds each container with one join instead, and each of
+    these with one call to the C encoder: a list of scalars, a dict of
+    scalars (see ``_dumps_flat``) and a list of flat records (see
+    ``_flat_records``).  ``newline`` is a line break plus the indent of the
+    enclosing level."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -103,19 +105,48 @@ def _dumps(value, newline: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if c_make_encoder is not None and _flat_records(value):
-            return _dumps_records(value, newline)
+        if c_make_encoder is not None:
+            if set(map(type, value)) <= _SCALAR_TYPES:
+                return _dumps_flat(value, newline)
+            if _flat_records(value):
+                return _dumps_records(value, newline)
         items = [_dumps(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
+        if (
+            c_make_encoder is not None
+            and set(map(type, value)) == {str}
+            and set(map(type, value.values())) <= _SCALAR_TYPES
+        ):
+            return _dumps_flat(value, newline)
         items = [
             encode_basestring_ascii(k) + ": " + _dumps(value[k], inner)
             for k in sorted(value)
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encoder(item_separator: str):
+    """The C encoder, sorting keys and writing ``item_separator`` between
+    items and no line break inside brackets or braces."""
+    return c_make_encoder(
+        None, None, encode_basestring_ascii, None, ": ", item_separator, True, False, True
+    )
+
+
+def _dumps_flat(value, newline: str) -> str:
+    """``_dumps`` at indent ``newline`` of a non-empty list or tuple of
+    scalars, or of a non-empty dict with str keys and scalar values (exact
+    types, as in ``_flat_records``).  One C encoder call writes each item
+    separator as a comma plus the item line's indent; only the brackets'
+    own line breaks are added.  An encoded string escapes every line
+    break, so no value can hold a raw one."""
+    inner = newline + "  "
+    text = "".join(_encoder("," + inner)(value, 0))
+    return text[0] + inner + text[1:-1] + newline + text[-1]
 
 
 def _flat_records(records) -> bool:
@@ -142,10 +173,7 @@ def _dumps_records(records, newline: str) -> str:
     empty)."""
     inner = newline + "  "
     fields = inner + "  "
-    encode = c_make_encoder(
-        None, None, encode_basestring_ascii, None, ": ", "," + fields, True, False, True
-    )
-    text = "".join(encode(records, 0))  # '[{' ... '},' + fields + '{' ... '}]'
+    text = "".join(_encoder("," + fields)(records, 0))  # '[{' ... '},' + fields + '{' ... '}]'
     body = text[2:-2].replace("}," + fields + "{", inner + "}," + inner + "{" + fields)
     return "[" + inner + "{" + fields + body + inner + "}" + newline + "]"
 

@@ -4,6 +4,11 @@ rules, and per-face edge-level audits.
 Amounts are plain ints counting twelfths of a unit charge; every constant
 the rules use (1, 1/2, 1/3, 1/4, 1/6) is a whole number of twelfths, so the
 ledger is exact and every audit is bit-reproducible.
+
+The sub-rules of one big face are applied by one pass over its walk,
+``_face_pass``.  ``final_audit`` and ``reconcile_face`` run it for the
+amounts alone; ``edge_level_audit`` runs the same pass with its draws kept
+and wraps the result in a ``FaceAudit``.
 """
 
 from __future__ import annotations
@@ -200,21 +205,22 @@ class FaceAudit:
         )
 
     def negative_edges(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted((e, c) for e, c in self.edge_final.items() if c < 0)
+        return _negative_edges(self.edge_final)
 
     def conserved(self) -> bool:
-        moved = sum(self.sink_received.values())
-        kept = sum(self.edge_final.values())
-        return kept + moved == sum(self.edge_seed.values())
+        return _conserved(self.edge_seed, self.edge_final, self.sink_received)
 
 
-def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
-    """The sub-rule ledger of big face ``face``; IndexError when the graph
-    has no face with that index (negative indices included).
-
-    One pass over the walk applies the pull tables above: the vertex draws
-    of every walk position come first in ``draws``, then the 3-face draws,
-    each in walk order."""
+def _face_pass(
+    graph: PlaneGraph, face: int, draws: Optional[list] = None
+) -> tuple[tuple[tuple[int, int], ...], list[int], dict[ElementKey, int]]:
+    """The one pass over the walk of big face ``face`` that applies the pull
+    tables above: the walk edges as (low, high), the amount taken at each
+    walk position and the amount each sink receives.  Given a list, it also
+    appends one ``(rule, pos, sink, amount)`` draw per pull: the vertex draws
+    of every walk position first, then the 3-face draws, each in walk order.
+    IndexError when the graph has no face with that index (negative indices
+    included), NotBigFace when the face is shorter than ``BIG_FACE``."""
     if not 0 <= face < graph.face_count:
         raise IndexError(f"no face with index {face}")
     faces, face_of, twin = graph.faces, graph.face_of, graph.twin
@@ -235,8 +241,7 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
 
     taken = [0] * length
     received: dict[ElementKey, int] = {}
-    vertex_draws: list[Draw] = []
-    face_draws: list[Draw] = []
+    face_draws: Optional[list] = None if draws is None else []
     for pos, h in enumerate(walk):
         v = origin[h]
         d = len(rotation[v])
@@ -252,7 +257,8 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
                 p = (pos + offset) % length
                 taken[p] += amount
                 received[sink] = received.get(sink, 0) + amount
-                vertex_draws.append((rule, p, sink, amount))
+                if draws is not None:
+                    draws.append((rule, p, sink, amount))
         if not three[pos]:
             continue
         g3 = across[pos]
@@ -268,24 +274,62 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
             p = (pos + offset) % length
             taken[p] += amount
             received[sink] = received.get(sink, 0) + amount
-            face_draws.append((rule, p, sink, amount))
+            if face_draws is not None:
+                face_draws.append((rule, p, sink, amount))
+    if face_draws:
+        draws.extend(face_draws)
+    return edges, taken, received
 
+
+def _edge_ledger(
+    edges: tuple[tuple[int, int], ...], taken: list[int]
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Each distinct walk edge's seed, 1/3 per occurrence on the walk, and
+    its final charge once the amounts taken at its positions are gone."""
     seed: dict[tuple[int, int], int] = {}
     for e in edges:
         seed[e] = seed.get(e, 0) + THIRD
-    edge_final = dict(seed)
+    final = dict(seed)
     for e, t in zip(edges, taken):
-        edge_final[e] -= t
+        final[e] -= t
+    return seed, final
 
+
+def _conserved(seed: dict, final: dict, received: dict) -> bool:
+    """What the edges keep plus what the sinks receive is what was seeded."""
+    return sum(final.values()) + sum(received.values()) == sum(seed.values())
+
+
+def _negative_edges(final: dict) -> list[tuple[tuple[int, int], int]]:
+    """The edges that end negative, with their final amounts, in edge order."""
+    return sorted((e, c) for e, c in final.items() if c < 0)
+
+
+def _residual(length: int) -> int:
+    """What a big face of this length keeps after seeding its walk: 2l/3 - 4."""
+    return ONE * (length - 4) - THIRD * length
+
+
+def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
+    """The sub-rule ledger of big face ``face``; IndexError when the graph
+    has no face with that index (negative indices included).
+
+    A wrapper around the one per-face pass (``_face_pass``) that
+    ``final_audit`` and ``reconcile_face`` also run, here with its draws
+    kept: the vertex draws of every walk position come first in ``draws``,
+    then the 3-face draws, each in walk order."""
+    draws: list[Draw] = []
+    edges, taken, received = _face_pass(graph, face, draws)
+    seed, final = _edge_ledger(edges, taken)
     audit = FaceAudit(
         face=face,
-        length=length,
-        residual=ONE * (length - 4) - THIRD * length,
+        length=len(edges),
+        residual=_residual(len(edges)),
         edge_seed=seed,
-        edge_final=edge_final,
+        edge_final=final,
         sink_received=received,
         walk_edges=edges,
-        draws=tuple(vertex_draws + face_draws),
+        draws=tuple(draws),
     )
     assert audit.conserved()
     return audit
@@ -305,7 +349,7 @@ class FaceReconciliation:
 def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
     """Check that what each sink collects from the face's edges under the
     sub-rules equals what it draws from the face under the global rules."""
-    audit = edge_level_audit(graph, face)
+    _, _, received = _face_pass(graph, face)
     face_of, twin, origin = graph.face_of, graph.twin, graph.origin
     draws: dict[ElementKey, int] = {}
     for h in graph.faces[face]:
@@ -313,14 +357,14 @@ def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
             draw = _rule_draw(graph, sink)
             if draw is not None:
                 draws[sink] = draws.get(sink, 0) + draw[1]
-    keys = set(audit.sink_received) | set(draws)
+    keys = set(received) | set(draws)
     mismatched = tuple(
-        sorted(k for k in keys if audit.sink_received.get(k, 0) != draws.get(k, 0))
+        sorted(k for k in keys if received.get(k, 0) != draws.get(k, 0))
     )
     return FaceReconciliation(
         face=face,
         ok=not mismatched,
-        audit_received=audit.sink_received,
+        audit_received=received,
         rule_draws=draws,
         mismatched=mismatched,
     )
@@ -329,8 +373,7 @@ def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
 # -- final audit ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NegativeElement:
+class NegativeElement(NamedTuple):
     kind: str  # "vertex" | "face" | "edge"
     ident: Union[int, tuple]  # vertex id, face index, or (face, (u, v))
     charge: int
@@ -362,17 +405,19 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
 
     reconciliation_ok = state.total() == TOTAL_TWELFTHS
     for i, walk in enumerate(graph.faces):
-        if len(walk) < BIG_FACE:
+        length = len(walk)
+        if length < BIG_FACE:
             continue
-        audit = edge_level_audit(graph, i)
+        edges, taken, received = _face_pass(graph, i)
+        seed, final = _edge_ledger(edges, taken)
+        residual = _residual(length)
         reconciliation_ok = (
             reconciliation_ok
-            and audit.conserved()
-            and audit.residual
-            == ONE * (audit.length - 4) - sum(audit.edge_seed.values())
-            and audit.residual >= 0
+            and _conserved(seed, final, received)
+            and residual == ONE * (length - 4) - sum(seed.values())
+            and residual >= 0
         )
-        for e, c in audit.negative_edges():
+        for e, c in _negative_edges(final):
             negatives.append(NegativeElement("edge", (i, e), c))
     return FinalAudit(
         negatives=tuple(negatives),

@@ -62,10 +62,11 @@ class OverlappingRoles(GraphError):
 
 
 class UnknownEdgeInY(GraphError):
-    """An entry of Y that is not an edge of the graph: a non-edge, or not
-    exactly two distinct vertices."""
+    """An entry of Y that is not an edge of the graph: a non-edge, not
+    exactly two distinct vertices, or not iterable at all.  ``entry`` is the
+    entry as a tuple, or as given when it is not iterable."""
 
-    def __init__(self, entry: tuple):
+    def __init__(self, entry: object):
         super().__init__(f"entry {entry} in Y is not an edge of the graph")
         self.entry = entry
 

@@ -25,15 +25,14 @@ which returns the report's trailing faces, or None when there is no match.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .catalog import CATALOG_ORDER, spec_clauses
 from .errors import UnknownConfig
 from .plane_graph import PlaneGraph
 
 
-@dataclass(frozen=True, order=True)
-class MatchEmbedding:
+class MatchEmbedding(NamedTuple):
     config_id: str
     roles: tuple[tuple[str, int], ...]  # role name -> host vertex, sorted by name
     faces: tuple[int, ...]  # witness face indices

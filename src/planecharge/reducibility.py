@@ -97,10 +97,15 @@ def verify_reduction(
     x = frozenset(x)
     r = frozenset(r)
     _check_roles(graph, x, r)
-    entries = [tuple(e) for e in y]
-    for e in entries:
+    entries = []
+    for e in y:
+        try:
+            e = tuple(e)
+        except TypeError:  # not a collection of vertices at all
+            raise UnknownEdgeInY(e) from None
         if len(e) != 2 or not graph.has_edge(*e):
             raise UnknownEdgeInY(e)
+        entries.append(e)
     y = frozenset(map(frozenset, entries))
 
     core = x | r

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from planecharge import cli as cli_module
 from planecharge import reducibility
 from planecharge.catalog import CATALOG_ORDER
 from planecharge.choosability import MAX_CHOOSABILITY_VERTICES
@@ -453,6 +454,45 @@ _records = st.lists(
 @example({"k": [{"a": "\u2028", '"': None}], "j": [{"z": -0.0}, {"y": "}{"}]})
 def test_dumps_equals_json_dumps(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+# Flat lists and dicts of scalars, each written by one encoder call, at
+# the indents at which a report nests them.
+_flat = (
+    st.lists(_scalars, min_size=1, max_size=8)
+    | st.lists(_scalars, min_size=1, max_size=8).map(tuple)
+    | st.dictionaries(_text, _scalars, min_size=1, max_size=8)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _flat | st.dictionaries(_text, _flat, max_size=3) | st.lists(_flat, max_size=3),
+    st.sampled_from([0, 2, 4, 6]),
+)
+@example([float("nan"), float("inf"), float("-inf"), True, False, None, 0, -1.5], 2)
+@example(["\n", "\u00e9", "\x00\x1f", "\u2028", "\U0001f600", '"', "\\"], 4)
+@example({"\x00\n": 1, "\u00e9": -0.0, "b": "}{", '"': None, "a": float("nan")}, 6)
+def test_flat_dumps_equals_json_dumps_at_every_indent(value, indent):
+    newline = "\n" + " " * indent
+    expected = json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+    assert _dumps(value, newline) == expected
+
+
+def test_flat_values_take_one_encoder_call(monkeypatch):
+    calls = []
+    real = cli_module._encoder
+
+    def counting(separator):
+        calls.append(separator)
+        return real(separator)
+
+    monkeypatch.setattr(cli_module, "_encoder", counting)
+    charges = {str(v): -12 * (v % 3) for v in range(50)}
+    for value in (charges, list(range(50))):
+        calls.clear()
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert len(calls) == 1
 
 
 def test_report_schema_field(graph_dir):

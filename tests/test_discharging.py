@@ -12,6 +12,8 @@ from planecharge.discharging import (
     ONE,
     THIRD,
     TOTAL_TWELFTHS,
+    FaceReconciliation,
+    NegativeElement,
     apply_rules,
     edge_level_audit,
     final_audit,
@@ -325,3 +327,59 @@ def test_transfers_are_built_only_when_read(monkeypatch):
         audit = edge_level_audit(g, big_faces(g)[0])
         assert audit.draws
         assert len(audit.transfers) == len(built) == len(audit.draws)
+
+
+def _rebuilt_final_audit(g):
+    """The edge negatives and the reconciliation flag of final_audit, taken
+    face by face from edge_level_audit."""
+    state = apply_rules(g, initial_charges(g))
+    ok = state.total() == TOTAL_TWELFTHS
+    edge_negatives = []
+    for i in big_faces(g):
+        audit = edge_level_audit(g, i)
+        ok = (
+            ok
+            and audit.conserved()
+            and audit.residual == ONE * (audit.length - 4) - sum(audit.edge_seed.values())
+            and audit.residual >= 0
+        )
+        edge_negatives += [NegativeElement("edge", (i, e), c) for e, c in audit.negative_edges()]
+    return edge_negatives, ok
+
+
+def _rebuilt_reconciliation(g, i, transfers):
+    """reconcile_face, with the receipts of edge_level_audit and the draws
+    of the global rule transfers out of face i."""
+    received = edge_level_audit(g, i).sink_received
+    draws = {}
+    for t in transfers:
+        if t.source == ("face", i):
+            draws[t.sink] = draws.get(t.sink, 0) + t.amount
+    keys = set(received) | set(draws)
+    mismatched = tuple(sorted(k for k in keys if received.get(k, 0) != draws.get(k, 0)))
+    return FaceReconciliation(i, not mismatched, received, draws, mismatched)
+
+
+def test_audits_equal_those_rebuilt_from_edge_level_audit(named, class_members_7):
+    """final_audit and reconcile_face run the per-face pass without its
+    draws; what they report equals what edge_level_audit's ledgers give,
+    including on the hosts where reconciliation fails."""
+    hosts = list(named.values()) + class_members_7 + [hex_with_triangle_fans()]
+    hosts += [random_class_member(seed, 8 + seed % 40) for seed in range(200)]
+    mismatched_hosts = faces = edge_negative_count = 0
+    for g in hosts:
+        if not g.is_connected():
+            continue
+        audit = final_audit(g)
+        edge_negatives, ok = _rebuilt_final_audit(g)
+        assert [n for n in audit.negatives if n.kind == "edge"] == edge_negatives
+        assert audit.reconciliation_ok == ok
+        edge_negative_count += len(edge_negatives)
+        transfers = rule_transfers(g)
+        recs = [reconcile_face(g, i) for i in big_faces(g)]
+        assert recs == [_rebuilt_reconciliation(g, i, transfers) for i in big_faces(g)]
+        mismatched_hosts += any(not rec.ok for rec in recs)
+        faces += len(recs)
+    assert mismatched_hosts
+    assert faces > 400
+    assert edge_negative_count > 1000

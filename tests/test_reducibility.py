@@ -203,6 +203,9 @@ def test_role_validation():
         verify_reduction(g, set(), {0}, y=[(1, 1)])
     with pytest.raises(UnknownEdgeInY, match=r"\(0, 1, 2\)"):
         verify_reduction(g, set(), {0}, y=[(0, 1, 2)])
+    with pytest.raises(UnknownEdgeInY, match="entry 5 in Y") as err:
+        verify_reduction(g, set(), {0}, y=[5])
+    assert err.value.entry == 5
 
 
 def test_f_values_match_direct_count():
