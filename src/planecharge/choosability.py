@@ -3,14 +3,18 @@
 An assignment of lists is determined up to color renaming by how many
 colors are shared by exactly each subset of vertices ("atoms"), so
 choosability could be decided by testing one instantiation of every
-atom-size pattern.  Two reductions cut that down, applied recursively to
-induced subgraphs G[M]:
+atom-size pattern.  Three reductions cut that down, applied recursively
+to induced subgraphs G[M]:
 
 * greedy-last: a vertex with more colors than neighbors in G[M] can
   always be colored last, so it is deleted;
 * private color: a color in one list only lets its vertex be colored
   last, so once every G[M - v] is known to be f-choosable only the
-  singleton-free patterns (atoms of two or more vertices) remain.
+  singleton-free patterns (atoms of two or more vertices) remain;
+* free atom: a singleton-free pattern is colorable, with no search, when
+  one of its atoms holds a vertex u with no neighbor in the atom.  Color
+  G[M - u] from its lists (it is f-choosable), then give u the atom's
+  color, which no neighbor of u holds.  Such a pattern is still counted.
 
 Negative answers carry a failing assignment, lifted from the subgraph
 where it was found by giving every dropped vertex fresh colors, and
@@ -52,7 +56,8 @@ class DemandFunction:
 
     def __post_init__(self) -> None:
         for v, f in enumerate(self.values):
-            if not isinstance(f, int) or not 0 <= f <= MAX_DEMAND:
+            # A bool is not a demand, though Python counts it as an int.
+            if type(f) is not int or not 0 <= f <= MAX_DEMAND:
                 raise ValueError(f"demand f({v})={f} outside 0..{MAX_DEMAND}")
 
     @classmethod
@@ -180,10 +185,11 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
        is colorable.
 
     Singleton-free patterns are enumerated once each up to color renaming
-    and tested with one fresh instantiation; ``patterns_checked`` counts
-    them over all subproblems.  A failing sub-witness is lifted by giving
-    the dropped vertex f(v) fresh colors, and the final witness is
-    re-verified.
+    and tested with one fresh instantiation, except that a pattern with a
+    free atom is colorable untested (the third reduction in the module
+    docstring); ``patterns_checked`` counts them all over all subproblems.
+    A failing sub-witness is lifted by giving the dropped vertex f(v)
+    fresh colors, and the final witness is re-verified.
     """
     n = graph.vertex_count
     if n > MAX_CHOOSABILITY_VERTICES:
@@ -192,6 +198,8 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
         raise MissingList(len(demand.values))
     f = demand.values
     adjacency = [_bits(graph._adjacency[v]) for v in range(n)]
+    # No atom of a complete graph is free, so cliques skip that test.
+    sparse = sum(map(int.bit_count, adjacency)) < n * (n - 1)
     # Per mask: None if G[mask] is f-choosable, else a failing assignment
     # as one color bitmask per vertex (0 outside the mask).
     memo: dict[int, Optional[list[int]]] = {}
@@ -219,23 +227,27 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
     def singleton_free_failure(mask: int, members: list[int]) -> Optional[list[int]]:
         # Atoms of two or more vertices, grouped by their lowest vertex: the
         # lowest vertex with unmet demand takes its colors from its group.
-        groups: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+        # An atom is free when one of its vertices has no neighbor in it.
+        groups: list[list[tuple[int, list[int], bool]]] = [[] for _ in range(n)]
         for v in members:
             higher = mask & ~((2 << v) - 1)
             sub = higher
             while sub:
                 atom = sub | 1 << v
-                groups[v].append((sub, [u for u in members if atom >> u & 1]))
+                vs = [u for u in members if atom >> u & 1]
+                is_free = sparse and not all(map(atom.__and__, map(adjacency.__getitem__, vs)))
+                groups[v].append((sub, vs, is_free))
                 sub = (sub - 1) & higher
         remaining = list(f)
         lists = [0] * n
         witness: list[list[int]] = []
 
-        def fill(unmet: int, start: int, color: int) -> bool:
+        def fill(unmet: int, start: int, color: int, free: bool) -> bool:
+            # free: the pattern so far uses a free atom.
             nonlocal checked
             if not unmet:
                 checked += 1
-                if _color_bits(adjacency, lists, mask) is None:
+                if not free and _color_bits(adjacency, lists, mask) is None:
                     witness.append(list(lists))
                     return True
                 return False
@@ -243,7 +255,7 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
             group = groups[low.bit_length() - 1]
             bit = 1 << color
             for i in range(start, len(group)):
-                others, atom = group[i]
+                others, atom, is_free = group[i]
                 if others & ~unmet:
                     continue
                 met = 0
@@ -252,14 +264,14 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
                     remaining[u] -= 1
                     if not remaining[u]:
                         met |= 1 << u
-                if fill(unmet ^ met, 0 if met & low else i, color + 1):
+                if fill(unmet ^ met, 0 if met & low else i, color + 1, free or is_free):
                     return True
                 for u in atom:
                     lists[u] ^= bit
                     remaining[u] += 1
             return False
 
-        fill(_bits(v for v in members if f[v]), 0, 0)
+        fill(_bits(v for v in members if f[v]), 0, 0, False)
         return witness[0] if witness else None
 
     bad = solve((1 << n) - 1)
@@ -284,7 +296,7 @@ def _failing_verdict(
 
 def is_k_choosable(graph: SimpleGraph, k: int) -> ChoosabilityVerdict:
     """Choosability from every assignment of k-element lists."""
-    if not 0 <= k <= MAX_DEMAND:
+    if type(k) is not int or not 0 <= k <= MAX_DEMAND:
         raise ValueError(f"list size k={k} outside 0..{MAX_DEMAND}")
     return is_f_choosable(graph, DemandFunction.constant(k, graph.vertex_count))
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -15,7 +17,10 @@ from planecharge.choosability import (
     is_k_choosable,
     l_coloring,
 )
+from planecharge.cli import run
+from planecharge.corpus import named_examples
 from planecharge.errors import MissingList, TooManyVertices
+from planecharge.plane_graph import dump_graph_file
 from planecharge.square import SimpleGraph, induced_subgraph, square
 
 
@@ -115,6 +120,14 @@ def test_demand_range_guard():
         DemandFunction((13,))
     with pytest.raises(ValueError):
         DemandFunction((-1,))
+    # A bool is not a demand, though Python counts True as 1.
+    for bad in (True, False):
+        with pytest.raises(ValueError):
+            DemandFunction((bad, 2))
+        with pytest.raises(ValueError):
+            is_k_choosable(complete(2), bad)
+        with pytest.raises(ValueError):
+            is_k_choosable(SimpleGraph(0, []), bad)
 
 
 def test_clique_criterion_examples():
@@ -167,6 +180,63 @@ def test_clique_grid_agrees_with_pattern_oracle():
     assert checked == 329
 
 
+def test_free_atom_lemma_on_random_lists():
+    # The free-atom reduction, checked with l_coloring alone: if the
+    # holders of some color include a vertex u with no neighbor among
+    # them, a coloring of G - u extends to G.
+    rng = random.Random(1979)
+    applied = hard = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        g = SimpleGraph(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        )
+        lists = [rng.sample(range(4), rng.randint(1, 3)) for _ in range(n)]
+        for c in range(4):
+            holders = {v for v in range(n) if c in lists[v]}
+            for u in holders:
+                if holders & g.neighbors(u):
+                    continue
+                sub, kept = induced_subgraph(g, [v for v in range(n) if v != u])
+                sub_lists = ListAssignment.from_lists([lists[v] for v in kept])
+                if l_coloring(sub, sub_lists) is not None:
+                    applied += 1
+                    # Cases where greedy-last would not color u.
+                    hard += len(lists[u]) <= g.degree(u)
+                    assert l_coloring(g, ListAssignment.from_lists(lists)) is not None
+    assert applied > 300 and hard > 100
+
+
+SPARSE_SIX = {
+    "p6": SimpleGraph(6, [(i, i + 1) for i in range(5)]),
+    "star": SimpleGraph(6, [(0, j) for j in range(1, 6)]),
+    "c6": cycle(6),
+    "k24": k24(),
+    "k33": k33(),
+}
+
+
+@pytest.mark.parametrize(
+    "name,f",
+    [
+        ("p6", (1, 2, 2, 2, 1, 3)),
+        ("p6", (1, 3, 1, 3, 1, 2)),
+        ("star", (2, 1, 1, 2, 2, 2)),
+        ("c6", (2, 2, 1, 2, 2, 2)),
+        ("c6", (2, 1, 2, 2, 2, 2)),
+        ("k24", (3, 2, 1, 2, 2, 2)),
+        ("k24", (3, 3, 1, 1, 2, 2)),
+        ("k33", (3, 2, 2, 1, 3, 3)),
+    ],
+)
+def test_sparse_mixed_demands_agree_with_pattern_oracle(name, f):
+    # Bipartite and acyclic graphs, where most atoms are free.  A positive
+    # answer makes the oracle walk every pattern, so all cases but one are
+    # negative; the kernel reaches most of them after many free patterns.
+    g = SPARSE_SIX[name]
+    assert is_f_choosable(g, DemandFunction(f)).choosable == pattern_f_choosable(g, f)
+
+
 def test_random_graphs_agree_with_pattern_oracle():
     rng = random.Random(20221)
     for _ in range(150):
@@ -177,6 +247,43 @@ def test_random_graphs_agree_with_pattern_oracle():
         f = tuple(rng.randint(1, 3) for _ in range(n))
         verdict = is_f_choosable(g, DemandFunction(f))
         assert verdict.choosable == pattern_f_choosable(g, f), (g.edges(), f)
+
+
+# SHA-256 of the choosable reports and kernel verdicts below, as the kernel
+# gave them before the free-atom reduction: answers, pattern counts and
+# witnesses must not move when the kernel gets faster.
+CHOOSABLE_PIN = "8341c369b33ce4ef086a129b5e8ad05a2b65534467da783d7e2cd9eddfb2f8f8"
+
+
+def test_choosable_bytes_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for ng in named_examples():
+        if ng.name in ("k24", "c6"):
+            dump_graph_file(ng.graph, f"{ng.name}.graph")
+            reports.append(run(["choosable", f"{ng.name}.graph", "-k", "2"]).to_json())
+    rng = random.Random(15)
+    cases = [(k33(), (2,) * 6), (cycle(4), (2,) * 4)]
+    for _ in range(30):
+        n = rng.randint(3, 6)
+        g = SimpleGraph(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        )
+        # Demands of at least min(2, degree) keep most cases past greedy-last.
+        cases.append((g, tuple(rng.randint(max(1, min(2, g.degree(v))), 3) for v in range(n))))
+    verdicts = []
+    for g, f in cases:
+        verdict = is_f_choosable(g, DemandFunction(f))
+        witness = verdict.bad_assignment
+        verdicts.append(
+            [
+                verdict.choosable,
+                verdict.patterns_checked,
+                None if witness is None else [sorted(s) for s in witness.lists],
+            ]
+        )
+    text = json.dumps([reports, verdicts], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHOOSABLE_PIN
 
 
 @pytest.mark.parametrize(
