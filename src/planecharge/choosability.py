@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import MissingList, TooManyVertices
+from .errors import DemandOutOfRange, MissingList, SurplusDemands, TooManyVertices
 from .square import SimpleGraph
 
 MAX_CHOOSABILITY_VERTICES = 6
@@ -58,7 +58,7 @@ class DemandFunction:
         for v, f in enumerate(self.values):
             # A bool is not a demand, though Python counts it as an int.
             if type(f) is not int or not 0 <= f <= MAX_DEMAND:
-                raise ValueError(f"demand f({v})={f} outside 0..{MAX_DEMAND}")
+                raise DemandOutOfRange(f"demand f({v})={f} outside 0..{MAX_DEMAND}")
 
     @classmethod
     def constant(cls, k: int, n: int) -> "DemandFunction":
@@ -194,8 +194,10 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
     n = graph.vertex_count
     if n > MAX_CHOOSABILITY_VERTICES:
         raise TooManyVertices(n, MAX_CHOOSABILITY_VERTICES)
-    if len(demand.values) != n:
+    if len(demand.values) < n:
         raise MissingList(len(demand.values))
+    if len(demand.values) > n:
+        raise SurplusDemands(len(demand.values), n)
     f = demand.values
     adjacency = [_bits(graph._adjacency[v]) for v in range(n)]
     # No atom of a complete graph is free, so cliques skip that test.
@@ -297,7 +299,7 @@ def _failing_verdict(
 def is_k_choosable(graph: SimpleGraph, k: int) -> ChoosabilityVerdict:
     """Choosability from every assignment of k-element lists."""
     if type(k) is not int or not 0 <= k <= MAX_DEMAND:
-        raise ValueError(f"list size k={k} outside 0..{MAX_DEMAND}")
+        raise DemandOutOfRange(f"list size k={k} outside 0..{MAX_DEMAND}")
     return is_f_choosable(graph, DemandFunction.constant(k, graph.vertex_count))
 
 

@@ -4,12 +4,15 @@ Every command reads graphs from JSON files ({"n": ..., "rot": [[...], ...]}),
 prints one deterministic JSON report to stdout, and exits 0 for successful
 queries (pass or info), 1 when a verification fails, and 2 on usage or
 input errors.  Report bytes equal ``json.dumps(body, sort_keys=True,
-indent=2)`` of the report body.
+indent=2)`` of the report body.  Each ``_cmd_*`` handler returns its
+outcome and payload; ``run`` builds the report, whose inputs are the parsed
+arguments, and reports every GraphError a handler raises as bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -22,12 +25,7 @@ from typing import Optional, Sequence
 from . import discharging, matcher, reducibility
 from .catalog import CATALOG_ORDER
 from .choosability import ListAssignment, is_k_choosable, l_coloring
-from .corpus import (
-    ENUMERATION_SIZES,
-    enumerate_class,
-    named_examples,
-    random_class_member,
-)
+from .corpus import enumerate_class, named_examples, random_class_member
 from .errors import GraphError
 from .plane_graph import (
     PlaneGraph,
@@ -187,15 +185,22 @@ def _load(path: str) -> PlaneGraph:
         raise CliInputError(f"bad graph file {path!r}: {exc}")
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised while writing ``path`` as bad input."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path!r}: {exc.strerror}")
+
+
 def _write_graphs(out: str, graphs: dict[str, PlaneGraph]) -> None:
     """Write each graph to a file of its name in the directory ``out``,
     which is created if missing."""
-    try:
+    with _writing(out):
         os.makedirs(out, exist_ok=True)
         for name, g in graphs.items():
             dump_graph_file(g, os.path.join(out, name))
-    except OSError as exc:
-        raise CliInputError(f"cannot write {out!r}: {exc.strerror}")
 
 
 def _simple_dict(graph: SimpleGraph) -> dict:
@@ -231,7 +236,7 @@ def _transfer_list(transfers, names: dict) -> list:
     ]
 
 
-def _cmd_inspect(args) -> RunReport:
+def _cmd_inspect(args) -> tuple[str, dict]:
     g = _load(args.graph)
     report = class_membership(g)
     payload = {
@@ -249,14 +254,11 @@ def _cmd_inspect(args) -> RunReport:
             "in_class": report.in_class,
         },
     }
-    return RunReport("inspect", {"graph": args.graph}, "info", payload)
+    return "info", payload
 
 
-def _cmd_square(args) -> RunReport:
-    g = _load(args.graph)
-    return RunReport(
-        "square", {"graph": args.graph}, "info", {"square": _simple_dict(square(g))}
-    )
+def _cmd_square(args) -> tuple[str, dict]:
+    return "info", {"square": _simple_dict(square(_load(args.graph)))}
 
 
 def _parse_lists(text: str, n: int) -> ListAssignment:
@@ -272,7 +274,7 @@ def _parse_lists(text: str, n: int) -> ListAssignment:
         raise CliInputError(f"bad --lists value: {exc}")
 
 
-def _cmd_color(args) -> RunReport:
+def _cmd_color(args) -> tuple[str, dict]:
     g = _load(args.graph)
     assignment = _parse_lists(args.lists, g.vertex_count)
     coloring = l_coloring(g, assignment)
@@ -280,17 +282,11 @@ def _cmd_color(args) -> RunReport:
         "colorable": coloring is not None,
         "coloring": None if coloring is None else [coloring[v] for v in range(g.vertex_count)],
     }
-    return RunReport(
-        "color", {"graph": args.graph, "lists": args.lists}, "info", payload
-    )
+    return "info", payload
 
 
-def _cmd_choosable(args) -> RunReport:
-    g = _load(args.graph)
-    try:
-        verdict = is_k_choosable(g, args.k)
-    except (ValueError, GraphError) as exc:
-        raise CliInputError(str(exc))
+def _cmd_choosable(args) -> tuple[str, dict]:
+    verdict = is_k_choosable(_load(args.graph), args.k)
     payload = {
         "k": args.k,
         "choosable": verdict.choosable,
@@ -299,9 +295,7 @@ def _cmd_choosable(args) -> RunReport:
         if verdict.bad_assignment is None
         else [sorted(s) for s in verdict.bad_assignment.lists],
     }
-    return RunReport(
-        "choosable", {"graph": args.graph, "k": args.k}, "info", payload
-    )
+    return "info", payload
 
 
 def _entry_payload(result: reducibility.CatalogEntryResult) -> dict:
@@ -326,40 +320,27 @@ def _entry_payload(result: reducibility.CatalogEntryResult) -> dict:
     return body
 
 
-def _cmd_verify_lemma(args) -> RunReport:
+def _cmd_verify_lemma(args) -> tuple[str, dict]:
     result = reducibility.verify_entry(args.id)
-    return RunReport(
-        "verify-lemma",
-        {"id": args.id},
-        "pass" if result.passed else "fail",
-        _entry_payload(result),
-    )
+    return "pass" if result.passed else "fail", _entry_payload(result)
 
 
-def _cmd_verify_catalog(args) -> RunReport:
+def _cmd_verify_catalog(args) -> tuple[str, dict]:
     results = reducibility.verify_catalog()
     payload = {
         "entries": [_entry_payload(r) for r in results],
         "passed": sum(1 for r in results if r.passed),
         "failed": sum(1 for r in results if not r.passed),
     }
-    report = RunReport(
-        "verify-catalog",
-        {"report": args.report},
-        "pass" if all(r.passed for r in results) else "fail",
-        payload,
-    )
+    outcome = "pass" if all(r.passed for r in results) else "fail"
     if args.report:
-        try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            raise CliInputError(f"cannot write {args.report!r}: {exc.strerror}")
-    return report
+        with _writing(args.report), open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(_report(args, outcome, payload).to_json())
+            fh.write("\n")
+    return outcome, payload
 
 
-def _cmd_match(args) -> RunReport:
+def _cmd_match(args) -> tuple[str, dict]:
     g = _load(args.graph)
     if args.config is not None:
         matches = matcher.find_configuration(g, args.config)
@@ -376,17 +357,12 @@ def _cmd_match(args) -> RunReport:
             "first_reducible": None if first is None else _match_dict(first),
             "counts": {cid: len(m) for cid, m in found.items()},
         }
-    return RunReport(
-        "match", {"graph": args.graph, "config": args.config}, "info", payload
-    )
+    return "info", payload
 
 
-def _cmd_discharge(args) -> RunReport:
+def _cmd_discharge(args) -> tuple[str, dict]:
     g = _load(args.graph)
-    try:
-        audit = discharging.final_audit(g)
-    except GraphError as exc:
-        raise CliInputError(str(exc))
+    audit = discharging.final_audit(g)
     negatives = []
     for n in audit.negatives:
         if n.kind == "edge":  # str(n.ident), without the slower tuple repr
@@ -405,12 +381,7 @@ def _cmd_discharge(args) -> RunReport:
         "reconciliation_ok": audit.reconciliation_ok,
     }
     if args.face is not None:
-        try:
-            face_audit = discharging.edge_level_audit(g, args.face)
-        except IndexError:
-            raise CliInputError(f"no face with index {args.face}")
-        except GraphError as exc:
-            raise CliInputError(str(exc))
+        face_audit = discharging.edge_level_audit(g, args.face)
         payload["face_audit"] = {
             "face": face_audit.face,
             "length": face_audit.length,
@@ -426,45 +397,24 @@ def _cmd_discharge(args) -> RunReport:
             )
     if args.ledger:
         payload["transfers"] = _transfer_list(state.log, names)
-    outcome = "info" if audit.reconciliation_ok else "fail"
-    return RunReport(
-        "discharge",
-        {"graph": args.graph, "face": args.face, "ledger": args.ledger},
-        outcome,
-        payload,
-    )
+    return "info" if audit.reconciliation_ok else "fail", payload
 
 
-def _cmd_enumerate(args) -> RunReport:
-    if args.n not in ENUMERATION_SIZES:
-        lo, hi = ENUMERATION_SIZES[0], ENUMERATION_SIZES[-1]
-        raise CliInputError(f"--n must be in {lo}..{hi}, got {args.n}")
+def _cmd_enumerate(args) -> tuple[str, dict]:
     members = {
         f"class_v{g.vertex_count}_{i:04d}.graph": g
         for i, g in enumerate(enumerate_class(args.n))
     }
     _write_graphs(args.out, members)
-    return RunReport(
-        "enumerate",
-        {"n": args.n, "out": args.out},
-        "info",
-        {"count": len(members), "files": list(members)},
-    )
+    return "info", {"count": len(members), "files": list(members)}
 
 
-def _cmd_gen(args) -> RunReport:
-    if args.n < 2:
-        raise CliInputError(f"--n must be at least 2, got {args.n}")
+def _cmd_gen(args) -> tuple[str, dict]:
     g = random_class_member(args.seed, args.n)
-    return RunReport(
-        "gen",
-        {"seed": args.seed, "n": args.n},
-        "info",
-        {"graph": to_file_dict(g), "in_class": class_membership(g).in_class},
-    )
+    return "info", {"graph": to_file_dict(g), "in_class": class_membership(g).in_class}
 
 
-def _cmd_examples(args) -> RunReport:
+def _cmd_examples(args) -> tuple[str, dict]:
     examples = named_examples()
     payload = {
         ng.name: {"graph": to_file_dict(ng.graph), "provenance": ng.provenance}
@@ -472,7 +422,7 @@ def _cmd_examples(args) -> RunReport:
     }
     if args.out:
         _write_graphs(args.out, {f"{ng.name}.graph": ng.graph for ng in examples})
-    return RunReport("examples", {"out": args.out}, "info", payload)
+    return "info", payload
 
 
 @functools.lru_cache(maxsize=None)
@@ -539,10 +489,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(args: argparse.Namespace, outcome: str, payload: dict) -> RunReport:
+    """The report of the parsed command ``args``: its inputs are the parsed
+    arguments, defaults included."""
+    inputs = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    return RunReport(args.command, inputs, outcome, payload)
+
+
 def run(argv: Sequence[str]) -> RunReport:
-    """Parse and execute one command; raises CliInputError on bad input."""
+    """Parse and execute one command; raises CliInputError on bad input,
+    which includes every GraphError the command raises."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        outcome, payload = args.func(args)
+    except GraphError as exc:
+        raise CliInputError(str(exc))
+    return _report(args, outcome, payload)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

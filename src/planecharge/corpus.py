@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import NOutOfRange
+from .errors import NOutOfRange, TooFewVertices
 from .plane_graph import MAX_DEGREE, PlaneGraph, build_from_rotation
 
 # The vertex counts enumerate_class accepts.
@@ -376,7 +376,7 @@ def random_class_member(seed: int, n: int) -> PlaneGraph:
     exactly n vertices; deterministic in the seed.  Both lattices are
     bipartite with max degree at most 4, so every patch is a class member."""
     if n < 2:
-        raise ValueError("need at least 2 vertices")
+        raise TooFewVertices(n, 2)
     rng = random.Random(seed)
     neighbors = _square_neighbors if rng.random() < 0.5 else _hex_neighbors
     cells = {(0, 0)}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .errors import Disconnected, GraphError, NotBigFace
+from .errors import Disconnected, GraphError, NotBigFace, UnknownFace
 from .plane_graph import PlaneGraph
 
 ElementKey = tuple  # ("vertex", v) | ("face", i) | ("edge", (u, v))
@@ -219,10 +219,10 @@ def _face_pass(
     walk position and the amount each sink receives.  Given a list, it also
     appends one ``(rule, pos, sink, amount)`` draw per pull: the vertex draws
     of every walk position first, then the 3-face draws, each in walk order.
-    IndexError when the graph has no face with that index (negative indices
-    included), NotBigFace when the face is shorter than ``BIG_FACE``."""
-    if not 0 <= face < graph.face_count:
-        raise IndexError(f"no face with index {face}")
+    UnknownFace (an IndexError) unless ``face`` is an int in
+    0..face_count-1, NotBigFace when the face is shorter than ``BIG_FACE``."""
+    if type(face) is not int or not 0 <= face < graph.face_count:
+        raise UnknownFace(face)
     faces, face_of, twin = graph.faces, graph.face_of, graph.twin
     origin, target, rotation = graph.origin, graph.target, graph.rotation
     walk = faces[face]
@@ -311,8 +311,8 @@ def _residual(length: int) -> int:
 
 
 def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
-    """The sub-rule ledger of big face ``face``; IndexError when the graph
-    has no face with that index (negative indices included).
+    """The sub-rule ledger of big face ``face``; UnknownFace (an
+    IndexError) unless ``face`` is an int in 0..face_count-1.
 
     A wrapper around the one per-face pass (``_face_pass``) that
     ``final_audit`` and ``reconcile_face`` also run, here with its draws

@@ -49,11 +49,29 @@ class MissingList(GraphError):
         self.vertex = v
 
 
+class SurplusDemands(GraphError):
+    def __init__(self, demands: int, n: int):
+        super().__init__(f"{demands} demands given for a graph of {n} vertices")
+        self.demands = demands
+        self.n = n
+
+
+class DemandOutOfRange(GraphError, ValueError):
+    """A demand or list size that is not an int in 0..MAX_DEMAND."""
+
+
 class TooManyVertices(GraphError):
     def __init__(self, n: int, limit: int):
         super().__init__(f"{n} vertices exceeds the exact-search limit of {limit}")
         self.n = n
         self.limit = limit
+
+
+class TooFewVertices(GraphError, ValueError):
+    def __init__(self, n: int, minimum: int):
+        super().__init__(f"n={n} is below the minimum of {minimum} vertices")
+        self.n = n
+        self.minimum = minimum
 
 
 class OverlappingRoles(GraphError):
@@ -79,6 +97,14 @@ class UnknownConfig(GraphError):
 
 class Disconnected(GraphError):
     """Charge accounting needs a connected graph."""
+
+
+class UnknownFace(GraphError, IndexError):
+    """A face index that is not an int in 0..face_count-1."""
+
+    def __init__(self, face: object):
+        super().__init__(f"no face with index {face!r}")
+        self.face = face
 
 
 class NotBigFace(GraphError):

@@ -19,7 +19,7 @@ from planecharge.choosability import (
 )
 from planecharge.cli import run
 from planecharge.corpus import named_examples
-from planecharge.errors import MissingList, TooManyVertices
+from planecharge.errors import GraphError, MissingList, SurplusDemands, TooManyVertices
 from planecharge.plane_graph import dump_graph_file
 from planecharge.square import SimpleGraph, induced_subgraph, square
 
@@ -128,6 +128,16 @@ def test_demand_range_guard():
             is_k_choosable(complete(2), bad)
         with pytest.raises(ValueError):
             is_k_choosable(SimpleGraph(0, []), bad)
+    with pytest.raises(GraphError, match="^list size k=13 outside 0..12$"):
+        is_k_choosable(complete(2), 13)
+
+
+def test_demand_count_guard():
+    g = SimpleGraph(3, [(0, 1)])
+    with pytest.raises(SurplusDemands, match="^4 demands given for a graph of 3 vertices$"):
+        is_f_choosable(g, DemandFunction((1, 1, 1, 1)))
+    with pytest.raises(MissingList):
+        is_f_choosable(g, DemandFunction((1, 1)))
 
 
 def test_clique_criterion_examples():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -178,8 +179,7 @@ def test_verify_catalog(tmp_path):
     assert report.exit_code == 0
     assert report.payload["passed"] == 19
     assert report.payload["failed"] == 0
-    on_disk = json.loads(out.read_text())
-    assert on_disk["outcome"] == "pass"
+    assert out.read_text() == report.to_json() + "\n"
 
 
 def test_match_command(graph_dir):
@@ -260,6 +260,56 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: cannot write {argv[-1]!r}: ")
+
+
+_C6_LISTS = "[[0,1],[0,1],[0,1],[0,1],[0,1],[0,1]]"
+
+# One argv per command and the exact inputs its report must carry: the
+# parsed arguments, defaults included.
+_ENVELOPES = [
+    (["inspect", "c6.graph"], {"graph": "c6.graph"}),
+    (["square", "c6.graph"], {"graph": "c6.graph"}),
+    (["color", "c6.graph", "--lists", _C6_LISTS], {"graph": "c6.graph", "lists": _C6_LISTS}),
+    (["choosable", "c6.graph", "-k", "2"], {"graph": "c6.graph", "k": 2}),
+    (["verify-lemma", "no333f"], {"id": "no333f"}),
+    (["verify-catalog"], {"report": None}),
+    (["match", "c6.graph"], {"graph": "c6.graph", "config": None}),
+    (["discharge", "c6.graph"], {"graph": "c6.graph", "face": None, "ledger": False}),
+    (["enumerate", "--n", "3", "--out", "members"], {"n": 3, "out": "members"}),
+    (["gen", "--seed", "7", "--n", "12"], {"seed": 7, "n": 12}),
+    (["examples"], {"out": None}),
+]
+
+
+def test_envelope_table_covers_every_command():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [argv[0] for argv, _ in _ENVELOPES] == list(sub.choices)
+
+
+@pytest.mark.parametrize("argv, inputs", _ENVELOPES, ids=[a[0] for a, _ in _ENVELOPES])
+def test_report_inputs_are_the_parsed_arguments(graph_dir, tmp_path, monkeypatch, argv, inputs):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c6.graph").write_text((graph_dir / "c6.graph").read_text())
+    report = run(argv)
+    assert report.command == argv[0]
+    assert report.inputs == inputs
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["enumerate", "--n", "1", "--out", "{out}"], "size 1 "),
+        (["enumerate", "--n", "9", "--out", "{out}"], "size 9 "),
+        (["gen", "--seed", "1", "--n", "1"], "n=1 "),
+        (["choosable", "{c6}", "-k", "13"], "k=13 "),
+    ],
+)
+def test_range_errors_exit_2(graph_dir, tmp_path, capsys, argv, named):
+    out = tmp_path / "out"
+    paths = {"out": str(out), "c6": str(graph_dir / "c6.graph")}
+    line = assert_one_error_line(capsys, [a.format(**paths) for a in argv])
+    assert named in line
+    assert not out.exists()
 
 
 def test_parser_is_reused_without_leaking_state(graph_dir):

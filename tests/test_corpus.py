@@ -20,7 +20,7 @@ from planecharge.corpus import (
     planar_embeddings,
     random_class_member,
 )
-from planecharge.errors import NOutOfRange
+from planecharge.errors import GraphError, NOutOfRange
 from planecharge.matcher import find_any_reducible
 from planecharge.plane_graph import (
     adjacency_has_cycle_of_length,
@@ -333,6 +333,8 @@ def test_random_member_validity_and_reducibility():
 def test_random_member_rejects_tiny():
     with pytest.raises(ValueError):
         random_class_member(0, 1)
+    with pytest.raises(GraphError, match="^n=0 is below the minimum of 2 vertices$"):
+        random_class_member(0, 0)
 
 
 def test_random_members_cover_both_lattices():

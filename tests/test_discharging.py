@@ -103,10 +103,11 @@ def test_audit_rejects_small_faces(named):
 
 def test_audit_rejects_face_indices_outside_range(named):
     for g in (named["c6"], named["hexprism"]):
-        for face in (-1, g.face_count):
-            with pytest.raises(IndexError):
+        # A bool or a float is no face index, though True == 1.0 == 1.
+        for face in (-1, g.face_count, True, False, 1.0):
+            with pytest.raises(IndexError, match=f"^no face with index {face!r}$"):
                 edge_level_audit(g, face)
-            with pytest.raises(IndexError):
+            with pytest.raises(IndexError, match=f"^no face with index {face!r}$"):
                 reconcile_face(g, face)
 
 
