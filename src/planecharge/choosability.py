@@ -81,9 +81,11 @@ def l_coloring(
     None iff no list-respecting proper coloring exists.
     """
     n = graph.vertex_count
-    if len(assignment.lists) < n:
-        raise MissingList(len(assignment.lists))
-    lists = assignment.lists[:n]
+    lists = assignment.lists
+    if len(lists) < n:
+        raise MissingList(len(lists))
+    if len(lists) > n:
+        raise SurplusDemands(len(lists), n)
     # Bit i stands for the i-th smallest color, so the search tries each
     # vertex's colors in the order sorted() puts them.
     palette = sorted(set().union(*lists), key=_color_key)

@@ -6,9 +6,9 @@ the rules use (1, 1/2, 1/3, 1/4, 1/6) is a whole number of twelfths, so the
 ledger is exact and every audit is bit-reproducible.
 
 The sub-rules of one big face are applied by one pass over its walk,
-``_face_pass``.  ``final_audit`` and ``reconcile_face`` run it for the
-amounts alone; ``edge_level_audit`` runs the same pass with its draws kept
-and wraps the result in a ``FaceAudit``.
+``_audit_face``, which returns a ``FaceAudit``.  ``final_audit`` and
+``reconcile_face`` build it for the amounts alone; ``edge_level_audit``
+builds it with one ``Transfer`` record per sub-rule draw.
 """
 
 from __future__ import annotations
@@ -172,20 +172,13 @@ _SUBR1 = ("SubR1", 0, THIRD)
 _SUBR2_BEFORE = ("SubR2", -1, SIXTH)
 _SUBR2_AFTER = ("SubR2", 1, SIXTH)
 
-Draw = tuple  # (rule, walk position, sink, amount)
 
-
-@dataclass(frozen=True)
-class FaceAudit:
+class FaceAudit(NamedTuple):
     """Scratch ledger for one 6+-face: each edge occurrence on the walk is
     seeded with 1/3, the sub-rules move edge charge to the 2-vertices,
     3-vertices, and 3-faces around the face, and the face keeps the
-    residual 2l/3 - 4.
-
-    ``draws`` holds one plain ``(rule, pos, sink, amount)`` tuple per
-    sub-rule draw on walk edge ``walk_edges[pos]``; ``transfers`` derives
-    the matching ``Transfer`` records from them each time it is read, so
-    the audits that only check sums build none."""
+    residual 2l/3 - 4.  ``transfers`` holds one ``Transfer`` per sub-rule
+    draw when the audit is built with its ledger, and is empty otherwise."""
 
     face: int
     length: int
@@ -193,34 +186,25 @@ class FaceAudit:
     edge_seed: dict[tuple[int, int], int]
     edge_final: dict[tuple[int, int], int]
     sink_received: dict[ElementKey, int]
-    walk_edges: tuple[tuple[int, int], ...]
-    draws: tuple[Draw, ...]
-
-    @property
-    def transfers(self) -> tuple[Transfer, ...]:
-        edges = self.walk_edges
-        return tuple(
-            Transfer(rule, ("edge", edges[pos]), sink, amount)
-            for rule, pos, sink, amount in self.draws
-        )
+    transfers: tuple[Transfer, ...]
 
     def negative_edges(self) -> list[tuple[tuple[int, int], int]]:
-        return _negative_edges(self.edge_final)
+        """The edges that end negative, with their final amounts, in edge order."""
+        return sorted((e, c) for e, c in self.edge_final.items() if c < 0)
 
     def conserved(self) -> bool:
-        return _conserved(self.edge_seed, self.edge_final, self.sink_received)
+        """What the edges keep plus what the sinks receive is what was seeded."""
+        kept = sum(self.edge_final.values()) + sum(self.sink_received.values())
+        return kept == sum(self.edge_seed.values())
 
 
-def _face_pass(
-    graph: PlaneGraph, face: int, draws: Optional[list] = None
-) -> tuple[tuple[tuple[int, int], ...], list[int], dict[ElementKey, int]]:
+def _audit_face(graph: PlaneGraph, face: int, ledger: bool = False) -> FaceAudit:
     """The one pass over the walk of big face ``face`` that applies the pull
-    tables above: the walk edges as (low, high), the amount taken at each
-    walk position and the amount each sink receives.  Given a list, it also
-    appends one ``(rule, pos, sink, amount)`` draw per pull: the vertex draws
-    of every walk position first, then the 3-face draws, each in walk order.
-    UnknownFace (an IndexError) unless ``face`` is an int in
-    0..face_count-1, NotBigFace when the face is shorter than ``BIG_FACE``."""
+    tables above.  With ``ledger`` it also builds one ``Transfer`` per pull:
+    the vertex draws of every walk position first, then the 3-face draws,
+    each in walk order.  UnknownFace (an IndexError) unless ``face`` is an
+    int in 0..face_count-1, NotBigFace when the face is shorter than
+    ``BIG_FACE``."""
     if type(face) is not int or not 0 <= face < graph.face_count:
         raise UnknownFace(face)
     faces, face_of, twin = graph.faces, graph.face_of, graph.twin
@@ -241,7 +225,8 @@ def _face_pass(
 
     taken = [0] * length
     received: dict[ElementKey, int] = {}
-    face_draws: Optional[list] = None if draws is None else []
+    transfers: list[Transfer] = []
+    face_transfers: list[Transfer] = []
     for pos, h in enumerate(walk):
         v = origin[h]
         d = len(rotation[v])
@@ -257,8 +242,8 @@ def _face_pass(
                 p = (pos + offset) % length
                 taken[p] += amount
                 received[sink] = received.get(sink, 0) + amount
-                if draws is not None:
-                    draws.append((rule, p, sink, amount))
+                if ledger:
+                    transfers.append(Transfer(rule, ("edge", edges[p]), sink, amount))
         if not three[pos]:
             continue
         g3 = across[pos]
@@ -274,63 +259,29 @@ def _face_pass(
             p = (pos + offset) % length
             taken[p] += amount
             received[sink] = received.get(sink, 0) + amount
-            if face_draws is not None:
-                face_draws.append((rule, p, sink, amount))
-    if face_draws:
-        draws.extend(face_draws)
-    return edges, taken, received
+            if ledger:
+                face_transfers.append(Transfer(rule, ("edge", edges[p]), sink, amount))
+    transfers += face_transfers
 
-
-def _edge_ledger(
-    edges: tuple[tuple[int, int], ...], taken: list[int]
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Each distinct walk edge's seed, 1/3 per occurrence on the walk, and
-    its final charge once the amounts taken at its positions are gone."""
+    # Each distinct walk edge's seed is 1/3 per occurrence on the walk; its
+    # final charge is what is left once the amounts taken at its positions
+    # are gone.
     seed: dict[tuple[int, int], int] = {}
     for e in edges:
         seed[e] = seed.get(e, 0) + THIRD
     final = dict(seed)
     for e, t in zip(edges, taken):
         final[e] -= t
-    return seed, final
-
-
-def _conserved(seed: dict, final: dict, received: dict) -> bool:
-    """What the edges keep plus what the sinks receive is what was seeded."""
-    return sum(final.values()) + sum(received.values()) == sum(seed.values())
-
-
-def _negative_edges(final: dict) -> list[tuple[tuple[int, int], int]]:
-    """The edges that end negative, with their final amounts, in edge order."""
-    return sorted((e, c) for e, c in final.items() if c < 0)
-
-
-def _residual(length: int) -> int:
-    """What a big face of this length keeps after seeding its walk: 2l/3 - 4."""
-    return ONE * (length - 4) - THIRD * length
+    residual = ONE * (length - 4) - THIRD * length
+    return FaceAudit(face, length, residual, seed, final, received, tuple(transfers))
 
 
 def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
-    """The sub-rule ledger of big face ``face``; UnknownFace (an
-    IndexError) unless ``face`` is an int in 0..face_count-1.
-
-    A wrapper around the one per-face pass (``_face_pass``) that
-    ``final_audit`` and ``reconcile_face`` also run, here with its draws
-    kept: the vertex draws of every walk position come first in ``draws``,
-    then the 3-face draws, each in walk order."""
-    draws: list[Draw] = []
-    edges, taken, received = _face_pass(graph, face, draws)
-    seed, final = _edge_ledger(edges, taken)
-    audit = FaceAudit(
-        face=face,
-        length=len(edges),
-        residual=_residual(len(edges)),
-        edge_seed=seed,
-        edge_final=final,
-        sink_received=received,
-        walk_edges=edges,
-        draws=tuple(draws),
-    )
+    """The sub-rule ledger of big face ``face``, one ``Transfer`` per draw;
+    UnknownFace (an IndexError) unless ``face`` is an int in
+    0..face_count-1.  ``final_audit`` and ``reconcile_face`` build the same
+    audit without its transfers."""
+    audit = _audit_face(graph, face, ledger=True)
     assert audit.conserved()
     return audit
 
@@ -349,7 +300,7 @@ class FaceReconciliation:
 def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
     """Check that what each sink collects from the face's edges under the
     sub-rules equals what it draws from the face under the global rules."""
-    _, _, received = _face_pass(graph, face)
+    received = _audit_face(graph, face).sink_received
     face_of, twin, origin = graph.face_of, graph.twin, graph.origin
     draws: dict[ElementKey, int] = {}
     for h in graph.faces[face]:
@@ -405,19 +356,16 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
 
     reconciliation_ok = state.total() == TOTAL_TWELFTHS
     for i, walk in enumerate(graph.faces):
-        length = len(walk)
-        if length < BIG_FACE:
+        if len(walk) < BIG_FACE:
             continue
-        edges, taken, received = _face_pass(graph, i)
-        seed, final = _edge_ledger(edges, taken)
-        residual = _residual(length)
+        audit = _audit_face(graph, i)
         reconciliation_ok = (
             reconciliation_ok
-            and _conserved(seed, final, received)
-            and residual == ONE * (length - 4) - sum(seed.values())
-            and residual >= 0
+            and audit.conserved()
+            and audit.residual == ONE * (audit.length - 4) - sum(audit.edge_seed.values())
+            and audit.residual >= 0
         )
-        for e, c in _negative_edges(final):
+        for e, c in audit.negative_edges():
             negatives.append(NegativeElement("edge", (i, e), c))
     return FinalAudit(
         negatives=tuple(negatives),

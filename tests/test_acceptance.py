@@ -18,6 +18,7 @@ from planecharge.choosability import (
 )
 from planecharge.corpus import named_examples, planar_embeddings, random_class_member
 from planecharge.discharging import (
+    BIG_FACE,
     TOTAL_TWELFTHS,
     apply_rules,
     final_audit,
@@ -166,7 +167,7 @@ def test_criterion_6_subrule_reconciliation(named):
     for g in named.values():
         for i in range(g.face_count):
             length = g.face_length(i)
-            if length < 6:
+            if length < BIG_FACE:
                 continue
             audited += 1
             rec = reconcile_face(g, i)

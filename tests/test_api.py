@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import planecharge
 
 
@@ -9,3 +13,24 @@ def test_public_names_resolve():
     assert set(planecharge.__all__) <= set(namespace)
     # charge is counted in plain int twelfths; there is no wrapper type
     assert not hasattr(planecharge, "Charge")
+
+
+def test_package_imports_only_the_stdlib():
+    """Every absolute import in the package names planecharge itself or a
+    standard-library module."""
+    sources = sorted(Path(planecharge.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "planecharge" and top not in sys.stdlib_module_names:
+                    foreign.append((path.name, name))
+    assert not foreign

@@ -60,6 +60,11 @@ def test_l_coloring_missing_list():
         l_coloring(complete(3), ListAssignment.from_lists([[1], [2]]))
 
 
+def test_l_coloring_surplus_lists():
+    with pytest.raises(SurplusDemands, match="3 demands given for a graph of 2 vertices"):
+        l_coloring(SimpleGraph(2, [(0, 1)]), ListAssignment.from_lists([[1], [2], [3]]))
+
+
 def test_l_coloring_respects_lists():
     g = cycle(4)
     lists = [[0], [1], [0], [2]]

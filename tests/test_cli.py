@@ -22,7 +22,7 @@ from planecharge.cli import (
     run,
 )
 from planecharge.corpus import enumerate_class, named_examples, random_class_member
-from planecharge.discharging import final_audit
+from planecharge.discharging import BIG_FACE, final_audit
 from planecharge.plane_graph import dump_graph_file, load_graph_file, to_file_dict
 
 
@@ -393,7 +393,7 @@ def test_discharge_reports_digest(tmp_path, monkeypatch, class_members_7):
         reports += [
             run(["discharge", name, "--face", str(i), "--ledger"])
             for i in range(g.face_count)
-            if g.face_length(i) >= 6
+            if g.face_length(i) >= BIG_FACE
         ]
         for r in reports:
             texts.append(r.to_json())
@@ -451,7 +451,7 @@ def test_every_command_report_equals_json_dumps(graph_dir, tmp_path):
         if g.vertex_count <= MAX_CHOOSABILITY_VERTICES:
             argvs.append(["choosable", path, "-k", "2"])
         for i in range(g.face_count):
-            if g.face_length(i) >= 6:
+            if g.face_length(i) >= BIG_FACE:
                 argvs.append(["discharge", path, "--face", str(i), "--ledger"])
     for argv in argvs:
         report = run(argv)

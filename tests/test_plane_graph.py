@@ -20,6 +20,7 @@ from planecharge.errors import (
     UnknownVertex,
 )
 from planecharge.plane_graph import (
+    CYCLE_LENGTHS,
     PlaneGraph,
     adjacency_has_cycle_of_length,
     build_from_rotation,
@@ -154,12 +155,12 @@ def test_has_cycle_on_bipartite_and_odd_hosts(named):
     # Bipartite hosts (even cycles, grids, square and hexagonal lattice
     # patches: seeds 0-7 draw both) take the 2-coloring shortcut for odd k;
     # odd cycles take the path search.
-    hosts = [cycle_rotation(n) for n in range(3, 9)]
+    hosts = [cycle_rotation(n) for n in CYCLE_LENGTHS]
     hosts += [named[name].rotation for name in ("c6", "q3", "grid3x3", "k24")]
     hosts += [random_class_member(seed, 8).rotation for seed in range(8)]
     for rotation in hosts:
         adjacency = [frozenset(nbrs) for nbrs in rotation]
-        for k in range(3, 9):
+        for k in CYCLE_LENGTHS:
             assert adjacency_has_cycle_of_length(adjacency, k) == naive_has_cycle(
                 adjacency, k
             ), (rotation, k)

@@ -26,25 +26,6 @@ from planecharge.reducibility import (
 )
 from planecharge.square import SimpleGraph, induced_subgraph, square
 
-EXPECTED_F = {
-    "no1v": [8],
-    "no2v3f": [6],
-    "no2v4f": [5],
-    "no22v": [7, 7],
-    "no23v": [6, 3],
-    "no33v": [2, 2],
-    "no242v": [6, 2, 6],
-    "no243v": [6, 1, 2],
-    "no2v_3f": [1, 5],
-    "no3v_33f": [4],
-    "no3v_44f": [2],
-    "no3v3f3f": [2, 2],
-    "no3v3f_3f": [3, 2],
-    "no3v_3f3v": [1, 3],
-    "no3v_m3f3f": [2, 1],
-    "no2v__m3f3f": [1, 2, 3, 6],
-}
-
 # Each reducible entry's demand per core vertex id: the "f" object that
 # verify-catalog prints, which pins the instances' core numbering.
 PINNED_F = {
@@ -87,7 +68,6 @@ def test_each_id_in_exactly_one_table():
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
 def test_expected_f_values(config_id):
     report = verify_configuration(config_id)
-    assert sorted(report.computed_f.values()) == sorted(EXPECTED_F[config_id])
     assert report.f_matches_expected
     assert report.passed
 
