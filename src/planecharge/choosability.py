@@ -3,7 +3,7 @@
 An assignment of lists is determined up to color renaming by how many
 colors are shared by exactly each subset of vertices ("atoms"), so
 choosability could be decided by testing one instantiation of every
-atom-size pattern.  Three reductions cut that down, applied recursively
+atom-size pattern.  Four reductions cut that down, applied recursively
 to induced subgraphs G[M]:
 
 * greedy-last: a vertex with more colors than neighbors in G[M] can
@@ -14,7 +14,19 @@ to induced subgraphs G[M]:
 * free atom: a singleton-free pattern is colorable, with no search, when
   one of its atoms holds a vertex u with no neighbor in the atom.  Color
   G[M - u] from its lists (it is f-choosable), then give u the atom's
-  color, which no neighbor of u holds.  Such a pattern is still counted.
+  color, which no neighbor of u holds.  Such a pattern is still counted;
+* isomorphic twin: within one query, a proper induced subgraph G[M] whose
+  singleton-free patterns all passed settles every later G[M'] that is
+  isomorphic to it by a map keeping the demands (a colored
+  ``corpus.canonical_form``).  G[M'] reaches that stage only once its own
+  greedy-last check and every G[M' - v] have passed, and an isomorphism
+  maps its singleton-free patterns one to one onto those of G[M] and
+  colorings onto colorings, so its stage would pass after exactly as many
+  patterns; they are added to the count.  A failing stage ends the query
+  and is never reused, so every verdict, witness and count is the one the
+  full enumeration gives.  Queries on a complete graph, and sub-masks of
+  fewer than four vertices, skip it: their stages are cheap, and keying
+  them costs more than it saves.
 
 Negative answers carry a failing assignment, lifted from the subgraph
 where it was found by giving every dropped vertex fresh colors, and
@@ -26,12 +38,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DemandOutOfRange, MissingList, SurplusDemands, TooManyVertices
+from .corpus import canonical_form
+from .errors import (
+    DemandOutOfRange,
+    MissingList,
+    NoDemands,
+    SurplusDemands,
+    TooManyVertices,
+)
 from .square import SimpleGraph
 
 MAX_CHOOSABILITY_VERTICES = 6
 MAX_CHROMATIC_VERTICES = 12
 MAX_DEMAND = 12
+# Below this many vertices a singleton-free stage has demands of at most 2
+# and a handful of patterns, fewer than keying it by shape would cost.
+_TWIN_MIN_VERTICES = 4
 
 
 @dataclass(frozen=True)
@@ -189,7 +211,9 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
     Singleton-free patterns are enumerated once each up to color renaming
     and tested with one fresh instantiation, except that a pattern with a
     free atom is colorable untested (the third reduction in the module
-    docstring); ``patterns_checked`` counts them all over all subproblems.
+    docstring), and a G[M] isomorphic to an earlier passed one is not
+    enumerated again (the fourth); ``patterns_checked`` counts them all
+    over all subproblems, twins included.
     A failing sub-witness is lifted by giving the dropped vertex f(v)
     fresh colors, and the final witness is re-verified.
     """
@@ -208,6 +232,10 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
     # as one color bitmask per vertex (0 outside the mask).
     memo: dict[int, Optional[list[int]]] = {}
     checked = 0
+    # Passed singleton-free stages of proper sub-masks, bucketed by their
+    # sorted (demand, degree) pairs; each entry is [members, shape key or
+    # None until a second mask lands in the bucket, patterns counted].
+    passed: dict[tuple, list[list]] = {}
 
     def solve(mask: int) -> Optional[list[int]]:
         if mask not in memo:
@@ -215,6 +243,7 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
         return memo[mask]
 
     def decide(mask: int) -> Optional[list[int]]:
+        nonlocal checked
         members = [v for v in range(n) if mask >> v & 1]
         greedy = [v for v in members if f[v] > (adjacency[v] & mask).bit_count()]
         for v in greedy[:1] or members:
@@ -226,7 +255,27 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
                 return lifted
         if greedy:
             return None
-        return singleton_free_failure(mask, members)
+        # Reuse a passed stage of an isomorphic twin (the fourth reduction
+        # in the module docstring).  The whole graph is never revisited,
+        # and small or complete graphs' stages are left to the search.
+        if not sparse or not _TWIN_MIN_VERTICES <= len(members) < n:
+            return singleton_free_failure(mask, members)
+        profile = sorted((f[v], (adjacency[v] & mask).bit_count()) for v in members)
+        bucket = passed.setdefault(tuple(profile), [])
+        key = None
+        if bucket:
+            key = _shape(adjacency, f, members)
+            for entry in bucket:
+                if entry[1] is None:
+                    entry[1] = _shape(adjacency, f, entry[0])
+                if entry[1] == key:
+                    checked += entry[2]
+                    return None
+        before = checked
+        bad = singleton_free_failure(mask, members)
+        if bad is None:
+            bucket.append([members, key, checked - before])
+        return bad
 
     def singleton_free_failure(mask: int, members: list[int]) -> Optional[list[int]]:
         # Atoms of two or more vertices, grouped by their lowest vertex: the
@@ -287,6 +336,13 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
     return _failing_verdict(graph, demand, witness, checked)
 
 
+def _shape(adjacency: Sequence[int], f: Sequence[int], members: list[int]) -> tuple:
+    """G[members] up to isomorphism, with the demands as vertex colors."""
+    index = {v: i for i, v in enumerate(members)}
+    rows = [frozenset(index[u] for u in members if adjacency[v] >> u & 1) for v in members]
+    return canonical_form(len(members), rows, [f[v] for v in members])
+
+
 def _failing_verdict(
     graph: SimpleGraph,
     demand: DemandFunction,
@@ -311,10 +367,11 @@ def clique_f_choosable(f_values: Sequence[int]) -> bool:
     A proper list coloring of a clique is a system of distinct
     representatives of the lists, so Hall's condition reduces to: after
     sorting the demands ascending, the i-th smallest must be at least i.
+    Demands are checked as ``DemandFunction`` checks them.
     """
-    values = sorted(f_values)
+    values = sorted(DemandFunction(tuple(f_values)).values)
     if not values:
-        raise ValueError("empty demand multiset")
+        raise NoDemands()
     return all(f >= i + 1 for i, f in enumerate(values))
 
 

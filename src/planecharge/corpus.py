@@ -113,7 +113,11 @@ def named_examples() -> list[NamedGraph]:
 # -- canonical forms -----------------------------------------------------------
 
 
-def canonical_form(n: int, adjacency: Sequence[frozenset[int]]) -> tuple:
+def canonical_form(
+    n: int,
+    adjacency: Sequence[frozenset[int]],
+    colors: Optional[Sequence[int]] = None,
+) -> tuple:
     """A permutation-invariant key: the lexicographically smallest tuple of
     earlier-neighbour row masks over all vertex orders consistent with
     iterated degree refinement.
@@ -124,8 +128,16 @@ def canonical_form(n: int, adjacency: Sequence[frozenset[int]]) -> tuple:
     form.  A depth-first branch and bound fills positions cell by cell: at
     each position only the candidates with the smallest row are tried, and a
     branch is cut as soon as its prefix exceeds the best key's prefix.
+
+    With ``colors`` (one comparable value per vertex), refinement starts
+    from (color, degree), so each cell holds one color, and the key also
+    carries the colors by position: two colored graphs get equal keys
+    exactly when some isomorphism between them keeps every vertex's color.
     """
-    color = [len(adjacency[v]) for v in range(n)]
+    if colors is None:
+        color: list = [len(adjacency[v]) for v in range(n)]
+    else:
+        color = [(colors[v], len(adjacency[v])) for v in range(n)]
     while True:
         sig = [
             (color[v], tuple(sorted(color[u] for u in adjacency[v])))
@@ -179,7 +191,9 @@ def canonical_form(n: int, adjacency: Sequence[frozenset[int]]) -> tuple:
         return improved
 
     extend(0, True)
-    return (n, best)
+    if colors is None:
+        return (n, best)
+    return (n, tuple(colors[cell[0]] for cell in cell_at), best)
 
 
 # -- planar embedding search ---------------------------------------------------

@@ -4,12 +4,13 @@ Everything here recomputes results the slow, obviously-correct way:
 exhaustive permutations for cycles and matches, explicit list enumeration
 and unreduced atom-pattern enumeration for choosability, unpruned
 rotation products for planarity, every cell-consistent vertex order for
-canonical forms, vertex augmentation over every connected max-degree-4
-graph rather than class members only, rotations read off straight-line
-drawings by angle, Euler's formula checked component by component,
-each big face's sub-rule ledger built one closure call per draw, and plane
-graphs built with twins looked up in a (u, v)-keyed dict, every rotation
-validated id by id and every view built eagerly.
+canonical forms (every order for colored ones), vertex augmentation over
+every connected max-degree-4 graph rather than class members only,
+rotations read off straight-line drawings by angle, Euler's formula
+checked component by component, each big face's sub-rule ledger built
+one closure call per draw, and plane graphs built with twins looked up in
+a (u, v)-keyed dict, every rotation validated id by id and every view
+built eagerly.
 """
 
 import itertools
@@ -327,6 +328,21 @@ def brute_canonical_form(n, adjacency):
         if best is None or key < best:
             best = key
     return (n, best)
+
+
+def brute_colored_canonical_form(n, adjacency, colors):
+    """The smallest (colors by position, earlier-neighbour rows) over all n!
+    vertex orders, with no refinement."""
+    best = None
+    for order in itertools.permutations(range(n)):
+        position = [0] * n
+        for i, v in enumerate(order):
+            position[v] = i
+        rows = tuple(sum(1 << position[u] for u in adjacency[v]) for v in order)
+        key = (tuple(colors[v] for v in order), rows)
+        if best is None or key < best:
+            best = key
+    return best
 
 
 @lru_cache(maxsize=None)

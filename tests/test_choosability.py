@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_f_choosable, pattern_f_choosable
+from planecharge import choosability
 from planecharge.choosability import (
     DemandFunction,
     ListAssignment,
@@ -19,7 +20,14 @@ from planecharge.choosability import (
 )
 from planecharge.cli import run
 from planecharge.corpus import named_examples
-from planecharge.errors import GraphError, MissingList, SurplusDemands, TooManyVertices
+from planecharge.errors import (
+    DemandOutOfRange,
+    GraphError,
+    MissingList,
+    NoDemands,
+    SurplusDemands,
+    TooManyVertices,
+)
 from planecharge.plane_graph import dump_graph_file
 from planecharge.square import SimpleGraph, induced_subgraph, square
 
@@ -149,8 +157,16 @@ def test_clique_criterion_examples():
     assert clique_f_choosable([3, 6])
     assert not clique_f_choosable([1, 1])
     assert clique_f_choosable([1, 2, 3, 6])
-    with pytest.raises(ValueError):
+    assert clique_f_choosable([12, 0]) is False and clique_f_choosable((0,)) is False
+    # It rejects what DemandFunction rejects.
+    for bad in ([True, 2], [1.5, 2], [13], [-1], [2, "3"]):
+        with pytest.raises(DemandOutOfRange):
+            DemandFunction(tuple(bad))
+        with pytest.raises(DemandOutOfRange):
+            clique_f_choosable(bad)
+    with pytest.raises(NoDemands, match="^empty demand multiset$") as empty:
         clique_f_choosable([])
+    assert isinstance(empty.value, GraphError) and isinstance(empty.value, ValueError)
 
 
 def test_clique_criterion_against_enumeration():
@@ -299,6 +315,65 @@ def test_choosable_bytes_pinned(tmp_path, monkeypatch):
         )
     text = json.dumps([reports, verdicts], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CHOOSABLE_PIN
+
+
+def prism():
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    return SimpleGraph(6, triangles + [(i, i + 3) for i in range(3)])
+
+
+# SHA-256 of the verdicts below as the kernel gave them before it reused
+# the stages of isomorphic sub-masks: on these symmetric graphs most
+# sub-masks have twins, and no answer, count or witness may move.
+SYMMETRIC_PIN = "c39338e4c6fa0833c7a61896140130b11bfe46638b0e6cab52b7c85b640053d5"
+
+
+def test_symmetric_sparse_verdicts_pinned():
+    graphs = [
+        SimpleGraph(5, [(i, j) for i in range(2) for j in range(2, 5)]),
+        k24(),
+        k33(),
+        cycle(4),
+        cycle(6),
+        prism(),
+    ]
+    rng = random.Random(18)
+
+    def mixed(n):
+        # One demand of 1 and the rest 2 or 3: all-random demands 1-3 put
+        # two adjacent 1s in most cases, which fail at once.
+        f = [rng.randint(2, 3) for _ in range(n)]
+        f[rng.randrange(n)] = 1
+        return tuple(f)
+
+    verdicts = []
+    for g in graphs:
+        n = g.vertex_count
+        for f in [(2,) * n] + [mixed(n) for _ in range(6)]:
+            verdict = is_f_choosable(g, DemandFunction(f))
+            witness = verdict.bad_assignment
+            verdicts.append(
+                [
+                    f,
+                    verdict.choosable,
+                    verdict.patterns_checked,
+                    None if witness is None else [sorted(s) for s in witness.lists],
+                ]
+            )
+    text = json.dumps(verdicts, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SYMMETRIC_PIN
+
+
+def test_twin_stages_skip_the_coloring_search(monkeypatch):
+    # K_{3,3} at k = 2 makes 576 _color_bits calls when every stage is
+    # enumerated; all but the first of its nine 4-cycles and of its six
+    # K_{2,3}s are settled by twins.
+    calls = []
+    search = choosability._color_bits
+    monkeypatch.setattr(choosability, "_color_bits", lambda *a: calls.append(1) or search(*a))
+    verdict = is_f_choosable(k33(), DemandFunction((2,) * 6))
+    assert not verdict.choosable and verdict.patterns_checked == 1486
+    assert len(calls) < 576
 
 
 @pytest.mark.parametrize(

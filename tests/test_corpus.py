@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     brute_canonical_form,
+    brute_colored_canonical_form,
     connected_max4_oracle,
     naive_planar_embedding_exists,
     naive_planar_rotations,
@@ -121,6 +122,29 @@ def test_canonical_form_agrees_with_brute_force():
                 pairs.add((brute_canonical_form(n, g), canonical_form(n, g)))
     brute_keys = {b for b, _ in pairs}
     assert len(brute_keys) == sum(len(connected_max4_oracle(n)) for n in range(1, 8))
+    assert len(pairs) == len(brute_keys) == len({c for _, c in pairs})
+
+
+def test_colored_canonical_form_agrees_with_brute_force():
+    """With vertex colors, equal keys exactly when the unrefined brute-force
+    keys are equal, over every connected max-degree-4 graph on up to 6
+    vertices under seeded demand colorings and relabellings."""
+    rng = random.Random(18)
+    pairs = set()
+    for n in range(1, 7):
+        for adjacency in connected_max4_oracle(n):
+            colorings = ([2] * n, [rng.randint(0, 3) for _ in range(n)], [v % 2 for v in range(n)])
+            for colors in colorings:
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    g = _relabel(adjacency, perm)
+                    c = [0] * n
+                    for v in range(n):
+                        c[perm[v]] = colors[v]
+                    pairs.add((brute_colored_canonical_form(n, g, c), canonical_form(n, g, c)))
+    brute_keys = {b for b, _ in pairs}
+    assert len(brute_keys) > 2 * sum(len(connected_max4_oracle(n)) for n in range(1, 7))
     assert len(pairs) == len(brute_keys) == len({c for _, c in pairs})
 
 
