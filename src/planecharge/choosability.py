@@ -244,6 +244,9 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
 
     def decide(mask: int) -> Optional[list[int]]:
         nonlocal checked
+        if not mask:
+            checked += 1  # G[∅] has one pattern, the empty one, and it colors
+            return None
         members = [v for v in range(n) if mask >> v & 1]
         greedy = [v for v in members if f[v] > (adjacency[v] & mask).bit_count()]
         for v in greedy[:1] or members:

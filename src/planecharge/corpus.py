@@ -14,6 +14,25 @@ E - V + 2 faces, and keeps that embedding.  Sizes are tiny, so the
 exhaustive search beats importing a planarity algorithm.  That search is
 one lazy generator, ``iter_planar_embeddings``, which keeps its face count
 running and states Euler's edge bound once, for triangle-free graphs too.
+
+Twins are two vertices with the same neighbours apart from each other:
+equal neighbourhoods (never adjacent) or equal closed neighbourhoods
+(always adjacent).  Swapping two twins is an automorphism, and no vertex
+has twins of both kinds, so twins fall into classes.  Both searches skip
+what such a swap would only find again:
+
+* ``_members`` skips a child whose new vertex is joined to u but not to
+  an earlier twin v of u in the parent.  The swap (u v) fixes the new
+  vertex, so that child is isomorphic to the child joined to v instead,
+  which comes earlier in the same parent's loop and, being isomorphic,
+  passes or fails the 5-cycle test alike; if it is skipped too, the same
+  step leads to a still earlier one.  So the first child of each
+  isomorphism class is never skipped, and every representative, with its
+  embedding, is the one the full loop keeps.
+* ``canonical_form`` tries one candidate per twin class at each branch.
+  Twins in one cell share their colour, the swap fixes every placed vertex,
+  and it maps the subtree below one twin onto the subtree below the other
+  with the same rows, so the smallest key is found either way.
 """
 
 from __future__ import annotations
@@ -133,6 +152,9 @@ def canonical_form(
     from (color, degree), so each cell holds one color, and the key also
     carries the colors by position: two colored graphs get equal keys
     exactly when some isomorphism between them keeps every vertex's color.
+
+    At each branch one candidate per twin class is tried (the twin argument
+    in the module docstring).
     """
     if colors is None:
         color: list = [len(adjacency[v]) for v in range(n)]
@@ -140,7 +162,7 @@ def canonical_form(
         color = [(colors[v], len(adjacency[v])) for v in range(n)]
     while True:
         sig = [
-            (color[v], tuple(sorted(color[u] for u in adjacency[v])))
+            (color[v], tuple(sorted(map(color.__getitem__, adjacency[v]))))
             for v in range(n)
         ]
         palette = {s: i for i, s in enumerate(sorted(set(sig)))}
@@ -152,6 +174,7 @@ def canonical_form(
     for v in range(n):
         classes.setdefault(color[v], []).append(v)
     cell_at = [classes[c] for c in sorted(classes) for _ in classes[c]]
+    twin = _twin_classes(adjacency)
 
     rows = [0] * n  # earlier-neighbour mask of each vertex under the prefix
     placed = [False] * n
@@ -175,9 +198,11 @@ def canonical_form(
         prefix.append(row)
         bit = 1 << i
         improved = False
+        tried: list[int] = []  # the twin classes branched on
         for v in candidates:
-            if rows[v] != row:
+            if rows[v] != row or twin[v] in tried:
                 continue
+            tried.append(twin[v])
             placed[v] = True
             for u in adjacency[v]:
                 rows[u] |= bit
@@ -194,6 +219,20 @@ def canonical_form(
     if colors is None:
         return (n, best)
     return (n, tuple(colors[cell[0]] for cell in cell_at), best)
+
+
+def _twin_classes(adjacency: Sequence[frozenset[int]]) -> list[int]:
+    """Each vertex's twin class, named by its lowest vertex (twins as in the
+    module docstring)."""
+    twin = []
+    by_open: dict[frozenset[int], int] = {}
+    by_closed: dict[frozenset[int], int] = {}
+    for v, nbrs in enumerate(adjacency):
+        first = by_open.setdefault(nbrs, v)
+        if first == v:
+            first = by_closed.setdefault(nbrs | {v}, v)
+        twin.append(first)
+    return twin
 
 
 # -- planar embedding search ---------------------------------------------------
@@ -335,7 +374,9 @@ def _members(n: int) -> tuple[PlaneGraph, ...]:
     Planarity, max degree 4 and having no 5-cycle survive taking induced
     subgraphs, and every connected graph has a vertex whose removal leaves it
     connected, so members on n-1 vertices are the only parents needed.  The
-    first graph seen of each isomorphism class is its representative.
+    first graph seen of each isomorphism class is its representative.  A
+    child joined to a vertex but not to an earlier twin of it is skipped
+    (the twin argument in the module docstring).
     """
     if n == 1:
         return (build_from_rotation([[]]),)
@@ -343,8 +384,16 @@ def _members(n: int) -> tuple[PlaneGraph, ...]:
     for member in _members(n - 1):
         parent = [member.neighbors(v) for v in range(n - 1)]
         open_slots = [v for v in range(n - 1) if len(parent[v]) < MAX_DEGREE]
+        twin = _twin_classes(parent)
+        twin_pairs = [
+            (v, u)
+            for v, u in itertools.combinations(open_slots, 2)
+            if twin[v] == twin[u]
+        ]
         for k in range(1, min(MAX_DEGREE, len(open_slots)) + 1):
             for chosen in itertools.combinations(open_slots, k):
+                if any(u in chosen and v not in chosen for v, u in twin_pairs):
+                    continue  # isomorphic to the earlier child joined to v
                 if _closes_5_cycle(parent, chosen):
                     continue  # the parent has none, so this child is out
                 adj = [set(s) for s in parent] + [set(chosen)]

@@ -6,6 +6,7 @@ and unreduced atom-pattern enumeration for choosability, unpruned
 rotation products for planarity, every cell-consistent vertex order for
 canonical forms (every order for colored ones), vertex augmentation over
 every connected max-degree-4 graph rather than class members only,
+class members grown with every child tried (no twin skip),
 rotations read off straight-line drawings by angle, Euler's formula
 checked component by component, each big face's sub-rule ledger built
 one closure call per draw, and plane graphs built with twins looked up in
@@ -20,6 +21,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from planecharge.choosability import ListAssignment, l_coloring
+from planecharge.corpus import canonical_form, find_planar_embedding
 from planecharge.discharging import (
     BIG_FACE,
     ONE,
@@ -30,7 +32,11 @@ from planecharge.discharging import (
 )
 from planecharge.errors import AsymmetricAdjacency, DuplicateNeighbor, SelfLoop
 from planecharge.matcher import MatchEmbedding
-from planecharge.plane_graph import build_from_rotation, check_vertex
+from planecharge.plane_graph import (
+    adjacency_has_cycle_of_length,
+    build_from_rotation,
+    check_vertex,
+)
 
 
 # -- eagerly built plane graphs ------------------------------------------------
@@ -362,6 +368,32 @@ def connected_max4_oracle(n):
                 frozen = tuple(frozenset(s) for s in adj)
                 out.setdefault(brute_canonical_form(n, frozen), frozen)
     return tuple(out.values())
+
+
+@lru_cache(maxsize=None)
+def unpruned_members(n):
+    """Connected class members on n vertices, grown as ``corpus._members``
+    grows them but with every child tried: no twin skip, and each child's
+    5-cycles found by a whole-graph search.  The first child seen of each
+    isomorphism class is kept, in the embedding found for it."""
+    if n == 1:
+        return (build_from_rotation([[]]),)
+    out = {}
+    for member in unpruned_members(n - 1):
+        parent = [member.neighbors(v) for v in range(n - 1)]
+        open_slots = [v for v in range(n - 1) if len(parent[v]) < 4]
+        for k in range(1, min(4, len(open_slots)) + 1):
+            for chosen in itertools.combinations(open_slots, k):
+                adj = [set(s) for s in parent] + [set(chosen)]
+                for v in chosen:
+                    adj[v].add(n - 1)
+                frozen = tuple(frozenset(s) for s in adj)
+                if adjacency_has_cycle_of_length(frozen, 5):
+                    continue
+                key = canonical_form(n, frozen)
+                if key not in out:
+                    out[key] = find_planar_embedding(frozen)
+    return tuple(g for g in out.values() if g is not None)
 
 
 # -- brute-force configuration matching ---------------------------------------

@@ -376,6 +376,23 @@ def test_twin_stages_skip_the_coloring_search(monkeypatch):
     assert len(calls) < 576
 
 
+def test_empty_mask_counts_its_pattern_without_a_search(monkeypatch):
+    # G[∅] has one pattern, the empty one: C_4 at k = 2 counts it beside its
+    # 16 singleton-free patterns, and no coloring search ever runs on it.
+    masks = []
+    search = choosability._color_bits
+    monkeypatch.setattr(
+        choosability,
+        "_color_bits",
+        lambda adjacency, lists, vertices: masks.append(vertices) or search(adjacency, lists, vertices),
+    )
+    verdict = is_f_choosable(cycle(4), DemandFunction((2,) * 4))
+    assert verdict.choosable and verdict.patterns_checked == 17
+    assert is_f_choosable(SimpleGraph(0, []), DemandFunction(())).patterns_checked == 1
+    assert not is_f_choosable(k33(), DemandFunction((2,) * 6)).choosable
+    assert masks and 0 not in masks
+
+
 @pytest.mark.parametrize(
     "n,edges,f",
     [

@@ -11,7 +11,9 @@ from oracles import (
     naive_planar_embedding_exists,
     naive_planar_rotations,
     rotation_from_layout,
+    unpruned_members,
 )
+from planecharge import corpus
 from planecharge.catalog import catalog
 from planecharge.corpus import (
     canonical_form,
@@ -125,6 +127,50 @@ def test_canonical_form_agrees_with_brute_force():
     assert len(pairs) == len(brute_keys) == len({c for _, c in pairs})
 
 
+def _twin_heavy_graphs():
+    """Graphs on at most 7 vertices made mostly of twins: K_{a,b} (stars
+    among them) and K_6 minus a perfect matching have non-adjacent twins,
+    K_n adjacent ones, and K_2 or K_3 joined to an independent set both."""
+    def join(a, b, clique_a):
+        edges = {(i, a + j) for i in range(a) for j in range(b)}
+        if clique_a:
+            edges |= set(itertools.combinations(range(a), 2))
+        return a + b, edges
+
+    cases = [join(a, b, False) for a in range(1, 4) for b in range(max(a, 2), 8 - a)]
+    cases += [join(n, 0, True) for n in range(1, 8)]
+    cases += [join(a, b, True) for a in (2, 3) for b in range(2, 8 - a)]
+    cases.append((6, set(itertools.combinations(range(6), 2)) - {(0, 1), (2, 3), (4, 5)}))
+    for n, edges in cases:
+        adjacency = [set() for _ in range(n)]
+        for u, v in edges:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        yield n, tuple(frozenset(s) for s in adjacency)
+
+
+def test_canonical_form_on_twin_heavy_graphs():
+    """With and without colors, equal keys exactly when the brute-force keys
+    are equal, under seeded relabellings of graphs made mostly of twins."""
+    rng = random.Random(19)
+    plain, colored = set(), set()
+    for n, adjacency in _twin_heavy_graphs():
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g = _relabel(adjacency, perm)
+            plain.add((brute_canonical_form(n, g), canonical_form(n, g)))
+            for colors in ([v % 2 for v in range(n)], [rng.randint(0, 2) for _ in range(n)]):
+                c = [0] * n
+                for v in range(n):
+                    c[perm[v]] = colors[v]
+                colored.add((brute_colored_canonical_form(n, g, c), canonical_form(n, g, c)))
+    for pairs in (plain, colored):
+        brute_keys = {b for b, _ in pairs}
+        assert len(pairs) == len(brute_keys) == len({c for _, c in pairs})
+    assert len({b for b, _ in plain}) == len(list(_twin_heavy_graphs()))
+
+
 def test_colored_canonical_form_agrees_with_brute_force():
     """With vertex colors, equal keys exactly when the unrefined brute-force
     keys are equal, over every connected max-degree-4 graph on up to 6
@@ -171,6 +217,39 @@ def test_enumeration_equals_unpruned_oracle():
     """Same graphs, same embeddings, same order as the unpruned generator."""
     expected = [g.rotation for n in range(2, 8) for g in _old_rule_members(n)]
     assert [g.rotation for g in enumerate_class(7)] == expected
+
+
+def test_twin_skip_keeps_every_representative():
+    """Same members, same embeddings, same order as growth with every child
+    tried, for every n <= 8."""
+    expected = [g.rotation for n in range(2, 9) for g in unpruned_members(n)]
+    assert [g.rotation for g in enumerate_class(8)] == expected
+
+
+# SHA-256 of every member rotation for n <= 8, in enumeration order, as
+# enumeration gave them before it skipped children by twin swaps.
+MEMBERS_8_PIN = "42a63daacbc5469c9f51abbad02010e8c9987936f9bb494965f838f68dcd288c"
+
+
+def test_member_rotations_pinned():
+    digest = hashlib.sha256()
+    for g in enumerate_class(8):
+        digest.update(repr(g.rotation).encode())
+    assert digest.hexdigest() == MEMBERS_8_PIN
+
+
+def test_twin_skip_fires(monkeypatch):
+    """Up to n = 7, 150 of the 670 children are twins of earlier ones and
+    never reach canonical_form."""
+    calls = []
+    form = corpus.canonical_form
+    monkeypatch.setattr(corpus, "canonical_form", lambda *a: calls.append(1) or form(*a))
+    corpus._members.cache_clear()
+    try:
+        assert len(list(enumerate_class(7))) == 151
+    finally:
+        corpus._members.cache_clear()  # rebuilt unpatched on next use
+    assert len(calls) == 520
 
 
 def test_member_counts_per_size():
