@@ -15,6 +15,20 @@ exhaustive search beats importing a planarity algorithm.  That search is
 one lazy generator, ``iter_planar_embeddings``, which keeps its face count
 running and states Euler's edge bound once, for triangle-free graphs too.
 
+The search places vertices one at a time, and placing v links every
+half-edge into v to the half-edge that follows it on its face.  The links
+made so far form closed faces and open chains: maximal runs of linked
+half-edges, each starting at a half-edge out of an unplaced vertex (nothing
+is linked to it yet) and ending at a half-edge into one (it is linked to
+nothing yet).  Each half-edge lies on exactly one of them.  A link from h
+to o joins the chain that h ends to the chain that o starts, or, when they
+are the same chain, closes it into a face whose length is the chain's.  So
+the search keeps only each chain's two ends and its length and never
+re-walks a face.  This gives the chain bound: every face still to close is
+made of whole open chains, and there is exactly one open chain per
+half-edge into an unplaced vertex, so closed faces plus the degrees of the
+unplaced vertices must reach E - V + 2.
+
 Twins are two vertices with the same neighbours apart from each other:
 equal neighbourhoods (never adjacent) or equal closed neighbourhoods
 (always adjacent).  Swapping two twins is an automorphism, and no vertex
@@ -255,11 +269,23 @@ def iter_planar_embeddings(adjacency: Sequence[frozenset[int]]) -> Iterator[Plan
     of the whole map, in a fixed order.
 
     Backtracking over per-vertex cyclic orders (one vertex pinned up to
-    rotation and reflection), pruning on the face count.  Once v has its
-    rotation, only faces through half-edges into v can close, so the count
-    of closed faces and of the half-edges on them is kept running: closed
-    faces must not exceed E - V + 2, and the other half-edges, at least
-    ``min_len`` per face, must still be able to make up the rest.
+    rotation and reflection), pruning on the face count.  Giving v its
+    rotation links each half-edge h into v to the half-edge o after it on
+    its face; h ends an open chain and o starts one (the chains of the
+    module docstring).  Only each chain's ends and length are kept, so a
+    link joins two chains, or closes a face of known length when o starts
+    the chain that h ends, without walking it.  Each level keeps its own
+    copy of that state, so a backtrack undoes nothing.  A partial
+    assignment is cut unless the closed faces can still reach E - V + 2
+    and no more:
+
+    * closed faces must not exceed E - V + 2;
+    * Euler's bound: the half-edges on open chains, at least ``min_len``
+      per face, must make up the faces still to close;
+    * the chain bound: each face still to close takes at least one whole
+      open chain, and the open chains are one per half-edge into an
+      unplaced vertex, so those half-edges must make up the faces still to
+      close too.
     """
     n = len(adjacency)
     edge_count = sum(len(s) for s in adjacency) // 2
@@ -299,12 +325,9 @@ def iter_planar_embeddings(adjacency: Sequence[frozenset[int]]) -> Iterator[Plan
         h: i for i, h in enumerate((u, v) for u in range(n) for v in adjacency[u])
     }
     total_halves = 2 * edge_count
-    # successor[h] is the half-edge after h on its face, once h's head has
-    # its rotation.
-    successor: list[Optional[int]] = [None] * total_halves
 
-    # Every rotation of each vertex in search order, with the half-edges
-    # into the vertex and the face successor each gets.
+    # Every rotation of each vertex in search order, with its links: each
+    # half-edge (u, v) into the vertex and the half-edge (v, w) after it.
     options = []
     for i, v in enumerate(order):
         first, *rest = sorted(adjacency[v])
@@ -313,39 +336,49 @@ def iter_planar_embeddings(adjacency: Sequence[frozenset[int]]) -> Iterator[Plan
             if i == 0 and len(rest) >= 2 and tail[0] > tail[-1]:
                 continue  # reflection of the whole map: skip one of each pair
             cyc = (first, *tail)
-            into = [half_id[(u, v)] for u in cyc]
-            out = [half_id[(v, w)] for w in cyc[1:] + cyc[:1]]
-            level.append((cyc, into, out))
+            links = [
+                (half_id[(u, v)], half_id[(v, w)])
+                for u, w in zip(cyc, cyc[1:] + cyc[:1])
+            ]
+            level.append((cyc, links))
         options.append(level)
+    # least_faces[i]: closed faces needed once order[i] has its rotation, by
+    # the chain bound (the open chains end at the half-edges into order[i+1:]).
+    least_faces = [target_faces] * n
+    for i in range(n - 2, -1, -1):
+        least_faces[i] = least_faces[i + 1] - len(adjacency[order[i + 1]])
     rotations: list[tuple[int, ...]] = [()] * n
+    # mates[i] and sizes[i] before order[i] has its rotation: mates[i][h] is
+    # the other end of the open chain that half-edge h starts or ends, and
+    # sizes[i][s] the length of the chain that starts at s.
+    mates = [list(range(total_halves)) for _ in range(n + 1)]
+    sizes = [[1] * total_halves for _ in range(n + 1)]
 
     def assign(i: int, closed: int, closed_halves: int) -> Iterator[PlaneGraph]:
-        if i == n:
-            graph = build_from_rotation(rotations)
-            assert graph.face_count == target_faces
-            yield graph
-            return
-        for cyc, into, out in options[i]:
-            for h, o in zip(into, out):
-                successor[h] = o
+        mate, size = mates[i + 1], sizes[i + 1]
+        for cyc, links in options[i]:
+            mate[:] = mates[i]
+            size[:] = sizes[i]
             faces, halves = closed, closed_halves
-            for k, h in enumerate(into):
-                # Stop at an earlier half-edge of ``into``: the face was
-                # counted from there, if it closed.
-                walked = into[:k]
-                length, t = 1, successor[h]
-                while t is not None and t != h and t not in walked:
-                    length, t = length + 1, successor[t]
-                if t == h:
-                    faces, halves = faces + 1, halves + length
+            for h, o in links:
+                s = mate[h]  # the start of the chain that h ends
+                if s == o:
+                    faces, halves = faces + 1, halves + size[o]
+                else:
+                    e = mate[o]  # the end of the chain that o starts
+                    mate[s], mate[e] = e, s
+                    size[s] += size[o]
             if (
-                faces <= target_faces
+                least_faces[i] <= faces <= target_faces
                 and faces + (total_halves - halves) // min_len >= target_faces
             ):
                 rotations[order[i]] = cyc
-                yield from assign(i + 1, faces, halves)
-            for h in into:
-                successor[h] = None
+                if i + 1 < n:
+                    yield from assign(i + 1, faces, halves)
+                else:
+                    graph = build_from_rotation(rotations)
+                    assert graph.face_count == target_faces
+                    yield graph
 
     yield from assign(0, 0, 0)
 

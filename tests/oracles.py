@@ -3,7 +3,8 @@
 Everything here recomputes results the slow, obviously-correct way:
 exhaustive permutations for cycles and matches, explicit list enumeration
 and unreduced atom-pattern enumeration for choosability, unpruned
-rotation products for planarity, every cell-consistent vertex order for
+rotation products for planarity, the embedding search that re-walks every
+face it might have closed, every cell-consistent vertex order for
 canonical forms (every order for colored ones), vertex augmentation over
 every connected max-degree-4 graph rather than class members only,
 class members grown with every child tried (no twin skip),
@@ -296,6 +297,101 @@ def naive_planar_rotations(adjacency):
         for rotations in itertools.product(*per_vertex)
         if build_from_rotation(rotations).face_count == target
     ]
+
+
+def walked_planar_embeddings(adjacency):
+    """The embedding search as ``corpus.iter_planar_embeddings`` ran before
+    it kept chain ends: the same vertex order, rotation order, reflection pin
+    and Euler prune, but each face through a half-edge into the placed
+    vertex is re-walked along ``successor`` to see whether it closed, and a
+    backtrack clears the successors it set.  It has no chain bound."""
+    n = len(adjacency)
+    edge_count = sum(len(s) for s in adjacency) // 2
+    if edge_count == 0:
+        if n <= 1:
+            yield build_from_rotation([[] for _ in range(n)])
+        return
+    # A face walk of length 2 is all of K2, and one of length 3 a triangle.
+    if n == 2:
+        min_len = 2
+    elif any(adjacency[u] & adjacency[v] for u in range(n) for v in adjacency[u]):
+        min_len = 3
+    else:
+        min_len = 4
+    target_faces = edge_count - n + 2
+    # Euler's bound: the faces use each of the 2E half-edges once.
+    if 2 * edge_count < min_len * target_faces:
+        return
+
+    # BFS order from a max-degree vertex keeps the assigned region connected,
+    # so face walks close early.
+    start = max(range(n), key=lambda v: len(adjacency[v]))
+    order = [start]
+    seen = {start}
+    queue = [start]
+    while queue:
+        u = queue.pop(0)
+        for v in sorted(adjacency[u]):
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                queue.append(v)
+    if len(order) < n:
+        return  # disconnected: no single plane drawing is attempted
+
+    half_id = {
+        h: i for i, h in enumerate((u, v) for u in range(n) for v in adjacency[u])
+    }
+    total_halves = 2 * edge_count
+    # successor[h] is the half-edge after h on its face, once h's head has
+    # its rotation.
+    successor: list[Optional[int]] = [None] * total_halves
+
+    # Every rotation of each vertex in search order, with the half-edges
+    # into the vertex and the face successor each gets.
+    options = []
+    for i, v in enumerate(order):
+        first, *rest = sorted(adjacency[v])
+        level = []
+        for tail in itertools.permutations(rest):
+            if i == 0 and len(rest) >= 2 and tail[0] > tail[-1]:
+                continue  # reflection of the whole map: skip one of each pair
+            cyc = (first, *tail)
+            into = [half_id[(u, v)] for u in cyc]
+            out = [half_id[(v, w)] for w in cyc[1:] + cyc[:1]]
+            level.append((cyc, into, out))
+        options.append(level)
+    rotations: list[tuple[int, ...]] = [()] * n
+
+    def assign(i, closed, closed_halves):
+        if i == n:
+            graph = build_from_rotation(rotations)
+            assert graph.face_count == target_faces
+            yield graph
+            return
+        for cyc, into, out in options[i]:
+            for h, o in zip(into, out):
+                successor[h] = o
+            faces, halves = closed, closed_halves
+            for k, h in enumerate(into):
+                # Stop at an earlier half-edge of ``into``: the face was
+                # counted from there, if it closed.
+                walked = into[:k]
+                length, t = 1, successor[h]
+                while t is not None and t != h and t not in walked:
+                    length, t = length + 1, successor[t]
+                if t == h:
+                    faces, halves = faces + 1, halves + length
+            if (
+                faces <= target_faces
+                and faces + (total_halves - halves) // min_len >= target_faces
+            ):
+                rotations[order[i]] = cyc
+                yield from assign(i + 1, faces, halves)
+            for h in into:
+                successor[h] = None
+
+    yield from assign(0, 0, 0)
 
 
 # -- brute-force canonical forms and unpruned augmentation ----------------------

@@ -12,6 +12,7 @@ from oracles import (
     naive_planar_rotations,
     rotation_from_layout,
     unpruned_members,
+    walked_planar_embeddings,
 )
 from planecharge import corpus
 from planecharge.catalog import catalog
@@ -19,6 +20,7 @@ from planecharge.corpus import (
     canonical_form,
     enumerate_class,
     find_planar_embedding,
+    iter_planar_embeddings,
     named_examples,
     planar_embeddings,
     random_class_member,
@@ -324,9 +326,9 @@ def test_k33_rejected():
     assert find_planar_embedding(k33) is None
 
 
-def test_embedding_fuzz_against_exhaustive():
-    import random
-
+def _fuzz_graphs():
+    """60 seeded connected graphs on 3-6 vertices, each edge drawn with
+    probability 1/2 and no degree above 5."""
     rng = random.Random(42)
     tested = 0
     while tested < 60:
@@ -349,11 +351,72 @@ def test_embedding_fuzz_against_exhaustive():
                     stack.append(v)
         if len(seen) != n:
             continue
-        frozen = tuple(frozenset(s) for s in adj)
+        yield tuple(frozenset(s) for s in adj)
+        tested += 1
+
+
+def test_embedding_fuzz_against_exhaustive():
+    for frozen in _fuzz_graphs():
         assert (
             find_planar_embedding(frozen) is not None
         ) == naive_planar_embedding_exists(frozen)
-        tested += 1
+
+
+def _same_as_walked(adjacency):
+    """The rotations the search yields, checked to be the walked oracle's,
+    in the same order."""
+    mine = [g.rotation for g in iter_planar_embeddings(adjacency)]
+    assert mine == [g.rotation for g in walked_planar_embeddings(adjacency)]
+    return mine
+
+
+def test_chain_search_equals_walked_search_on_members():
+    """Every embedding of every member for n <= 8, in the same order."""
+    sizes = [
+        len(_same_as_walked(tuple(g.neighbors(v) for v in range(g.vertex_count))))
+        for g in enumerate_class(8)
+    ]
+    assert (len(sizes), sum(sizes)) == (486, 3368)
+
+
+# Distinct children of class growth for n <= 8 (twin skip on) with no planar
+# embedding: one on 6 vertices (K_{3,3}), 3 on 7 and 15 on 8.
+NONPLANAR_CANDIDATES_8 = 19
+
+
+def test_chain_search_equals_walked_search_on_nonplanar_candidates(monkeypatch):
+    """The children of class growth for n <= 8 that no rotation system
+    embeds: both searches yield nothing."""
+    nonplanar = []
+
+    def record(adjacency):
+        graph = find_planar_embedding(adjacency)
+        if graph is None:
+            nonplanar.append(adjacency)
+        return graph
+
+    monkeypatch.setattr(corpus, "find_planar_embedding", record)
+    corpus._members.cache_clear()
+    try:
+        assert len(list(enumerate_class(8))) == 486
+    finally:
+        corpus._members.cache_clear()  # rebuilt unpatched on next use
+    assert len(nonplanar) == NONPLANAR_CANDIDATES_8
+    for adjacency in nonplanar:
+        assert _same_as_walked(adjacency) == []
+
+
+def test_chain_search_equals_walked_search_on_fuzz_and_small_graphs():
+    for adjacency in _fuzz_graphs():
+        _same_as_walked(adjacency)
+    single = (frozenset(),)
+    k2 = (frozenset({1}), frozenset({0}))
+    edgeless = (frozenset(),) * 3
+    two_edges = (frozenset({1}), frozenset({0}), frozenset({3}), frozenset({2}))
+    assert _same_as_walked(single) == [((),)]
+    assert _same_as_walked(k2) == [((1,), (0,))]
+    assert _same_as_walked(edgeless) == []
+    assert _same_as_walked(two_edges) == []
 
 
 def test_multiple_embeddings_distinct():
