@@ -91,8 +91,8 @@ SPEC_TEXT = {
 
 # Per reducible entry, by role name: the removed set X, the recolored set R,
 # the role pair that Y drops besides every edge at X, and the demand of each
-# core role.  ``reducibility`` checks every entry the same way, on the
-# completed square of its core.
+# core role.  ``reducibility`` checks every entry the same way: Hall's rule
+# on these demands decides the completed square of its core.
 _REDUCTIONS = {
     "no1v": ("leaf", "", "", {"leaf": 8}),
     "no2v3f": ("deg2", "", "", {"deg2": 6}),
@@ -315,6 +315,8 @@ def _tri_beside_quad_patch() -> PlaneGraph:
 
 
 def _conn() -> Configuration:
+    """The proof's one fact: a disconnected graph's square has no edge between
+    components, so list colorings of the components' squares combine."""
     return Configuration(
         config_id="conn",
         kind="structural",

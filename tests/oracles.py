@@ -2,7 +2,8 @@
 
 Everything here recomputes results the slow, obviously-correct way:
 exhaustive permutations for cycles and matches, explicit list enumeration
-and unreduced atom-pattern enumeration for choosability, unpruned
+and unreduced atom-pattern enumeration for choosability (colored by a plain
+depth-first search that shares no code with the kernel), unpruned
 rotation products for planarity, the embedding search that re-walks every
 face it might have closed, every cell-consistent vertex order for
 canonical forms (every order for colored ones), vertex augmentation over
@@ -21,7 +22,6 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from planecharge.choosability import ListAssignment, l_coloring
 from planecharge.corpus import canonical_form, find_planar_embedding
 from planecharge.discharging import (
     BIG_FACE,
@@ -183,13 +183,34 @@ def per_component_euler(g):
     return plane, len(euler)
 
 
+def dfs_list_coloring(graph, lists):
+    """A proper coloring with each vertex's color from its own list, as a
+    list indexed by vertex, or None: plain depth-first search in vertex
+    order, each vertex trying its list in the order given."""
+    n = graph.vertex_count
+    earlier = [[u for u in graph.neighbors(v) if u < v] for v in range(n)]
+    color = [None] * n
+
+    def extend(v):
+        if v == n:
+            return True
+        for c in lists[v]:
+            if all(color[u] != c for u in earlier[v]):
+                color[v] = c
+                if extend(v + 1):
+                    return True
+        return False
+
+    return color if extend(0) else None
+
+
 def naive_f_choosable(graph, demands):
     """Enumerate every explicit assignment from a universe of size sum(f)."""
     universe = range(sum(demands))
     for lists in itertools.product(
         *[itertools.combinations(universe, f) for f in demands]
     ):
-        if l_coloring(graph, ListAssignment.from_lists(lists)) is None:
+        if dfs_list_coloring(graph, lists) is None:
             return False
     return True
 
@@ -204,7 +225,7 @@ def _instantiate(n, pattern):
                 if atom >> v & 1:
                     lists[v].append(color)
             color += 1
-    return ListAssignment.from_lists(lists)
+    return lists
 
 
 def pattern_f_choosable(graph, demands):
@@ -233,10 +254,8 @@ def pattern_f_choosable(graph, demands):
         for v in range(n):
             if remaining[v]:
                 full[1 << v] = full.get(1 << v, 0) + remaining[v]
-        assignment = _instantiate(n, full)
-        if l_coloring(graph, assignment) is None:
-            return assignment
-        return None
+        lists = _instantiate(n, full)
+        return lists if dfs_list_coloring(graph, lists) is None else None
 
     def search(i):
         if i == len(atoms):

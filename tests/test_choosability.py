@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_f_choosable, pattern_f_choosable
+from oracles import dfs_list_coloring, naive_f_choosable, pattern_f_choosable
 from planecharge import choosability
 from planecharge.choosability import (
+    MAX_DEMAND,
     DemandFunction,
     ListAssignment,
     chromatic_number,
@@ -174,6 +175,52 @@ def test_clique_criterion_against_enumeration():
         kn = complete(n)
         for f in itertools.combinations_with_replacement(range(5), n):
             assert clique_f_choosable(f) == is_f_choosable(kn, DemandFunction(f)).choosable
+
+
+def test_hall_witnesses_on_the_clique_grid():
+    """Every multiset of the clique grid that Hall's rule rejects has a
+    witness.  At the first i with f_(i) < i, the i lowest-demand vertices
+    get the lists 0..f(v)-1, fewer than i colors among i pairwise adjacent
+    vertices, and every other vertex gets fresh colors."""
+    rejected = 0
+    for n in range(1, 5):
+        kn = complete(n)
+        # Each multiset comes sorted ascending, so vertex v has f_(v+1).
+        for f in itertools.combinations_with_replacement(range(7), n):
+            if clique_f_choosable(f):
+                continue
+            rejected += 1
+            i = next(i for i, d in enumerate(f, 1) if d < i)
+            fresh = itertools.count(MAX_DEMAND)
+            lists = [
+                list(range(d)) if v < i else [next(fresh) for _ in range(d)]
+                for v, d in enumerate(f)
+            ]
+            assert tuple(map(len, lists)) == f
+            assert l_coloring(kn, ListAssignment.from_lists(lists)) is None
+            assert dfs_list_coloring(kn, lists) is None
+    assert rejected == 329 - 164
+
+
+def test_oracle_coloring_agrees_with_l_coloring():
+    # Both colorings found, or neither, on seeded graphs and lists.
+    rng = random.Random(2113)
+    found = 0
+    for _ in range(400):
+        n = rng.randint(3, 7)
+        g = SimpleGraph(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.6]
+        )
+        lists = [rng.sample(range(3), rng.randint(1, 3)) for _ in range(n)]
+        theirs = dfs_list_coloring(g, lists)
+        assert (l_coloring(g, ListAssignment.from_lists(lists)) is None) == (
+            theirs is None
+        ), (g.edges(), lists)
+        if theirs is not None:
+            found += 1
+            assert all(theirs[v] in lists[v] for v in range(n))
+            assert all(theirs[u] != theirs[v] for u, v in g.edges())
+    assert 100 < found < 300  # both answers are common
 
 
 def test_naive_list_oracle_small():

@@ -1,8 +1,10 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
+from oracles import pattern_f_choosable
 from planecharge.catalog import (
     _REDUCTIONS,
     _STRUCTURAL,
@@ -12,7 +14,11 @@ from planecharge.catalog import (
     catalog,
     get_configuration,
 )
-from planecharge.choosability import DemandFunction, is_f_choosable, clique_f_choosable
+from planecharge.choosability import (
+    MAX_CHOOSABILITY_VERTICES,
+    DemandFunction,
+    is_f_choosable,
+)
 from planecharge.corpus import enumerate_class, random_class_member
 from planecharge.errors import OverlappingRoles, UnknownConfig, UnknownEdgeInY
 from planecharge.matcher import find_configuration
@@ -87,9 +93,16 @@ def test_induced_square_nearly_complete(config_id):
 
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
 def test_clique_criterion_agrees_where_complete(config_id):
+    """Hall's rule decides each entry; the kernel and the pattern oracle
+    cross-check it on the completed core square with the entry's demands,
+    which reach (7, 7) and (8), beyond the demand-6 clique grid."""
     report = verify_configuration(config_id)
-    f = list(report.computed_f.values())
-    assert clique_f_choosable(f) == report.choosable
+    f = tuple(report.computed_f.values())
+    n = len(f)
+    kn = SimpleGraph(n, itertools.combinations(range(n), 2))
+    assert report.choosable
+    assert is_f_choosable(kn, DemandFunction(f)).choosable == report.choosable
+    assert pattern_f_choosable(kn, f) == report.choosable
 
 
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
@@ -165,6 +178,36 @@ def test_condition2_fails_on_broken_path():
     )
     assert report.condition1_ok
     assert not report.condition2_ok
+
+
+def test_core_beyond_the_kernel_cap_is_decided():
+    """A core larger than the kernel's vertex cap: the star K_{1,7} with its
+    centre and six leaves removed.  Every core vertex sees only the last
+    leaf outside the core, so each demand is 11."""
+    star = SimpleGraph(8, [(0, j) for j in range(1, 8)])
+    core = range(7)
+    assert len(core) > MAX_CHOOSABILITY_VERTICES
+    report = verify_reduction(
+        star, x=core, r=(), y=[frozenset((0, j)) for j in range(1, 8)]
+    )
+    assert report.computed_f == {v: 11 for v in core}
+    assert report.choosable and report.passed
+
+
+def test_starved_core_is_not_choosable():
+    # The centre of K_{1,12} sees twelve outsiders, so its demand is 0.
+    star = SimpleGraph(13, [(0, j) for j in range(1, 13)])
+    report = verify_reduction(star, x=(), r={0}, y=[])
+    assert report.computed_f == {0: 0}
+    assert not report.choosable and not report.passed
+
+
+def test_empty_core_is_vacuously_choosable():
+    # Dropping one edge of a triangle loses no square edge.
+    triangle = SimpleGraph(3, [(0, 1), (1, 2), (0, 2)])
+    report = verify_reduction(triangle, x=(), r=(), y=[frozenset((0, 1))])
+    assert report.computed_f == {}
+    assert report.choosable and report.passed
 
 
 def test_smaller_ok_requires_removal():

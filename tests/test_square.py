@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,3 +102,19 @@ def test_neighbor_count_consistency(named):
         for v in range(g.vertex_count):
             assert sq.degree(v) == len(neighbors_within2(g, v))
 
+
+def test_square_adds_no_edge_between_components(named):
+    """The fact the ``conn`` entry rests on: the square of a disjoint union
+    is the disjoint union of the squares."""
+    for a, b in itertools.combinations_with_replacement(named.values(), 2):
+        shift = a.vertex_count
+        union = SimpleGraph(
+            shift + b.vertex_count,
+            a.edges() + [(u + shift, v + shift) for u, v in b.edges()],
+        )
+        apart = SimpleGraph(
+            union.vertex_count,
+            square(a).edges() + [(u + shift, v + shift) for u, v in square(b).edges()],
+        )
+        assert square(union) == apart
+        assert all((u < shift) == (v < shift) for u, v in square(union).edges())
