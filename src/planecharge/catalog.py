@@ -28,7 +28,9 @@ id order.  ``_REDUCTIONS`` gives the rest of an entry by role name.
 Structural entries (disconnectedness and the two face-adjacency bans) have
 no generic instance; they record derivation cases that lean on other
 entries or on the forbidden 5-cycle, each with a concrete forced patch
-where one can be built.  A patch is stated directly as a rotation system.
+where one can be built.  A case states its structure as the clauses it adds
+to its entry's spec, and its patch is that spec's fragment, embedded as an
+instance is but with no pads.
 """
 
 from __future__ import annotations
@@ -119,23 +121,33 @@ REDUCIBLE_IDS = tuple(c for c in CATALOG_ORDER if c in _REDUCTIONS)
 STRUCTURAL_IDS = tuple(c for c in CATALOG_ORDER if c not in _REDUCTIONS)
 
 
+def _split(text: str) -> list[list[str]]:
+    return [c.split() for c in text.split(";") if c.strip()]
+
+
 def spec_clauses(config_id: str) -> list[list[str]]:
     """The clauses of a configuration's spec, each split into its words."""
-    return [c.split() for c in SPEC_TEXT[config_id].split(";") if c.strip()]
+    return _split(SPEC_TEXT[config_id])
 
 
 @dataclass(frozen=True)
 class StructuralCase:
     """One branch of a structural entry's derivation.
 
-    A forced ``patch`` must contain a match of the first cited entry or,
-    when the case cites none, a 5-cycle (so the structure cannot occur in a
-    5-cycle-free graph).  A case without a patch is pure induction.
+    The forced ``patch`` is built from the entry's spec and the case's
+    clauses; ``roles`` gives its named roles' ids and ``witness`` the
+    indices of its witness faces.  The patch must contain a labelled match
+    of the first cited entry, one that binds only named roles and witness
+    faces, or, when the case cites none, a 5-cycle (so the structure cannot
+    occur in a 5-cycle-free graph).  A case without a patch is pure
+    induction.
     """
 
     description: str
     cites: tuple[str, ...] = ()
     patch: Optional[PlaneGraph] = None
+    roles: Mapping[str, int] = field(default_factory=dict)
+    witness: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -159,27 +171,29 @@ class Configuration:
         return {self.roles[name]: f for name, f in self.expected_f.items()}
 
 
-def spec_degrees(config_id: str, roles: Mapping[str, int], n: int) -> list[int]:
+def spec_degrees(
+    clauses: list[list[str]], roles: Mapping[str, int], n: int
+) -> list[int]:
     """The spec degree of each of n instance vertices: its role's degree
     clause, or MAX_DEGREE for a role without one and for every vertex that
     has no role (free face vertices and pads)."""
     want = [MAX_DEGREE] * n
-    for kind, *args in spec_clauses(config_id):
+    for kind, *args in clauses:
         if kind == "role" and args[1:]:
             want[roles[args[0]]] = int(args[1])
     return want
 
 
 def _fragment(
-    config_id: str,
+    clauses: list[list[str]],
 ) -> tuple[dict[str, int], list[int], list[list[int]], list[set[int]]]:
     """The roles' ids, every fragment vertex's spec degree, the witness
-    cycles and the adjacency of the fragment."""
+    cycles and the adjacency of the fragment of a spec's clauses."""
     names: list[str] = []
     on: dict[str, set[str]] = {}  # witness face -> the roles on it
     length: dict[str, int] = {}
     edges = []
-    for kind, *args in spec_clauses(config_id):
+    for kind, *args in clauses:
         if kind == "role":
             names.append(args[0])
         elif kind == "face":
@@ -210,7 +224,7 @@ def _fragment(
     for a, b in pairs:
         adjacency[a].add(b)
         adjacency[b].add(a)
-    return ids, spec_degrees(config_id, ids, n), cycles, adjacency
+    return ids, spec_degrees(clauses, ids, n), cycles, adjacency
 
 
 def _edges_of(pairs) -> frozenset[frozenset[int]]:
@@ -221,17 +235,19 @@ def _embed(
     adjacency: list[set[int]], cycles: list[list[int]]
 ) -> tuple[PlaneGraph, set[int]]:
     """The first planar embedding in which every witness cycle is a face,
-    with the indices of those faces.  A cycle that bounds two faces (the
-    fragment is that cycle alone) is the first of them."""
-    wanted = {_edges_of(zip(c, c[1:] + c[:1])) for c in cycles}
+    with the indices of those faces, one per witness cycle.  A cycle bounds
+    two faces only when the fragment is that cycle alone; it is the first
+    of them, or both if it is listed twice."""
+    wanted = [_edges_of(zip(c, c[1:] + c[:1])) for c in cycles]
     for graph in iter_planar_embeddings(tuple(map(frozenset, adjacency))):
-        witness: dict[frozenset, int] = {}
+        sides: dict[frozenset, list[int]] = {edges: [] for edges in wanted}
         for i, walk in enumerate(graph.faces):
             edges = _edges_of((graph.origin[h], graph.target[h]) for h in walk)
-            if len(edges) == len(walk) and edges in wanted:
-                witness.setdefault(edges, i)
-        if len(witness) == len(wanted):
-            return graph, set(witness.values())
+            if len(edges) == len(walk) and edges in sides:
+                sides[edges].append(i)
+        first = {i for e, faces in sides.items() for i in faces[: wanted.count(e)]}
+        if len(first) == len(wanted):
+            return graph, first
     raise ValueError("no embedding has every witness cycle as a face")
 
 
@@ -251,7 +267,7 @@ def _outer_corner(graph: PlaneGraph, witness: set[int], v: int) -> int:
 
 def _reducible(config_id: str) -> Configuration:
     removed, recolored, pair, expected = _REDUCTIONS[config_id]
-    ids, want, cycles, adjacency = _fragment(config_id)
+    ids, want, cycles, adjacency = _fragment(spec_clauses(config_id))
     graph, witness = _embed(adjacency, cycles)
     x = frozenset(ids[name] for name in removed.split())
     r = frozenset(ids[name] for name in recolored.split())
@@ -288,96 +304,53 @@ def _reducible(config_id: str) -> Configuration:
     )
 
 
-def _triangle() -> PlaneGraph:
-    return build_from_rotation([[2, 1], [0, 2], [1, 0]])
+# Per structural entry, its derivation cases: (description, cited entries,
+# the clauses the case adds to the entry's own spec, or None for a case that
+# has no patch).  A patch is the fragment of the entry's spec and the case's
+# clauses, embedded with its witness cycles as faces and left unpadded.
+_STRUCTURAL = {
+    # The proof's one fact: a disconnected graph's square has no edge between
+    # components, so list colorings of the components' squares combine.
+    "conn": (
+        ("components are strictly smaller graphs and can be colored one at a"
+         " time without interaction", (), None),
+    ),
+    "no333f": (
+        ("two edges shared with a single 3-face force a degree-2 vertex on a"
+         " 3-face", ("no2v3f",),
+         "role u; role wedge; role w; face g 3; share f g u wedge; share f g wedge w"),
+        ("two distinct non-adjacent 3-faces leave a 5-cycle around the three"
+         " faces", (),
+         "role u; role v; role w; face g 3; face h 3; share f g u v; share f h v w"),
+        ("two distinct adjacent 3-faces force a 3-vertex on two 3-faces",
+         ("no3v_33f",),
+         "role u; role v; role w; face g 3; face h 3; share f g u v; share f h v w;"
+         " role x; share g h v x"),
+    ),
+    "no34f": (
+        ("two edges shared with the same 4-face force a degree-2 vertex on a"
+         " 3-face", ("no2v3f",), "role wedge; share f g shared_v wedge"),
+        ("a single shared edge leaves a 5-cycle around the two faces", (), ""),
+    ),
+}
 
 
-def _k4() -> PlaneGraph:
-    # A triangle with a centre vertex joined to its three corners.
-    return build_from_rotation([[2, 3, 1], [0, 3, 2], [1, 3, 0], [2, 1, 0]])
-
-
-def _three_fans_patch() -> PlaneGraph:
-    # A 3-face flanked by edge-sharing 3-faces on two of its sides; the rim
-    # through the two apexes closes a 5-cycle.
-    return build_from_rotation([[3, 1, 2], [0, 3, 4, 2], [0, 1, 4], [1, 0], [1, 2]])
-
-
-def _tri_in_quad_patch() -> PlaneGraph:
-    # A 3-face sharing two edges with the same 4-face: the wedge vertex 1 is
-    # forced to degree 2 on the 3-face.
-    return build_from_rotation([[3, 1, 2], [2, 0], [0, 1, 3], [2, 0]])
-
-
-def _tri_beside_quad_patch() -> PlaneGraph:
-    # A 3-face sharing exactly one edge with a 4-face; the rim is a 5-cycle.
-    return build_from_rotation([[4, 1, 2], [0, 3, 2], [0, 1], [4, 1], [3, 0]])
-
-
-def _conn() -> Configuration:
-    """The proof's one fact: a disconnected graph's square has no edge between
-    components, so list colorings of the components' squares combine."""
+def _structural(config_id: str) -> Configuration:
+    cases = []
+    for description, cites, extra in _STRUCTURAL[config_id]:
+        if extra is None:
+            cases.append(StructuralCase(description, cites))
+            continue
+        ids, _, cycles, adjacency = _fragment(
+            spec_clauses(config_id) + _split(extra)
+        )
+        patch, witness = _embed(adjacency, cycles)
+        cases.append(
+            StructuralCase(description, cites, patch, ids, frozenset(witness))
+        )
     return Configuration(
-        config_id="conn",
-        kind="structural",
-        pattern=None,
-        cases=(
-            StructuralCase(
-                "components are strictly smaller graphs and can be colored"
-                " one at a time without interaction",
-            ),
-        ),
+        config_id=config_id, kind="structural", pattern=None, cases=tuple(cases)
     )
-
-
-def _no333f() -> Configuration:
-    return Configuration(
-        config_id="no333f",
-        kind="structural",
-        pattern=None,
-        cases=(
-            StructuralCase(
-                "two edges shared with a single 3-face force a degree-2"
-                " vertex on a 3-face",
-                cites=("no2v3f",),
-                patch=_triangle(),
-            ),
-            StructuralCase(
-                "two distinct non-adjacent 3-faces leave a 5-cycle around"
-                " the three faces",
-                patch=_three_fans_patch(),
-            ),
-            StructuralCase(
-                "two distinct adjacent 3-faces force a 3-vertex on two"
-                " 3-faces",
-                cites=("no3v_33f",),
-                patch=_k4(),
-            ),
-        ),
-    )
-
-
-def _no34f() -> Configuration:
-    return Configuration(
-        config_id="no34f",
-        kind="structural",
-        pattern=None,
-        cases=(
-            StructuralCase(
-                "two edges shared with the same 4-face force a degree-2"
-                " vertex on a 3-face",
-                cites=("no2v3f",),
-                patch=_tri_in_quad_patch(),
-            ),
-            StructuralCase(
-                "a single shared edge leaves a 5-cycle around the two faces",
-                patch=_tri_beside_quad_patch(),
-            ),
-        ),
-    )
-
-
-_STRUCTURAL = {"conn": _conn, "no333f": _no333f, "no34f": _no34f}
 
 
 @lru_cache(maxsize=None)
@@ -385,7 +358,7 @@ def get_configuration(config_id: str) -> Configuration:
     if config_id in _REDUCTIONS:
         return _reducible(config_id)
     if config_id in _STRUCTURAL:
-        return _STRUCTURAL[config_id]()
+        return _structural(config_id)
     raise UnknownConfig(config_id)
 
 

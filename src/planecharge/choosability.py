@@ -42,7 +42,6 @@ from .corpus import canonical_form
 from .errors import (
     DemandOutOfRange,
     MissingList,
-    NoDemands,
     SurplusDemands,
     TooManyVertices,
 )
@@ -370,11 +369,11 @@ def clique_f_choosable(f_values: Sequence[int]) -> bool:
     A proper list coloring of a clique is a system of distinct
     representatives of the lists, so Hall's condition reduces to: after
     sorting the demands ascending, the i-th smallest must be at least i.
-    Demands are checked as ``DemandFunction`` checks them.
+    With no demands the condition holds vacuously, as ``is_f_choosable``
+    finds K_0 choosable.  Demands are checked as ``DemandFunction`` checks
+    them.
     """
     values = sorted(DemandFunction(tuple(f_values)).values)
-    if not values:
-        raise NoDemands()
     return all(f >= i + 1 for i, f in enumerate(values))
 
 

@@ -60,13 +60,6 @@ class DemandOutOfRange(GraphError, ValueError):
     """A demand or list size that is not an int in 0..MAX_DEMAND."""
 
 
-class NoDemands(GraphError, ValueError):
-    """A demand multiset with no demand in it."""
-
-    def __init__(self) -> None:
-        super().__init__("empty demand multiset")
-
-
 class TooManyVertices(GraphError):
     def __init__(self, n: int, limit: int):
         super().__init__(f"{n} vertices exceeds the exact-search limit of {limit}")

@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from .catalog import Configuration, catalog, get_configuration, spec_degrees
+from .catalog import Configuration, StructuralCase, catalog, get_configuration
+from .catalog import spec_clauses, spec_degrees
 from .choosability import MAX_DEMAND, clique_f_choosable
 from .errors import OverlappingRoles, UnknownEdgeInY
-from .matcher import find_configuration
+from .matcher import MatchEmbedding, find_configuration
 from .plane_graph import PlaneGraph, check_vertex, has_cycle_of_length
 from .square import SimpleGraph, induced_subgraph, neighbors_within2, square
 
@@ -118,7 +119,7 @@ def verify_reduction(
     g_sq = square(graph)
     h_sq = square(remainder)
     condition2_ok = all(
-        u in core or v in core or h_sq.has_edge(u, v)
+        u in core or v in core
         for u, v in g_sq.edges()
         if not h_sq.has_edge(u, v)
     )
@@ -129,8 +130,7 @@ def verify_reduction(
         smaller_ok=bool(x or y),
         computed_f=computed,
         induced_square=induced_subgraph(g_sq, core)[0],
-        # An empty core is vacuously choosable.
-        choosable=not core or clique_f_choosable(computed.values()),
+        choosable=clique_f_choosable(computed.values()),
         f_matches_expected=None if expected_f is None else dict(expected_f) == computed,
     )
 
@@ -159,7 +159,7 @@ def _reducible_result(config: Configuration) -> CatalogEntryResult:
     if report.choosable and not report.induced_square.is_complete():
         notes.append("choosable with the missing core pair added")
     g, core = config.pattern, config.core()
-    want = spec_degrees(config.config_id, config.roles, g.vertex_count)
+    want = spec_degrees(spec_clauses(config.config_id), config.roles, g.vertex_count)
     full = all(g.degree(v) == want[v] for v in core.union(*map(g.neighbors, core)))
     if not full:
         notes.append("FAIL: a vertex around the core lacks its spec degree")
@@ -167,18 +167,30 @@ def _reducible_result(config: Configuration) -> CatalogEntryResult:
     return CatalogEntryResult(config.config_id, config.kind, passed, report, tuple(notes))
 
 
+def labelled_matches(case: StructuralCase, config_id: str) -> list[MatchEmbedding]:
+    """The matches of an entry in a case's patch that bind only the case's
+    named roles and its witness faces."""
+    named = set(case.roles.values())
+    return [
+        m
+        for m in find_configuration(case.patch, config_id)
+        if {v for _, v in m.roles} <= named and set(m.faces) <= case.witness
+    ]
+
+
 def _structural_result(
     config: Configuration, reducible: Mapping[str, CatalogEntryResult]
 ) -> CatalogEntryResult:
     """A structural entry passes when every case's cited reducible entries
     (looked up in ``reducible``) pass and its forced patch, if it has one,
-    contains a match of the first cited entry or, citing none, a 5-cycle."""
+    contains a labelled match of the first cited entry or, citing none, a
+    5-cycle."""
     notes = []
     ok = True
     for case in config.cases:
         case_ok = all(c in reducible and reducible[c].passed for c in case.cites)
         if case.patch is not None and case.cites:
-            case_ok = case_ok and bool(find_configuration(case.patch, case.cites[0]))
+            case_ok = case_ok and bool(labelled_matches(case, case.cites[0]))
         elif case.patch is not None:
             case_ok = case_ok and has_cycle_of_length(case.patch, 5)
         ok = ok and case_ok

@@ -25,7 +25,6 @@ from planecharge.errors import (
     DemandOutOfRange,
     GraphError,
     MissingList,
-    NoDemands,
     SurplusDemands,
     TooManyVertices,
 )
@@ -165,9 +164,9 @@ def test_clique_criterion_examples():
             DemandFunction(tuple(bad))
         with pytest.raises(DemandOutOfRange):
             clique_f_choosable(bad)
-    with pytest.raises(NoDemands, match="^empty demand multiset$") as empty:
-        clique_f_choosable([])
-    assert isinstance(empty.value, GraphError) and isinstance(empty.value, ValueError)
+    # Hall's condition holds vacuously on K_0, as is_f_choosable finds.
+    assert clique_f_choosable([]) is True
+    assert is_f_choosable(complete(0), DemandFunction(())).choosable
 
 
 def test_clique_criterion_against_enumeration():

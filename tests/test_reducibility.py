@@ -11,20 +11,25 @@ from planecharge.catalog import (
     CATALOG_ORDER,
     REDUCIBLE_IDS,
     STRUCTURAL_IDS,
+    _split,
+    _structural,
     catalog,
     get_configuration,
+    spec_clauses,
 )
 from planecharge.choosability import (
     MAX_CHOOSABILITY_VERTICES,
     DemandFunction,
     is_f_choosable,
 )
-from planecharge.corpus import enumerate_class, random_class_member
+from planecharge.corpus import canonical_form, enumerate_class, random_class_member
 from planecharge.errors import OverlappingRoles, UnknownConfig, UnknownEdgeInY
-from planecharge.matcher import find_configuration
+from planecharge.matcher import _bindings, _compile, find_configuration
 from planecharge.plane_graph import build_from_rotation
 from planecharge.reducibility import (
     _reducible_result,
+    _structural_result,
+    labelled_matches,
     f_values,
     verify_catalog,
     verify_configuration,
@@ -145,6 +150,104 @@ def test_verify_catalog_all_pass():
     kinds = {r.config_id: r.kind for r in results}
     assert sum(1 for k in kinds.values() if k == "reducible") == 16
     assert sum(1 for k in kinds.values() if k == "structural") == 3
+
+
+# The rotation literals that stated the structural patches before they were
+# built from spec clauses, in case order; the spec-built patches must be the
+# same graphs.
+LITERAL_PATCHES = {
+    "no333f": (
+        [[2, 1], [0, 2], [1, 0]],  # a lone 3-face: both sides are 3-faces
+        [[3, 1, 2], [0, 3, 4, 2], [0, 1, 4], [1, 0], [1, 2]],  # two fans
+        [[2, 3, 1], [0, 3, 2], [1, 3, 0], [2, 1, 0]],  # K_4
+    ),
+    "no34f": (
+        [[3, 1, 2], [2, 0], [0, 1, 3], [2, 0]],  # 3-face in a 4-face
+        [[4, 1, 2], [0, 3, 2], [0, 1], [4, 1], [3, 0]],  # 3-face beside it
+    ),
+}
+
+
+def _patched_cases(config_id):
+    return [c for c in get_configuration(config_id).cases if c.patch is not None]
+
+
+def _cited_results(config):
+    cited = {c for case in config.cases for c in case.cites}
+    return {c: _reducible_result(get_configuration(c)) for c in cited}
+
+
+@pytest.mark.parametrize("config_id", sorted(LITERAL_PATCHES))
+def test_spec_built_patches_are_the_literal_patches(config_id):
+    cases = _patched_cases(config_id)
+    assert len(cases) == len(LITERAL_PATCHES[config_id])
+    for case, rotation in zip(cases, LITERAL_PATCHES[config_id]):
+        literal = build_from_rotation(rotation)
+        assert case.patch.vertex_count == literal.vertex_count
+        assert canonical_form(
+            case.patch.vertex_count, tuple(map(frozenset, case.patch.rotation))
+        ) == canonical_form(literal.vertex_count, tuple(map(frozenset, rotation)))
+        assert sorted(map(len, case.patch.faces)) == sorted(map(len, literal.faces))
+
+
+@pytest.mark.parametrize("config_id", STRUCTURAL_IDS)
+def test_patches_are_their_case_specs(config_id):
+    """Each patch holds its entry's own configuration, and its case's full
+    spec (entry clauses and case clauses) with every role at its id and
+    every face a witness face."""
+    cases = get_configuration(config_id).cases
+    for case, (_, _, extra) in zip(cases, _STRUCTURAL[config_id]):
+        if extra is None:
+            assert case.patch is None and not case.roles and not case.witness
+            continue
+        assert find_configuration(case.patch, config_id)
+        spec = _compile(spec_clauses(config_id) + _split(extra), None)
+        want = tuple(case.roles[name] for name in spec.names)
+        faces = [f for roles, f in _bindings(case.patch, spec) if roles == want]
+        assert faces and all(set(f) <= case.witness for f in faces)
+
+
+def test_labelled_match_counts():
+    """Cited matches count only on named roles and witness faces.  Both
+    sides of the lone 3-face are witness faces (f and g), so all six of its
+    no2v3f matches count; the 5-cycle cases' no2v3f matches all bind a free
+    vertex."""
+
+    def counts(config_id):
+        return [
+            (len(labelled_matches(c, cited)), len(find_configuration(c.patch, cited)))
+            for c in _patched_cases(config_id)
+            for cited in [c.cites[0] if c.cites else "no2v3f"]
+        ]
+
+    assert counts("no333f") == [(6, 6), (0, 2), (6, 12)]
+    assert counts("no34f") == [(1, 2), (0, 1)]
+
+
+def test_dropping_the_second_shared_edge_fails_no34f(monkeypatch):
+    """Without its second shared edge the first no34f case's patch is the
+    3-face beside a 4-face: its only no2v3f match is the free apex, which
+    is no labelled match, so the case fails though a match exists."""
+    (description, cites, _), rest = _STRUCTURAL["no34f"][0], _STRUCTURAL["no34f"][1:]
+    monkeypatch.setitem(_STRUCTURAL, "no34f", ((description, cites, ""), *rest))
+    config = _structural("no34f")
+    assert find_configuration(config.cases[0].patch, "no2v3f")
+    result = _structural_result(config, _cited_results(config))
+    assert not result.passed
+    assert result.notes == (
+        f"FAIL: {description}",
+        "ok: a single shared edge leaves a 5-cycle around the two faces",
+    )
+
+
+def test_citing_an_entry_the_patch_lacks_fails():
+    config = get_configuration("no333f")
+    k4_case = dataclasses.replace(config.cases[2], cites=("no22v",))
+    assert not find_configuration(k4_case.patch, "no22v")
+    broken = dataclasses.replace(config, cases=(*config.cases[:2], k4_case))
+    result = _structural_result(broken, _cited_results(broken))
+    assert _cited_results(broken)["no22v"].passed and not result.passed
+    assert [n.split(":")[0] for n in result.notes] == ["ok", "ok", "FAIL"]
 
 
 def test_perturbed_expectation_fails():
