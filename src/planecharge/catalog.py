@@ -35,12 +35,13 @@ instance is but with no pads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional
+from operator import ne
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .corpus import iter_planar_embeddings
-from .errors import UnknownConfig
+from .errors import BadSpecClause, UnknownConfig
 from .plane_graph import MAX_DEGREE, PlaneGraph, build_from_rotation
 
 # A spec is a list of clauses separated by ``;``:
@@ -121,17 +122,48 @@ REDUCIBLE_IDS = tuple(c for c in CATALOG_ORDER if c in _REDUCTIONS)
 STRUCTURAL_IDS = tuple(c for c in CATALOG_ORDER if c not in _REDUCTIONS)
 
 
+# The kind of name each argument of a constraint clause takes; ``lt``
+# takes two names of one kind.
+_ARGUMENTS = {
+    "edge": ("role", "role"),
+    "nonedge": ("role", "role"),
+    "on": ("role", "face"),
+    "off": ("role", "face"),
+    "share": ("face", "face", "role", "role"),
+    "meet": ("face", "face", "role"),
+}
+
+
 def _split(text: str) -> list[list[str]]:
     return [c.split() for c in text.split(";") if c.strip()]
 
 
-def spec_clauses(config_id: str) -> list[list[str]]:
-    """The clauses of a configuration's spec, each split into its words."""
-    return _split(SPEC_TEXT[config_id])
+def spec_clauses(config_id: str, extra: str = "") -> list[list[str]]:
+    """The clauses of a configuration's spec and then those of ``extra``,
+    each split into its words.  Raises BadSpecClause at the first clause
+    that names a role or face no earlier clause declares, or names one
+    where the other kind belongs."""
+    clauses = _split(SPEC_TEXT[config_id] + ";" + extra)
+    kinds: dict[str, str] = {}
+    for clause in clauses:
+        keyword, *args = clause
+        if keyword in ("role", "face") and args:
+            kinds[args[0]] = keyword
+            continue
+        if keyword == "lt" and args:
+            want = 2 * (kinds.get(args[0], "role"),)
+        else:
+            want = _ARGUMENTS.get(keyword, ())
+        if not args or len(args) != len(want) or any(map(ne, map(kinds.get, args), want)):
+            raise BadSpecClause(config_id, " ".join(clause))
+    return clauses
 
 
-@dataclass(frozen=True)
-class StructuralCase:
+# The roles of an entry or case that names none: empty and read-only.
+_NO_ROLES: Mapping[str, int] = MappingProxyType({})
+
+
+class StructuralCase(NamedTuple):
     """One branch of a structural entry's derivation.
 
     The forced ``patch`` is built from the entry's spec and the case's
@@ -146,18 +178,17 @@ class StructuralCase:
     description: str
     cites: tuple[str, ...] = ()
     patch: Optional[PlaneGraph] = None
-    roles: Mapping[str, int] = field(default_factory=dict)
+    roles: Mapping[str, int] = _NO_ROLES
     witness: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """One catalog entry: pattern, removal/recoloring roles, expected demands."""
 
     config_id: str
     kind: str  # "reducible" | "structural"
     pattern: Optional[PlaneGraph]
-    roles: Mapping[str, int] = field(default_factory=dict)
+    roles: Mapping[str, int] = _NO_ROLES
     removed: frozenset[int] = frozenset()  # X: vertices deleted with their edges
     recolored: frozenset[int] = frozenset()  # R: vertices whose color is redone
     dropped_edges: frozenset[frozenset[int]] = frozenset()  # Y
@@ -341,9 +372,7 @@ def _structural(config_id: str) -> Configuration:
         if extra is None:
             cases.append(StructuralCase(description, cites))
             continue
-        ids, _, cycles, adjacency = _fragment(
-            spec_clauses(config_id) + _split(extra)
-        )
+        ids, _, cycles, adjacency = _fragment(spec_clauses(config_id, extra))
         patch, witness = _embed(adjacency, cycles)
         cases.append(
             StructuralCase(description, cites, patch, ids, frozenset(witness))

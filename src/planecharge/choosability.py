@@ -35,8 +35,7 @@ re-verified against the list-coloring search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .corpus import canonical_form
 from .errors import (
@@ -55,8 +54,7 @@ MAX_DEMAND = 12
 _TWIN_MIN_VERTICES = 4
 
 
-@dataclass(frozen=True)
-class ListAssignment:
+class ListAssignment(NamedTuple):
     """Per-vertex color sets; an empty set marks an explicitly infeasible vertex."""
 
     lists: tuple[frozenset[int], ...]
@@ -69,25 +67,33 @@ class ListAssignment:
         return tuple(len(s) for s in self.lists)
 
 
-@dataclass(frozen=True)
-class DemandFunction:
-    """Required list size per vertex, each between 0 and 12."""
-
+class _Demands(NamedTuple):
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for v, f in enumerate(self.values):
+
+class DemandFunction(_Demands):
+    """Required list size per vertex, each between 0 and 12."""
+
+    __slots__ = ()
+
+    def __new__(cls, values: tuple[int, ...]) -> "DemandFunction":
+        for v, f in enumerate(values):
             # A bool is not a demand, though Python counts it as an int.
             if type(f) is not int or not 0 <= f <= MAX_DEMAND:
                 raise DemandOutOfRange(f"demand f({v})={f} outside 0..{MAX_DEMAND}")
+        return super().__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable) -> "DemandFunction":
+        # The inherited _make, which _replace calls, would skip __new__.
+        return cls(*iterable)
 
     @classmethod
     def constant(cls, k: int, n: int) -> "DemandFunction":
         return cls((k,) * n)
 
 
-@dataclass(frozen=True)
-class ChoosabilityVerdict:
+class ChoosabilityVerdict(NamedTuple):
     choosable: bool
     bad_assignment: Optional[ListAssignment]
     patterns_checked: int

@@ -17,15 +17,13 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from . import discharging, matcher, reducibility
+# What every command needs; each handler imports its own library module, so
+# a run loads only the modules its command uses.
 from .catalog import CATALOG_ORDER
-from .choosability import ListAssignment, is_k_choosable, l_coloring
-from .corpus import enumerate_class, named_examples, random_class_member
 from .errors import GraphError
 from .plane_graph import (
     PlaneGraph,
@@ -34,7 +32,12 @@ from .plane_graph import (
     load_graph_file,
     to_file_dict,
 )
-from .square import SimpleGraph, square
+
+if TYPE_CHECKING:
+    from .choosability import ListAssignment
+    from .matcher import MatchEmbedding
+    from .reducibility import CatalogEntryResult
+    from .square import SimpleGraph
 
 REPORT_SCHEMA = "planecharge-report/1"
 
@@ -51,8 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     command: str
     inputs: dict
     outcome: str  # "pass" | "fail" | "info"
@@ -207,7 +209,7 @@ def _simple_dict(graph: SimpleGraph) -> dict:
     return {"n": graph.vertex_count, "edges": [list(e) for e in graph.edges()]}
 
 
-def _match_dict(emb: matcher.MatchEmbedding) -> dict:
+def _match_dict(emb: MatchEmbedding) -> dict:
     return {
         "config": emb.config_id,
         "roles": {name: v for name, v in emb.roles},
@@ -258,10 +260,14 @@ def _cmd_inspect(args) -> tuple[str, dict]:
 
 
 def _cmd_square(args) -> tuple[str, dict]:
+    from .square import square
+
     return "info", {"square": _simple_dict(square(_load(args.graph)))}
 
 
 def _parse_lists(text: str, n: int) -> ListAssignment:
+    from .choosability import ListAssignment
+
     try:
         data = json.loads(text)
         if not isinstance(data, list) or len(data) != n:
@@ -275,6 +281,8 @@ def _parse_lists(text: str, n: int) -> ListAssignment:
 
 
 def _cmd_color(args) -> tuple[str, dict]:
+    from .choosability import l_coloring
+
     g = _load(args.graph)
     assignment = _parse_lists(args.lists, g.vertex_count)
     coloring = l_coloring(g, assignment)
@@ -286,6 +294,8 @@ def _cmd_color(args) -> tuple[str, dict]:
 
 
 def _cmd_choosable(args) -> tuple[str, dict]:
+    from .choosability import is_k_choosable
+
     verdict = is_k_choosable(_load(args.graph), args.k)
     payload = {
         "k": args.k,
@@ -298,7 +308,7 @@ def _cmd_choosable(args) -> tuple[str, dict]:
     return "info", payload
 
 
-def _entry_payload(result: reducibility.CatalogEntryResult) -> dict:
+def _entry_payload(result: CatalogEntryResult) -> dict:
     body: dict = {
         "id": result.config_id,
         "kind": result.kind,
@@ -321,12 +331,16 @@ def _entry_payload(result: reducibility.CatalogEntryResult) -> dict:
 
 
 def _cmd_verify_lemma(args) -> tuple[str, dict]:
-    result = reducibility.verify_entry(args.id)
+    from .reducibility import verify_entry
+
+    result = verify_entry(args.id)
     return "pass" if result.passed else "fail", _entry_payload(result)
 
 
 def _cmd_verify_catalog(args) -> tuple[str, dict]:
-    results = reducibility.verify_catalog()
+    from .reducibility import verify_catalog
+
+    results = verify_catalog()
     payload = {
         "entries": [_entry_payload(r) for r in results],
         "passed": sum(1 for r in results if r.passed),
@@ -341,16 +355,18 @@ def _cmd_verify_catalog(args) -> tuple[str, dict]:
 
 
 def _cmd_match(args) -> tuple[str, dict]:
+    from .matcher import find_configuration
+
     g = _load(args.graph)
     if args.config is not None:
-        matches = matcher.find_configuration(g, args.config)
+        matches = find_configuration(g, args.config)
         payload = {
             "config": args.config,
             "matches": [_match_dict(m) for m in matches],
             "count": len(matches),
         }
     else:
-        found = {cid: matcher.find_configuration(g, cid) for cid in CATALOG_ORDER}
+        found = {cid: find_configuration(g, cid) for cid in CATALOG_ORDER}
         # the first match over the catalog order, as find_any_reducible gives it
         first = next((m[0] for m in found.values() if m), None)
         payload = {
@@ -361,8 +377,10 @@ def _cmd_match(args) -> tuple[str, dict]:
 
 
 def _cmd_discharge(args) -> tuple[str, dict]:
+    from .discharging import edge_level_audit, final_audit
+
     g = _load(args.graph)
-    audit = discharging.final_audit(g)
+    audit = final_audit(g)
     negatives = []
     for n in audit.negatives:
         if n.kind == "edge":  # str(n.ident), without the slower tuple repr
@@ -381,7 +399,7 @@ def _cmd_discharge(args) -> tuple[str, dict]:
         "reconciliation_ok": audit.reconciliation_ok,
     }
     if args.face is not None:
-        face_audit = discharging.edge_level_audit(g, args.face)
+        face_audit = edge_level_audit(g, args.face)
         payload["face_audit"] = {
             "face": face_audit.face,
             "length": face_audit.length,
@@ -401,6 +419,8 @@ def _cmd_discharge(args) -> tuple[str, dict]:
 
 
 def _cmd_enumerate(args) -> tuple[str, dict]:
+    from .corpus import enumerate_class
+
     members = {
         f"class_v{g.vertex_count}_{i:04d}.graph": g
         for i, g in enumerate(enumerate_class(args.n))
@@ -410,11 +430,15 @@ def _cmd_enumerate(args) -> tuple[str, dict]:
 
 
 def _cmd_gen(args) -> tuple[str, dict]:
+    from .corpus import random_class_member
+
     g = random_class_member(args.seed, args.n)
     return "info", {"graph": to_file_dict(g), "in_class": class_membership(g).in_class}
 
 
 def _cmd_examples(args) -> tuple[str, dict]:
+    from .corpus import named_examples
+
     examples = named_examples()
     payload = {
         ng.name: {"graph": to_file_dict(ng.graph), "provenance": ng.provenance}

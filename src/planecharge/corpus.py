@@ -52,10 +52,8 @@ what such a swap would only find again:
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import NOutOfRange, TooFewVertices
 from .plane_graph import MAX_DEGREE, PlaneGraph, build_from_rotation
@@ -64,8 +62,7 @@ from .plane_graph import MAX_DEGREE, PlaneGraph, build_from_rotation
 ENUMERATION_SIZES = range(2, 9)
 
 
-@dataclass(frozen=True)
-class NamedGraph:
+class NamedGraph(NamedTuple):
     name: str
     graph: PlaneGraph
     provenance: str
@@ -471,6 +468,8 @@ def random_class_member(seed: int, n: int) -> PlaneGraph:
     """A connected induced patch of the square or hexagonal lattice with
     exactly n vertices; deterministic in the seed.  Both lattices are
     bipartite with max degree at most 4, so every patch is a class member."""
+    import random  # here, so that a run that draws no member loads no random
+
     if n < 2:
         raise TooFewVertices(n, 2)
     rng = random.Random(seed)

@@ -13,7 +13,6 @@ builds it with one ``Transfer`` record per sub-rule draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import Disconnected, GraphError, NotBigFace, UnknownFace
@@ -43,8 +42,7 @@ class Transfer(NamedTuple):
     amount: int
 
 
-@dataclass(frozen=True)
-class ChargeState:
+class ChargeState(NamedTuple):
     vertex_charge: dict[int, int]
     face_charge: dict[int, int]
     log: tuple[Transfer, ...] = ()
@@ -286,8 +284,7 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
     return audit
 
 
-@dataclass(frozen=True)
-class FaceReconciliation:
+class FaceReconciliation(NamedTuple):
     """Audit receipts versus rule draws, per sink, for one big face."""
 
     face: int
@@ -330,8 +327,7 @@ class NegativeElement(NamedTuple):
     charge: int
 
 
-@dataclass(frozen=True)
-class FinalAudit:
+class FinalAudit(NamedTuple):
     negatives: tuple[NegativeElement, ...]
     reconciliation_ok: bool
     state: ChargeState

@@ -95,6 +95,17 @@ class UnknownConfig(GraphError):
         self.config_id = config_id
 
 
+class BadSpecClause(ValueError):
+    """A clause of a catalog spec that names a role or face no earlier
+    clause declares, names one where the other kind belongs, or is not a
+    clause of the spec grammar: a fault in the catalog, not in any input."""
+
+    def __init__(self, config_id: str, clause: str):
+        super().__init__(f"spec of {config_id!r}: bad clause {clause!r}")
+        self.config_id = config_id
+        self.clause = clause
+
+
 class Disconnected(GraphError):
     """Charge accounting needs a connected graph."""
 

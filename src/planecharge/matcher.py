@@ -24,7 +24,6 @@ which returns the report's trailing faces, or None when there is no match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .catalog import CATALOG_ORDER, spec_clauses
@@ -131,8 +130,7 @@ def _every(is_face: bool, size: Optional[int]) -> Callable:
     ]
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     names: tuple[str, ...]  # role names, sorted as in a report
     face_count: int
     # per slot, in binding order: (is_face, index, exact size, source, checks)

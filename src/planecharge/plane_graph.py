@@ -13,11 +13,9 @@ safe to share between threads.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, eq
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AsymmetricAdjacency,
@@ -36,8 +34,7 @@ MAX_DEGREE = 4
 CYCLE_LENGTHS = range(3, 9)
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Membership report for the class: planar-embedded, max degree 4, no 5-cycles."""
 
     is_simple: bool
@@ -405,11 +402,15 @@ def from_file_dict(data: dict) -> PlaneGraph:
 
 
 def load_graph_file(path: str) -> PlaneGraph:
+    import json  # here, so that a run that reads no file loads no json
+
     with open(path, "r", encoding="utf-8") as fh:
         return from_file_dict(json.load(fh))
 
 
 def dump_graph_file(graph: PlaneGraph, path: str) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_file_dict(graph), fh)
         fh.write("\n")

@@ -23,8 +23,7 @@ verdict holds in every host graph that contains the configuration:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .catalog import Configuration, StructuralCase, catalog, get_configuration
 from .catalog import spec_clauses, spec_degrees
@@ -35,8 +34,7 @@ from .plane_graph import PlaneGraph, check_vertex, has_cycle_of_length
 from .square import SimpleGraph, induced_subgraph, neighbors_within2, square
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     condition1_ok: bool  # every edge at a removed vertex is itself removed
     condition2_ok: bool  # lost square-edges all touch the removed/recolored core
     smaller_ok: bool  # something was removed
@@ -56,8 +54,7 @@ class ReductionReport:
         )
 
 
-@dataclass(frozen=True)
-class CatalogEntryResult:
+class CatalogEntryResult(NamedTuple):
     config_id: str
     kind: str
     passed: bool

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from oracles import brute_force_matches
+from oracles import brute_force_matches, dfs_list_coloring
 from planecharge.catalog import CATALOG_ORDER, REDUCIBLE_IDS
 from planecharge.choosability import (
     DemandFunction,
@@ -122,6 +122,7 @@ def test_criterion_3_k24(named):
         and verdict.bad_assignment is not None
         and verdict.bad_assignment.sizes() == (2,) * 6
         and l_coloring(g, verdict.bad_assignment) is None
+        and dfs_list_coloring(g, verdict.bad_assignment.lists) is None
     )
     elapsed = time.perf_counter() - start
     _criterion(

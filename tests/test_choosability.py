@@ -158,10 +158,16 @@ def test_clique_criterion_examples():
     assert not clique_f_choosable([1, 1])
     assert clique_f_choosable([1, 2, 3, 6])
     assert clique_f_choosable([12, 0]) is False and clique_f_choosable((0,)) is False
-    # It rejects what DemandFunction rejects.
+    # It rejects what DemandFunction rejects, on every construction path.
     for bad in ([True, 2], [1.5, 2], [13], [-1], [2, "3"]):
-        with pytest.raises(DemandOutOfRange):
-            DemandFunction(tuple(bad))
+        for build in (
+            DemandFunction,
+            lambda values: DemandFunction(values=values),
+            lambda values: DemandFunction._make([values]),
+            lambda values: DemandFunction((1,))._replace(values=values),
+        ):
+            with pytest.raises(DemandOutOfRange):
+                build(tuple(bad))
         with pytest.raises(DemandOutOfRange):
             clique_f_choosable(bad)
     # Hall's condition holds vacuously on K_0, as is_f_choosable finds.
@@ -458,6 +464,7 @@ def test_witness_lifted_from_proper_subgraph(n, edges, f):
     witness = verdict.bad_assignment
     assert witness.sizes() == f
     assert l_coloring(g, witness) is None
+    assert dfs_list_coloring(g, witness.lists) is None
     # The failure lives in G - v: v's lifted list shares no color.
     lists = witness.lists
     assert any(
@@ -477,6 +484,7 @@ def test_k_choosability_wrappers(named):
     verdict = is_k_choosable(k24(), 2)
     assert not verdict.choosable
     assert l_coloring(k24(), verdict.bad_assignment) is None
+    assert dfs_list_coloring(k24(), verdict.bad_assignment.lists) is None
     assert chromatic_number(k24()) == 2
     assert is_k_choosable(cycle(4), 2).choosable
     assert is_k_choosable(complete(3), 3).choosable
@@ -535,3 +543,4 @@ def test_witness_is_verified(case):
     if not verdict.choosable:
         assert verdict.bad_assignment.sizes() == low
         assert l_coloring(g, verdict.bad_assignment) is None
+        assert dfs_list_coloring(g, verdict.bad_assignment.lists) is None

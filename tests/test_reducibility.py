@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -11,7 +10,6 @@ from planecharge.catalog import (
     CATALOG_ORDER,
     REDUCIBLE_IDS,
     STRUCTURAL_IDS,
-    _split,
     _structural,
     catalog,
     get_configuration,
@@ -23,7 +21,12 @@ from planecharge.choosability import (
     is_f_choosable,
 )
 from planecharge.corpus import canonical_form, enumerate_class, random_class_member
-from planecharge.errors import OverlappingRoles, UnknownConfig, UnknownEdgeInY
+from planecharge.errors import (
+    BadSpecClause,
+    OverlappingRoles,
+    UnknownConfig,
+    UnknownEdgeInY,
+)
 from planecharge.matcher import _bindings, _compile, find_configuration
 from planecharge.plane_graph import build_from_rotation
 from planecharge.reducibility import (
@@ -131,7 +134,7 @@ def test_missing_pad_around_the_core_fails(config_id):
     assert stem not in config.core()
     assert config.core() & g.neighbors(stem)
     rotation = [[u for u in nbrs if u != last] for nbrs in g.rotation[:last]]
-    broken = dataclasses.replace(config, pattern=build_from_rotation(rotation))
+    broken = config._replace(pattern=build_from_rotation(rotation))
     result = _reducible_result(broken)
     assert not result.passed
     assert "FAIL: a vertex around the core lacks its spec degree" in result.notes
@@ -201,7 +204,7 @@ def test_patches_are_their_case_specs(config_id):
             assert case.patch is None and not case.roles and not case.witness
             continue
         assert find_configuration(case.patch, config_id)
-        spec = _compile(spec_clauses(config_id) + _split(extra), None)
+        spec = _compile(spec_clauses(config_id, extra), None)
         want = tuple(case.roles[name] for name in spec.names)
         faces = [f for roles, f in _bindings(case.patch, spec) if roles == want]
         assert faces and all(set(f) <= case.witness for f in faces)
@@ -240,11 +243,34 @@ def test_dropping_the_second_shared_edge_fails_no34f(monkeypatch):
     )
 
 
+@pytest.mark.parametrize(
+    "typo, clause",
+    [
+        # ww is declared by no role clause: the fragment used to drop it.
+        ("; share f h v ww", "share f h v ww"),
+        # k is used before its face clause: a bare KeyError used to follow.
+        ("; role x; on x k; face k 4", "on x k"),
+    ],
+)
+def test_spec_typos_name_the_entry_and_clause(monkeypatch, typo, clause):
+    description, cites, extra = _STRUCTURAL["no333f"][1]
+    cases = list(_STRUCTURAL["no333f"])
+    cases[1] = (description, cites, extra + typo)
+    monkeypatch.setitem(_STRUCTURAL, "no333f", tuple(cases))
+    with pytest.raises(BadSpecClause) as info:
+        _structural("no333f")
+    assert (info.value.config_id, info.value.clause) == ("no333f", clause)
+    assert str(info.value) == f"spec of 'no333f': bad clause {clause!r}"
+    # The matcher compiles its specs from these same checked clauses.
+    with pytest.raises(BadSpecClause):
+        spec_clauses("no333f", extra + typo)
+
+
 def test_citing_an_entry_the_patch_lacks_fails():
     config = get_configuration("no333f")
-    k4_case = dataclasses.replace(config.cases[2], cites=("no22v",))
+    k4_case = config.cases[2]._replace(cites=("no22v",))
     assert not find_configuration(k4_case.patch, "no22v")
-    broken = dataclasses.replace(config, cases=(*config.cases[:2], k4_case))
+    broken = config._replace(cases=(*config.cases[:2], k4_case))
     result = _structural_result(broken, _cited_results(broken))
     assert _cited_results(broken)["no22v"].passed and not result.passed
     assert [n.split(":")[0] for n in result.notes] == ["ok", "ok", "FAIL"]
