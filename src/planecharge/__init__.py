@@ -28,7 +28,7 @@ _OWNER = {
     "NamedGraph": "corpus",
     "PlaneGraph": "plane_graph",
     "ReductionReport": "reducibility",
-    "SimpleGraph": "square",
+    "SimpleGraph": "plane_graph",
     "apply_rules": "discharging",
     "build_from_rotation": "plane_graph",
     "catalog": "catalog",

@@ -44,7 +44,7 @@ from .errors import (
     SurplusDemands,
     TooManyVertices,
 )
-from .square import SimpleGraph
+from .plane_graph import SimpleGraph
 
 MAX_CHOOSABILITY_VERTICES = 6
 MAX_CHROMATIC_VERTICES = 12
@@ -384,30 +384,17 @@ def clique_f_choosable(f_values: Sequence[int]) -> bool:
 
 
 def chromatic_number(graph: SimpleGraph) -> int:
-    """Exact chromatic number by canonical backtracking (at most 12 vertices)."""
+    """Exact chromatic number (at most 12 vertices): the least k for which
+    ``_color_bits`` colors the graph when vertex v may use only colors
+    0..min(v, k - 1).  Renaming the colors of any k-coloring in order of
+    first use gives vertex v a color at most v, so the lists lose none."""
     n = graph.vertex_count
     if n > MAX_CHROMATIC_VERTICES:
         raise TooManyVertices(n, MAX_CHROMATIC_VERTICES)
-    if n == 0:
-        return 0
-    adjacency = [graph.neighbors(v) for v in range(n)]
-    colors = [-1] * n
-
-    def colorable(k: int, v: int, used: int) -> bool:
-        if v == n:
-            return True
-        banned = {colors[u] for u in adjacency[v] if colors[u] >= 0}
-        # New colors are introduced in order, killing color-permutation symmetry.
-        for c in range(min(used + 1, k)):
-            if c in banned:
-                continue
-            colors[v] = c
-            if colorable(k, v + 1, max(used, c + 1)):
-                return True
-            colors[v] = -1
-        return False
-
-    for k in range(1, n + 1):
-        if colorable(k, 0, 0):
+    adjacency = [_bits(graph._adjacency[v]) for v in range(n)]
+    k = 0
+    while True:
+        lists = [(1 << min(v + 1, k)) - 1 for v in range(n)]
+        if _color_bits(adjacency, lists, (1 << n) - 1) is not None:
             return k
-    return n
+        k += 1

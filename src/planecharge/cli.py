@@ -27,6 +27,7 @@ from .catalog import CATALOG_ORDER
 from .errors import GraphError
 from .plane_graph import (
     PlaneGraph,
+    SimpleGraph,
     class_membership,
     dump_graph_file,
     load_graph_file,
@@ -37,7 +38,6 @@ if TYPE_CHECKING:
     from .choosability import ListAssignment
     from .matcher import MatchEmbedding
     from .reducibility import CatalogEntryResult
-    from .square import SimpleGraph
 
 REPORT_SCHEMA = "planecharge-report/1"
 
@@ -481,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", choices=CATALOG_ORDER)
     p.set_defaults(func=_cmd_verify_lemma)
 
-    p = sub.add_parser("verify-catalog", help="verify all 19 catalog entries")
+    p = sub.add_parser("verify-catalog", help=f"verify all {len(CATALOG_ORDER)} catalog entries")
     p.add_argument("--report", default=None, help="also write the report here")
     p.set_defaults(func=_cmd_verify_catalog)
 

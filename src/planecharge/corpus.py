@@ -468,18 +468,24 @@ def random_class_member(seed: int, n: int) -> PlaneGraph:
     """A connected induced patch of the square or hexagonal lattice with
     exactly n vertices; deterministic in the seed.  Both lattices are
     bipartite with max degree at most 4, so every patch is a class member."""
-    import random  # here, so that a run that draws no member loads no random
+    import bisect  # here, so that a run that draws no member loads neither
+    import random
 
     if n < 2:
         raise TooFewVertices(n, 2)
     rng = random.Random(seed)
     neighbors = _square_neighbors if rng.random() < 0.5 else _hex_neighbors
     cells = {(0, 0)}
+    # The sorted cells outside the patch that touch it, kept up to date as
+    # each drawn cell joins the patch.
+    frontier = sorted(neighbors((0, 0)))
     while len(cells) < n:
-        frontier = sorted(
-            {nb for c in cells for nb in neighbors(c)} - cells
-        )
-        cells.add(frontier[rng.randrange(len(frontier))])
+        cell = frontier.pop(rng.randrange(len(frontier)))
+        cells.add(cell)
+        for nb in neighbors(cell):
+            i = bisect.bisect_left(frontier, nb)
+            if nb not in cells and frontier[i : i + 1] != [nb]:
+                frontier.insert(i, nb)
     ordered = sorted(cells)
     index = {c: i for i, c in enumerate(ordered)}
     return build_from_rotation(

@@ -9,6 +9,11 @@ and the face vertex sets (``face_vertex_set``, read only by the matcher)
 are derived on first read.  Each is a pure function of the rotation, so
 two threads that both build one store equal values, and instances stay
 safe to share between threads.
+
+``PlaneGraph`` extends ``SimpleGraph``, the abstract graph of squares,
+demands and list coloring: both answer ``neighbors``, ``degree``,
+``has_edge`` and ``edges`` by the one implementation that reads the
+neighbour sets.
 """
 
 from __future__ import annotations
@@ -45,7 +50,74 @@ class ClassReport(NamedTuple):
     in_class: bool
 
 
-class PlaneGraph:
+class SimpleGraph:
+    """Abstract simple graph: vertex count plus neighbour sets.
+
+    Two ``SimpleGraph``s are equal when they have the same vertex count and
+    neighbour sets.
+    """
+
+    __slots__ = ("vertex_count", "_adjacency")
+
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
+        adj: list[set[int]] = [set() for _ in range(vertex_count)]
+        for u, v in edges:
+            check_vertex(u, vertex_count)
+            check_vertex(v, vertex_count)
+            if u == v:
+                raise SelfLoop(u)
+            adj[u].add(v)
+            adj[v].add(u)
+        self.vertex_count = vertex_count
+        self._adjacency = tuple(frozenset(s) for s in adj)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(s) for s in self._adjacency) // 2
+
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges as (u, v) pairs with u < v, sorted."""
+        return sorted(
+            (u, v)
+            for u in range(self.vertex_count)
+            for v in self._adjacency[u]
+            if u < v
+        )
+
+    def neighbors(self, v: int) -> frozenset[int]:
+        check_vertex(v, self.vertex_count)
+        return self._adjacency[v]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        check_vertex(u, self.vertex_count)
+        check_vertex(v, self.vertex_count)
+        return v in self._adjacency[u]
+
+    def degree(self, v: int) -> int:
+        check_vertex(v, self.vertex_count)
+        return len(self._adjacency[v])
+
+    def is_complete(self) -> bool:
+        n = self.vertex_count
+        return self.edge_count == n * (n - 1) // 2
+
+    def __eq__(self, other: object) -> bool:
+        # A subclass (a PlaneGraph) is never equal to a SimpleGraph.
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.vertex_count == other.vertex_count
+            and self._adjacency == other._adjacency
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self._adjacency))
+
+    def __repr__(self) -> str:
+        return f"SimpleGraph(V={self.vertex_count}, E={self.edge_count})"
+
+
+class PlaneGraph(SimpleGraph):
     """Immutable plane graph.
 
     Half-edge ``h`` runs from ``origin[h]`` to ``target[h]``; ``twin[h]`` is the
@@ -55,10 +127,10 @@ class PlaneGraph:
     consecutively in rotation order from ``_first[u]``, so the half-edge
     from u to v is ``_first[u] + rotation[u].index(v)``.  ``_adjacency`` and
     ``_face_vertex_sets`` are filled on first read, by ``__getattr__``.
+    Equality is identity: two embeddings of one graph differ.
     """
 
     __slots__ = (
-        "vertex_count",
         "rotation",
         "origin",
         "target",
@@ -67,9 +139,11 @@ class PlaneGraph:
         "faces",
         "face_of",
         "_first",
-        "_adjacency",
         "_face_vertex_sets",
     )
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, rotation: RotationSpec):
         rotation = tuple(map(tuple, rotation))
@@ -124,27 +198,6 @@ class PlaneGraph:
     @property
     def face_count(self) -> int:
         return len(self.faces)
-
-    def degree(self, v: int) -> int:
-        check_vertex(v, self.vertex_count)
-        return len(self.rotation[v])
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        check_vertex(v, self.vertex_count)
-        return self._adjacency[v]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) pairs with u < v, sorted."""
-        return sorted(
-            (self.origin[h], self.target[h])
-            for h in range(len(self.origin))
-            if self.origin[h] < self.target[h]
-        )
-
-    def has_edge(self, u: int, v: int) -> bool:
-        check_vertex(u, self.vertex_count)
-        check_vertex(v, self.vertex_count)
-        return v in self.rotation[u]
 
     def half_edge(self, u: int, v: int) -> int:
         """The half-edge from u to v; KeyError((u, v)) when uv is no edge or

@@ -30,8 +30,8 @@ from .catalog import spec_clauses, spec_degrees
 from .choosability import MAX_DEMAND, clique_f_choosable
 from .errors import OverlappingRoles, UnknownEdgeInY
 from .matcher import MatchEmbedding, find_configuration
-from .plane_graph import PlaneGraph, check_vertex, has_cycle_of_length
-from .square import SimpleGraph, induced_subgraph, neighbors_within2, square
+from .plane_graph import SimpleGraph, check_vertex, has_cycle_of_length
+from .square import induced_subgraph, neighbors_within2, square
 
 
 class ReductionReport(NamedTuple):
@@ -63,7 +63,7 @@ class CatalogEntryResult(NamedTuple):
 
 
 def f_values(
-    graph: Union[PlaneGraph, SimpleGraph],
+    graph: SimpleGraph,
     x: Iterable[int],
     r: Iterable[int],
 ) -> dict[int, int]:
@@ -82,7 +82,7 @@ def f_values(
 
 
 def verify_reduction(
-    graph: Union[PlaneGraph, SimpleGraph],
+    graph: SimpleGraph,
     x: Iterable[int],
     r: Iterable[int],
     y: Iterable[frozenset[int]],

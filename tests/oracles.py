@@ -3,12 +3,14 @@
 Everything here recomputes results the slow, obviously-correct way:
 exhaustive permutations for cycles and matches, explicit list enumeration
 and unreduced atom-pattern enumeration for choosability (colored by a plain
-depth-first search that shares no code with the kernel), unpruned
+depth-first search that shares no code with the kernel), every coloring
+from a product of color ranges for chromatic numbers, unpruned
 rotation products for planarity, the embedding search that re-walks every
 face it might have closed, every cell-consistent vertex order for
 canonical forms (every order for colored ones), vertex augmentation over
 every connected max-degree-4 graph rather than class members only,
-class members grown with every child tried (no twin skip),
+class members grown with every child tried (no twin skip), lattice
+patches drawn with the frontier rebuilt at every step,
 rotations read off straight-line drawings by angle, Euler's formula
 checked component by component, each big face's sub-rule ledger built
 one closure call per draw, and plane graphs built with twins looked up in
@@ -18,11 +20,17 @@ built eagerly.
 
 import itertools
 import math
+import random
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from planecharge.corpus import canonical_form, find_planar_embedding
+from planecharge.corpus import (
+    _hex_neighbors,
+    _square_neighbors,
+    canonical_form,
+    find_planar_embedding,
+)
 from planecharge.discharging import (
     BIG_FACE,
     ONE,
@@ -202,6 +210,18 @@ def dfs_list_coloring(graph, lists):
         return False
 
     return color if extend(0) else None
+
+
+def brute_chromatic_number(graph):
+    """The least k for which some coloring in ``itertools.product(range(k),
+    repeat=n)`` is proper; at most 7 vertices keep the products small."""
+    n = graph.vertex_count
+    assert n <= 7
+    edges = graph.edges()
+    for k in range(n + 1):
+        colorings = itertools.product(range(k), repeat=n)
+        if any(all(c[u] != c[v] for u, v in edges) for c in colorings):
+            return k
 
 
 def naive_f_choosable(graph, demands):
@@ -509,6 +529,22 @@ def unpruned_members(n):
                 if key not in out:
                     out[key] = find_planar_embedding(frozen)
     return tuple(g for g in out.values() if g is not None)
+
+
+def rescanned_class_member(seed, n):
+    """``corpus.random_class_member`` as it draws, with the frontier rebuilt
+    and sorted from every cell of the patch at each step."""
+    rng = random.Random(seed)
+    neighbors = _square_neighbors if rng.random() < 0.5 else _hex_neighbors
+    cells = {(0, 0)}
+    while len(cells) < n:
+        frontier = sorted({nb for c in cells for nb in neighbors(c)} - cells)
+        cells.add(frontier[rng.randrange(len(frontier))])
+    ordered = sorted(cells)
+    index = {c: i for i, c in enumerate(ordered)}
+    return build_from_rotation(
+        [[index[d] for d in neighbors(c) if d in cells] for c in ordered]
+    )
 
 
 # -- brute-force configuration matching ---------------------------------------

@@ -35,6 +35,10 @@ from planecharge.matcher import find_any_reducible, find_configuration
 from planecharge.reducibility import verify_catalog
 from planecharge.square import SimpleGraph, square
 
+# Criterion 8 asks for a non-conn match within this graph distance of each
+# negative audit element.
+MATCH_RADIUS = 2
+
 PINNED_DEMANDS = {
     "no1v": [8],
     "no2v3f": [6],
@@ -215,9 +219,39 @@ def test_criterion_7_unavoidability():
     )
 
 
+def _anchor(g, element):
+    """The vertices a negative audit element sits on: a vertex itself, a
+    face its walk, an edge its two ends."""
+    if element.kind == "vertex":
+        return {element.ident}
+    if element.kind == "face":
+        return set(g.face_vertices(element.ident))
+    return set(element.ident[1])
+
+
+def _match_distances(g):
+    """Graph distance from each vertex to the nearest role vertex or
+    witness-face vertex of a non-``conn`` match; unreached vertices are
+    absent."""
+    dist = {}
+    for config_id in CATALOG_ORDER:
+        if config_id == "conn":
+            continue
+        for match in find_configuration(g, config_id):
+            dist.update((v, 0) for _, v in match.roles)
+            for face in match.faces:
+                dist.update((v, 0) for v in g.face_vertices(face))
+    layer, d = list(dist), 0
+    while layer:
+        d += 1
+        layer = [w for u in layer for w in g.rotation[u] if w not in dist]
+        dist.update(dict.fromkeys(layer, d))
+    return dist
+
+
 def test_criterion_8_contrapositive_audit(named, class_members_7):
     ok = True
-    checked = 0
+    checked = negatives = farthest = 0
     graphs = [g for g in named.values() if g.is_connected()]
     graphs += class_members_7
     graphs += list(_lattice_members())
@@ -226,13 +260,17 @@ def test_criterion_8_contrapositive_audit(named, class_members_7):
         checked += 1
         ok = ok and audit.reconciliation_ok
         ok = ok and bool(audit.negatives)  # total -8 forces a negative element
-        if audit.negatives:
-            ok = ok and find_any_reducible(g) is not None
+        dist = _match_distances(g)
+        for element in audit.negatives:
+            negatives += 1
+            near = min((dist[v] for v in _anchor(g, element) if v in dist), default=None)
+            ok = ok and near is not None and near <= MATCH_RADIUS
+            farthest = max(farthest, near or 0)
     _criterion(
         8,
         ok,
-        f"every negative audit element coexists with a reducible match on "
-        f"{checked} graphs",
+        f"each of {negatives} negative audit elements has a non-conn match "
+        f"within distance {farthest} <= {MATCH_RADIUS} on {checked} graphs",
     )
 
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dfs_list_coloring, naive_f_choosable, pattern_f_choosable
+from oracles import (
+    brute_chromatic_number,
+    dfs_list_coloring,
+    naive_f_choosable,
+    pattern_f_choosable,
+)
 from planecharge import choosability
 from planecharge.choosability import (
     MAX_DEMAND,
@@ -478,6 +483,22 @@ def test_chromatic_numbers(named):
     assert chromatic_number(cycle(5)) == 3
     assert chromatic_number(SimpleGraph(8, named["q3"].edges())) == 2
     assert chromatic_number(SimpleGraph(0, [])) == 0
+
+
+def test_chromatic_number_equals_brute_force(class_members_6):
+    """Seeded random graphs on 0-7 vertices, the class members up to 6
+    vertices and their squares."""
+    rng = random.Random(24)
+    graphs = [
+        SimpleGraph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        for n in range(8)
+        for p in (0.2, 0.5, 0.8, 1.0)
+        for _ in range(3)
+    ]
+    graphs += class_members_6
+    graphs += map(square, class_members_6)
+    for g in graphs:
+        assert chromatic_number(g) == brute_chromatic_number(g), g.edges()
 
 
 def test_k_choosability_wrappers(named):

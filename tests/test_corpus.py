@@ -10,6 +10,7 @@ from oracles import (
     connected_max4_oracle,
     naive_planar_embedding_exists,
     naive_planar_rotations,
+    rescanned_class_member,
     rotation_from_layout,
     unpruned_members,
     walked_planar_embeddings,
@@ -501,6 +502,15 @@ def test_random_member_rejects_tiny():
         random_class_member(0, 1)
     with pytest.raises(GraphError, match="^n=0 is below the minimum of 2 vertices$"):
         random_class_member(0, 0)
+
+
+def test_random_member_equals_rescanning_oracle():
+    """The frontier kept sorted as cells join draws the patch that
+    rebuilding it from the whole patch at every step draws."""
+    for seed in range(300):
+        for n in (2, 3, 7, 20, 41, 200):
+            got = random_class_member(seed, n).rotation
+            assert got == rescanned_class_member(seed, n).rotation, (seed, n)
 
 
 def test_random_members_cover_both_lattices():

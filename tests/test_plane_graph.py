@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import EagerPlaneGraph, naive_has_cycle, per_component_euler
 from planecharge.catalog import catalog
-from planecharge.corpus import enumerate_class, random_class_member
+from planecharge.corpus import enumerate_class, planar_embeddings, random_class_member
 from planecharge.discharging import BIG_FACE, edge_level_audit, final_audit, reconcile_face
 from planecharge.errors import (
     AsymmetricAdjacency,
@@ -245,6 +245,49 @@ def test_every_vertex_entry_point_rejects_bad_ids(entry, bad):
     and a string are all unknown vertices."""
     with pytest.raises(UnknownVertex):
         VERTEX_ENTRY_POINTS[entry](bad)
+
+
+def test_plane_graph_is_a_simple_graph(named, class_members_7):
+    """A PlaneGraph answers the neighbour-set queries as the SimpleGraph on
+    its rotation's edges does, yet equals only itself."""
+    for g in [*named.values(), *class_members_7]:
+        n = g.vertex_count
+        pairs = sorted((u, v) for u in range(n) for v in g.rotation[u] if u < v)
+        simple = SimpleGraph(n, pairs)
+        assert isinstance(g, SimpleGraph)
+        assert g.edges() == simple.edges() == pairs
+        assert [g.neighbors(v) for v in range(n)] == [simple.neighbors(v) for v in range(n)]
+        assert [g.degree(v) for v in range(n)] == [simple.degree(v) for v in range(n)]
+        for u, v in itertools.product(range(n), repeat=2):
+            assert g.has_edge(u, v) == simple.has_edge(u, v)
+        assert g.edge_count == simple.edge_count
+        assert g.is_complete() == simple.is_complete()
+        assert g == g and not g != g
+        assert not g == simple and not simple == g
+        assert g != simple and simple != g
+
+
+def test_two_embeddings_of_one_graph_are_unequal(class_members_7):
+    pairs = 0
+    for g in class_members_7:
+        adjacency = tuple(g.neighbors(v) for v in range(g.vertex_count))
+        embeddings = planar_embeddings(adjacency, limit=2)
+        if len(embeddings) == 2:
+            a, b = embeddings
+            pairs += 1
+            assert a != b and not a == b
+            assert len({a, b, a}) == 2
+    assert pairs > 0
+
+
+def test_simple_graph_equality_is_by_value():
+    a = SimpleGraph(3, [(0, 1), (1, 2)])
+    b = SimpleGraph(3, [(2, 1), (1, 0), (0, 1)])
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != SimpleGraph(3, [(0, 1)])
+    assert a != SimpleGraph(4, [(0, 1), (1, 2)])
 
 
 def test_simple_graph_rejects_loop():
