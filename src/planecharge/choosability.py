@@ -357,8 +357,15 @@ def _failing_verdict(
     witness: ListAssignment,
     checked: int,
 ) -> ChoosabilityVerdict:
-    assert witness.sizes() == demand.values
-    assert l_coloring(graph, witness) is None
+    """A negative verdict, once its witness is re-verified (under
+    ``python -O`` too): its lists have the demanded sizes and admit no
+    proper coloring."""
+    if witness.sizes() != demand.values:
+        raise AssertionError(
+            f"witness sizes {witness.sizes()} differ from the demand"
+        )
+    if l_coloring(graph, witness) is not None:
+        raise AssertionError("witness lists admit a proper coloring")
     return ChoosabilityVerdict(False, witness, checked)
 
 

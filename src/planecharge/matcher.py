@@ -2,22 +2,28 @@
 
 Each configuration is stated once, as a declarative spec in
 ``catalog.SPEC_TEXT``, which also gives the clause grammar; the catalog
-builds each generic instance from the same spec.  One generic backtracking
-search finds every embedding of a spec, and one generic validator re-checks
-a reported embedding by running the same spec with its roles and faces
-fixed.  Degree requirements follow the forbidden structures' statements,
-with derived degrees (for example the degree-4 middle of a 2-2 path)
-required exactly; the degenerate variants those requirements exclude are
-owned by earlier entries in the catalog scan order, so the union over the
-order stays exhaustive.
+builds each generic instance from the same spec.  When this module is
+imported, each spec is compiled into the source of two Python functions:
+a search, with one nested ``for`` loop per role or face and each test
+written inline at the slot that completes it, and a check, one conjunction
+of every test the spec states.  ``find_configuration`` runs the search,
+then the check on every binding it found, and raises if one fails;
+``validate_embedding`` runs the same check on a reported embedding.
+Degree requirements follow the forbidden structures' statements, with
+derived degrees (for example the degree-4 middle of a 2-2 path) required
+exactly; the degenerate variants those requirements exclude are owned by
+earlier entries in the catalog scan order, so the union over the order
+stays exhaustive.
 
 The search binds roles and faces in the order the spec lists them, and a
 report lists the faces in that order.  Each slot draws its candidates from
 the first constraint that ties it to a slot already bound (the neighbours
 of a role, the vertices of a face, the faces at a vertex, the two faces
-beside an edge), else from every vertex of its degree or every face of its
-length; so a spec that lists a 3-face first is done at once on a
-triangle-free host.
+beside an edge), else from every vertex or face; so a spec that lists a
+3-face first is done at once on a triangle-free host.  A constraint that
+the slot's candidates all satisfy (``edge`` over a role's neighbours,
+``on`` over a face's vertices or a vertex's faces) is left out of the
+search, but never out of the check.
 The two structural entries that have no fixed shape add one predicate each,
 which returns the report's trailing faces, or None when there is no match.
 """
@@ -62,8 +68,9 @@ _PREDICATES = {"conn": _disconnected, "no333f": _three_face_partners}
 
 # -- spec compilation ----------------------------------------------------------
 #
-# A slot is (is_face, index): the role or face is read as ``r[index]`` or
-# ``f[index]``.  Checks and candidate sources take ``(g, r, f)``.
+# A slot is (is_face, index), named ``r<index>`` or ``f<index>`` in the
+# generated source.  Only those names, sizes parsed by ``int`` and the fixed
+# texts below go into that source: no spec word reaches ``compile``.
 
 
 def _flank(g: PlaneGraph, u: int, w: int) -> tuple[int, ...]:
@@ -71,7 +78,8 @@ def _flank(g: PlaneGraph, u: int, w: int) -> tuple[int, ...]:
     if w not in g.rotation[u]:
         return ()
     h = g.half_edge(u, w)
-    return (g.face_of[h], g.opposite_face(h))
+    sides = (g.face_of[h], g.opposite_face(h))
+    return sides[:1] if sides[0] == sides[1] else sides
 
 
 def _shares(g: PlaneGraph, fa: int, fb: int, u: int, w: int) -> bool:
@@ -79,68 +87,69 @@ def _shares(g: PlaneGraph, fa: int, fb: int, u: int, w: int) -> bool:
     return fa in sides and fb in sides
 
 
-def _check(kind: str, slots: list) -> Callable:
-    """The test of one constraint clause over its slots."""
-    i = [index for _, index in slots]
-    if kind in ("edge", "nonedge"):
-        a, b, want = i[0], i[1], kind == "edge"
-        return lambda g, r, f: (r[b] in g.rotation[r[a]]) == want
-    if kind in ("on", "off"):
-        a, b, want = i[0], i[1], kind == "on"
-        return lambda g, r, f: (r[a] in g.face_vertex_set(f[b])) == want
-    if kind == "share":
-        return lambda g, r, f: _shares(g, f[i[0]], f[i[1]], r[i[2]], r[i[3]])
-    if kind == "meet":
-        return lambda g, r, f: g.face_vertex_set(f[i[0]]) & g.face_vertex_set(
-            f[i[1]]
-        ) == {r[i[2]]}
-    if kind == "lt":
-        a, b = i
-        if slots[0][0]:
-            return lambda g, r, f: f[a] < f[b]
-        return lambda g, r, f: r[a] < r[b]
-    raise ValueError(f"unknown spec clause {kind!r}")
+# The test of each constraint clause, over the names of its slots in order.
+_TESTS = {
+    "edge": "{1} in rot[{0}]",
+    "nonedge": "{1} not in rot[{0}]",
+    "on": "{0} in fvs({1})",
+    "off": "{0} not in fvs({1})",
+    "share": "_shares(g, {0}, {1}, {2}, {3})",
+    "meet": "fvs({0}) & fvs({1}) == {{{2}}}",
+    "lt": "{0} < {1}",
+}
+
+_HOST = "    rot = g.rotation; faces = g.faces; fvs = g.face_vertex_set"
 
 
-def _source(kind: str, slots: list, slot: tuple, bound: set) -> Optional[Callable]:
+def _name(slot: tuple) -> str:
+    return ("f%d" if slot[0] else "r%d") % slot[1]
+
+
+def _test(kind: str, slots: list) -> str:
+    if kind not in _TESTS:
+        raise ValueError(f"unknown spec clause {kind!r}")
+    return _TESTS[kind].format(*map(_name, slots))
+
+
+def _source(kind: str, slots: list, slot: tuple, bound: list) -> Optional[tuple]:
     """Candidates for ``slot`` that one constraint implies from its bound
-    slots: every host element that can satisfy the constraint is among them."""
+    slots (every host element that can satisfy the constraint is among
+    them), and whether every candidate satisfies the constraint."""
     if slot not in slots:
         return None
-    faces = [i for is_face, i in slots if is_face and (True, i) in bound]
-    roles = [i for is_face, i in slots if not is_face and (False, i) in bound]
+    faces = [_name(s) for s in slots if s[0] and s in bound]
+    roles = [_name(s) for s in slots if not s[0] and s in bound]
     if not slot[0]:
         if faces and kind in ("on", "share", "meet"):
-            return lambda g, r, f: g.face_vertex_set(f[faces[0]])
+            return f"fvs({faces[0]})", kind == "on"
         if roles and kind in ("edge", "share"):
-            return lambda g, r, f: g.rotation[r[roles[0]]]
+            return f"rot[{roles[0]}]", kind == "edge"
     elif kind == "share" and len(roles) == 2:
-        return lambda g, r, f: _flank(g, r[roles[0]], r[roles[1]])
+        return f"_flank(g, {roles[0]}, {roles[1]})", False
     elif roles and kind in ("on", "meet"):
-        return lambda g, r, f: set(g.faces_at(r[roles[0]]))
+        return f"set(g.faces_at({roles[0]}))", kind == "on"
     return None
 
 
-def _every(is_face: bool, size: Optional[int]) -> Callable:
-    """The source of a slot tied to no bound slot: all elements of its size."""
-    if is_face:
-        return lambda g, r, f: [i for i, w in enumerate(g.faces) if len(w) == size]
-    return lambda g, r, f: [
-        v for v, nbrs in enumerate(g.rotation) if size is None or len(nbrs) == size
-    ]
+def _tuple(names: list[str]) -> str:
+    return "(" + "".join(n + ", " for n in names) + ")"
 
 
 class _Spec(NamedTuple):
     names: tuple[str, ...]  # role names, sorted as in a report
     face_count: int
-    # per slot, in binding order: (is_face, index, exact size, source, checks)
-    steps: tuple[tuple[bool, int, Optional[int], Callable, tuple], ...]
+    search: Callable  # g -> every (roles, faces) binding, trailing faces left out
+    check: Callable  # (g, bindings) -> whether every binding passes every test
     predicate: Optional[Callable]
 
 
 def _compile(clauses: list[list[str]], predicate: Optional[Callable]) -> _Spec:
-    """Give each slot its source and the checks it completes; roles are
-    indexed in name order, faces in the order they are listed."""
+    """Write a spec's search and check as Python source and compile them;
+    roles are indexed in name order, faces in the order they are listed.
+    At each slot the search skips a candidate of the wrong size, one
+    already bound, and one that fails a constraint the slot completes.  The
+    check tests every id's range, distinctness, every size and every
+    constraint."""
     declared = [c for c in clauses if c[0] in ("role", "face")]
     names = sorted(c[1] for c in declared if c[0] == "role")
     face_names = [c[1] for c in declared if c[0] == "face"]
@@ -151,21 +160,59 @@ def _compile(clauses: list[list[str]], predicate: Optional[Callable]) -> _Spec:
         for c in clauses
         if c[0] not in ("role", "face")
     ]
-    steps = []
-    bound: set = set()
-    for _, name, *size_arg in declared:
+    tests = [_test(kind, s) for kind, s in constraints]
+    roles = [_name((False, i)) for i in range(len(names))]
+    faces = [_name((True, i)) for i in range(len(face_names))]
+    search = ["def search(g):", _HOST, "    found = []"]
+    sizes = []
+    bound: list = []
+    for depth, (_, name, *size_arg) in enumerate(declared, 1):
         slot = slots[name]
-        size = int(size_arg[0]) if size_arg else None
-        sources = [
-            src for kind, s in constraints if (src := _source(kind, s, slot, bound))
+        var, table = _name(slot), "faces" if slot[0] else "rot"
+        source, implied = f"range(len({table}))", None
+        for k, (kind, s) in enumerate(constraints):
+            if drawn := _source(kind, s, slot, bound):
+                source, implied = drawn[0], k if drawn[1] else None
+                break
+        rejects = []
+        if size_arg:
+            size = f"len({table}[{var}]) %s " + str(int(size_arg[0]))
+            sizes.append(size % "==")
+            rejects.append(size % "!=")
+        rejects += [f"{var} == {_name(b)}" for b in bound if b[0] == slot[0]]
+        bound.append(slot)
+        rejects += [
+            f"not ({tests[k]})"
+            for k, (_, s) in enumerate(constraints)
+            if k != implied and slot in s and all(b in bound for b in s)
         ]
-        bound.add(slot)
-        checks = [
-            _check(kind, s) for kind, s in constraints if slot in s and bound >= set(s)
-        ]
-        source = sources[0] if sources else _every(slot[0], size)
-        steps.append((*slot, size, source, tuple(checks)))
-    return _Spec(tuple(names), len(face_names), tuple(steps), predicate)
+        indent = "    " * depth
+        search.append(f"{indent}for {var} in {source}:")
+        if rejects:
+            search.append(f"{indent}    if {' or '.join(rejects)}:")
+            search.append(f"{indent}        continue")
+    innermost = "    " * (len(declared) + 1)
+    search.append(f"{innermost}found.append(({_tuple(roles)}, {_tuple(faces)}))")
+    search.append("    return found")
+
+    terms = [f"0 <= {v} < V" for v in roles] + [f"0 <= {v} < F" for v in faces]
+    for group in (roles, faces):
+        terms += [f"{a} != {b}" for i, a in enumerate(group) for b in group[i + 1 :]]
+    check = ["def check(g, bindings):", _HOST, "    V = len(rot); F = len(faces)"]
+    check.append("    for r, f in bindings:")
+    if roles:
+        check.append(f"        {_tuple(roles)} = r")
+    if faces:
+        check.append(f"        {_tuple(faces)} = f[:{len(faces)}]")
+    check.append(f"        if not ({' and '.join(terms + sizes + tests) or 'True'}):")
+    check.append("            return False")
+    check.append("    return True")
+
+    namespace = {"_flank": _flank, "_shares": _shares}
+    exec(compile("\n".join(search + check) + "\n", "<spec>", "exec"), namespace)
+    return _Spec(
+        tuple(names), len(faces), namespace["search"], namespace["check"], predicate
+    )
 
 
 _SPECS = {
@@ -176,37 +223,9 @@ _SPECS = {
 # -- search and validation -----------------------------------------------------
 
 
-def _extend(g: PlaneGraph, steps: tuple, k: int, bound: tuple, found: list) -> None:
-    """Bind slot k and every later one in all ways that pass each slot's
-    size, distinctness and constraint checks as it is bound."""
-    roles, faces = bound
-    is_face, index, size, source, checks = steps[k]
-    values, sized = (faces, g.faces) if is_face else (roles, g.rotation)
-    for x in source(g, roles, faces):
-        # values[index] still holds this slot's previous candidate, which x
-        # equals only when a source repeats an element
-        if (size is not None and len(sized[x]) != size) or x in values:
-            continue
-        values[index] = x
-        for check in checks:
-            if not check(g, roles, faces):
-                break
-        else:
-            if k + 1 < len(steps):
-                _extend(g, steps, k + 1, bound, found)
-            else:
-                found.append((tuple(roles), tuple(faces)))
-    values[index] = -1
-
-
 def _bindings(g: PlaneGraph, spec: _Spec) -> list[tuple[tuple, tuple]]:
     """All (roles, faces) bindings of a spec, trailing faces included."""
-    found: list = []
-    if spec.steps:
-        bound = ([-1] * len(spec.names), [-1] * spec.face_count)
-        _extend(g, spec.steps, 0, bound, found)
-    else:
-        found.append(((), ()))
+    found = spec.search(g)
     if spec.predicate is None:
         return found
     return [
@@ -223,48 +242,53 @@ def _spec_of(config_id: str) -> _Spec:
         raise UnknownConfig(config_id) from None
 
 
-def validate_embedding(g: PlaneGraph, emb: MatchEmbedding) -> bool:
-    """Re-check every constraint of a reported embedding against the host:
-    the spec's size, distinctness and constraint checks, with each role and
-    face fixed to the report's."""
-    spec = _spec_of(emb.config_id)
-    faces = emb.faces
-    if len(emb.roles) != len(spec.names) or len(faces) < spec.face_count:
+def _holds(g: PlaneGraph, spec: _Spec, bindings: list) -> bool:
+    """Whether every binding passes the spec's check and carries exactly
+    the trailing faces its predicate gives."""
+    if not spec.check(g, bindings):
         return False
-    roles: list[int] = []
-    for (name, v), want in zip(emb.roles, spec.names):
-        if name != want or not 0 <= v < g.vertex_count or v in roles:
-            return False
-        roles.append(v)
-    for k, fi in enumerate(faces):
-        if not 0 <= fi < g.face_count or (k < spec.face_count and fi in faces[:k]):
-            return False
-    for is_face, index, size, _, checks in spec.steps:
-        if size is not None and size != len(
-            g.faces[faces[index]] if is_face else g.rotation[roles[index]]
-        ):
-            return False
-        for check in checks:
-            if not check(g, roles, faces):
-                return False
     if spec.predicate is None:
-        return len(faces) == spec.face_count
-    return spec.predicate(g, faces) == faces[spec.face_count :]
+        return True
+    count = spec.face_count
+    return all(spec.predicate(g, faces) == faces[count:] for _, faces in bindings)
+
+
+def validate_embedding(g: PlaneGraph, emb: MatchEmbedding) -> bool:
+    """Re-check a reported embedding against the host: its role names are
+    the spec's, it lists the spec's faces and only a predicate's trailing
+    ones, every id is an int, and the spec's check and predicate hold with
+    each role and face fixed to the report's."""
+    spec = _spec_of(emb.config_id)
+    roles = tuple(v for _, v in emb.roles)
+    faces = emb.faces
+    if (
+        tuple(name for name, _ in emb.roles) != spec.names
+        or len(faces) < spec.face_count
+        or (spec.predicate is None and len(faces) > spec.face_count)
+        or any(type(x) is not int for x in roles + faces)
+    ):
+        return False
+    return _holds(g, spec, [(roles, faces)])
 
 
 # -- public API --------------------------------------------------------------
 
 
 def find_configuration(g: PlaneGraph, config_id: str) -> list[MatchEmbedding]:
-    """All embeddings of one configuration, canonically ordered."""
+    """All embeddings of one configuration, canonically ordered.  Every
+    binding the search finds is re-checked, also under ``python -O``."""
     spec = _spec_of(config_id)
-    matches = []
-    # Roles are indexed in name order, so raw bindings sort as the reports do.
-    for roles, faces in sorted(set(_bindings(g, spec))):
-        emb = MatchEmbedding(config_id, tuple(zip(spec.names, roles)), faces)
-        assert validate_embedding(g, emb), f"unsound match {emb}"
-        matches.append(emb)
-    return matches
+    # Roles are indexed in name order, so raw bindings sort as the reports
+    # do; no candidate source repeats an element, so no binding repeats.
+    bindings = sorted(_bindings(g, spec))
+    if not _holds(g, spec, bindings):
+        bad = next(b for b in bindings if not _holds(g, spec, [b]))
+        raise AssertionError(f"unsound {config_id} match {bad}")
+    names = spec.names
+    return [
+        MatchEmbedding(config_id, tuple(zip(names, roles)), faces)
+        for roles, faces in bindings
+    ]
 
 
 def find_any_reducible(g: PlaneGraph) -> Optional[MatchEmbedding]:

@@ -531,15 +531,28 @@ def unpruned_members(n):
     return tuple(g for g in out.values() if g is not None)
 
 
-def rescanned_class_member(seed, n):
-    """``corpus.random_class_member`` as it draws, with the frontier rebuilt
+_LATTICES = {"square": _square_neighbors, "hex": _hex_neighbors}
+
+
+def rescanned_cells(seed, n):
+    """The lattice ("square" or "hex") and the cells of the patch that
+    ``corpus.random_class_member(seed, n)`` draws, with the frontier rebuilt
     and sorted from every cell of the patch at each step."""
     rng = random.Random(seed)
-    neighbors = _square_neighbors if rng.random() < 0.5 else _hex_neighbors
+    kind = "square" if rng.random() < 0.5 else "hex"
+    neighbors = _LATTICES[kind]
     cells = {(0, 0)}
     while len(cells) < n:
         frontier = sorted({nb for c in cells for nb in neighbors(c)} - cells)
         cells.add(frontier[rng.randrange(len(frontier))])
+    return kind, cells
+
+
+def rescanned_class_member(seed, n):
+    """``corpus.random_class_member`` built on the cells of
+    ``rescanned_cells``, each listing its lattice neighbours in the patch."""
+    kind, cells = rescanned_cells(seed, n)
+    neighbors = _LATTICES[kind]
     ordered = sorted(cells)
     index = {c: i for i, c in enumerate(ordered)}
     return build_from_rotation(

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from oracles import (
     naive_f_choosable,
     pattern_f_choosable,
 )
+import planecharge
 from planecharge import choosability
 from planecharge.choosability import (
     MAX_DEMAND,
@@ -565,3 +570,31 @@ def test_witness_is_verified(case):
         assert verdict.bad_assignment.sizes() == low
         assert l_coloring(g, verdict.bad_assignment) is None
         assert dfs_list_coloring(g, verdict.bad_assignment.lists) is None
+
+
+_FALSE_WITNESSES = """
+from planecharge.choosability import DemandFunction, ListAssignment, _failing_verdict
+from planecharge.square import SimpleGraph
+
+k2 = SimpleGraph(2, [(0, 1)])
+for demand, lists in (((1, 1), [[0], [1]]), ((2, 1), [[0], [0]])):
+    try:
+        _failing_verdict(k2, DemandFunction(demand), ListAssignment.from_lists(lists), 0)
+    except AssertionError as exc:
+        print(__debug__, exc)
+"""
+
+
+def test_false_witness_is_caught_under_optimize():
+    """A negative verdict's witness is re-verified by tests that
+    ``python -O`` keeps: lists that K2 can color, and lists of other sizes
+    than the demand, both raise."""
+    env = dict(os.environ, PYTHONPATH=str(Path(planecharge.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FALSE_WITNESSES],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.splitlines() == [
+        "False witness lists admit a proper coloring",
+        "False witness sizes (1, 1) differ from the demand",
+    ]

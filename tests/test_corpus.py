@@ -10,6 +10,7 @@ from oracles import (
     connected_max4_oracle,
     naive_planar_embedding_exists,
     naive_planar_rotations,
+    rescanned_cells,
     rescanned_class_member,
     rotation_from_layout,
     unpruned_members,
@@ -527,10 +528,10 @@ def test_random_members_cover_both_lattices():
 
 def _lattice_drawing(seed, n):
     """The lattice patch random_class_member(seed, n) draws, as a
-    straight-line drawing: the same seeded cell growth, with square cells
-    at (x, y) and hexagonal cells at (x, 2y + 0.25) when x + y is even and
-    at (x, 2y) otherwise.  Returns the lattice name and the plane graph the
-    drawing's angles give."""
+    straight-line drawing: the cells of the rescanning oracle, with square
+    cells at (x, y) and hexagonal cells at (x, 2y + 0.25) when x + y is even
+    and at (x, 2y) otherwise.  Returns the lattice name and the plane graph
+    the drawing's angles give."""
     def square_nbrs(c):
         x, y = c
         return {(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)}
@@ -539,16 +540,12 @@ def _lattice_drawing(seed, n):
         x, y = c
         return {(x + 1, y), (x - 1, y), (x, y + 1 if (x + y) % 2 == 0 else y - 1)}
 
-    rng = random.Random(seed)
-    if rng.random() < 0.5:
-        kind, nbrs, position = "square", square_nbrs, lambda c: c
+    kind, cells = rescanned_cells(seed, n)
+    if kind == "square":
+        nbrs, position = square_nbrs, lambda c: c
     else:
-        kind, nbrs = "hex", hex_nbrs
+        nbrs = hex_nbrs
         position = lambda c: (c[0], 2 * c[1] + (0.25 if sum(c) % 2 == 0 else 0.0))
-    cells = {(0, 0)}
-    while len(cells) < n:
-        frontier = sorted({d for c in cells for d in nbrs(c)} - cells)
-        cells.add(frontier[rng.randrange(len(frontier))])
     ordered = sorted(cells)
     index = {c: i for i, c in enumerate(ordered)}
     edges = [

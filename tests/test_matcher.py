@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from oracles import brute_force_matches, rotation_from_layout
+import planecharge
+from oracles import brute_force_matches, rescanned_cells, rotation_from_layout
 from planecharge.catalog import CATALOG_ORDER, REDUCIBLE_IDS, get_configuration
 from planecharge.corpus import named_examples, random_class_member
 from planecharge.errors import UnknownConfig
@@ -112,6 +118,21 @@ def test_oracle_equivalence_named(config_id, named):
         ), (config_id, [n for n, h in named.items() if h is g])
 
 
+def test_oracle_equivalence_on_lattice_members():
+    """The sweep's hosts are seeded lattice patches; small ones of both
+    lattices match as the brute-force oracle does."""
+    kinds = set()
+    for seed in range(12):
+        n = 12 + seed % 5
+        kinds.add(rescanned_cells(seed, n)[0])
+        g = random_class_member(seed, n)
+        for config_id in CATALOG_ORDER:
+            assert set(find_configuration(g, config_id)) == brute_force_matches(
+                g, config_id
+            ), (seed, n, config_id)
+    assert kinds == {"square", "hex"}
+
+
 @pytest.mark.parametrize("config_id", CATALOG_ORDER)
 def test_oracle_equivalence_small_members(config_id, class_members_6):
     for g in class_members_6:
@@ -207,3 +228,57 @@ def test_validator_agrees_with_matcher_on_mutants(config_id, named, class_member
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
 def test_spec_roles_are_catalog_roles(config_id):
     assert _SPECS[config_id].names == tuple(sorted(get_configuration(config_id).roles))
+
+
+def test_validator_takes_only_int_ids():
+    """A role or face id that is not exactly an int never validates, though
+    True equals 1 and 2.0 equals 2."""
+    k2 = build_from_rotation([[1], [0]])
+    assert validate_embedding(k2, MatchEmbedding("no1v", (("leaf", 1),), ()))
+    for bad in (True, False, 1.0, 2.0, "2", None):
+        emb = MatchEmbedding("no1v", (("leaf", bad),), ())
+        assert not validate_embedding(k2, emb), bad
+    c4 = build_from_rotation([[3, 1], [0, 2], [1, 3], [2, 0]])
+    k4 = build_from_rotation(rotation_from_layout(
+        [(0, 0), (2, 0), (1, 2), (1, 0.7)],
+        [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)],
+    ))
+    # no333f's trailing faces are ids too
+    for g, config_id in ((c4, "no2v4f"), (k4, "no333f")):
+        for emb in find_configuration(g, config_id):
+            assert validate_embedding(g, emb)
+            for k, f in enumerate(emb.faces):
+                for bad in (float(f), str(f), None, bool(f)):
+                    faces = emb.faces[:k] + (bad,) + emb.faces[k + 1 :]
+                    assert not validate_embedding(g, emb._replace(faces=faces)), faces
+
+
+def test_validator_refuses_extra_faces():
+    c4 = build_from_rotation([[3, 1], [0, 2], [1, 3], [2, 0]])
+    emb = find_configuration(c4, "no2v4f")[0]
+    assert not validate_embedding(c4, emb._replace(faces=emb.faces * 2))
+    assert not validate_embedding(c4, emb._replace(faces=()))
+
+
+_WRONG_SEARCH = """
+from planecharge import matcher
+from planecharge.plane_graph import build_from_rotation
+
+spec = matcher._SPECS["no1v"]
+matcher._SPECS["no1v"] = spec._replace(search=lambda g: [((0,), ())])
+try:
+    matcher.find_configuration(build_from_rotation([[1, 2], [0], [0]]), "no1v")
+except AssertionError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_unsound_search_is_caught_under_optimize():
+    """Each binding is re-checked by a test that ``python -O`` keeps: a
+    search that reports the degree-2 middle of a path as a leaf raises."""
+    env = dict(os.environ, PYTHONPATH=str(Path(planecharge.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_SEARCH],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout == "False unsound no1v match ((0,), ())\n"
