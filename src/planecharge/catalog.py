@@ -1,8 +1,10 @@
 """The configuration catalog.
 
-Each configuration is stated once, as a spec in ``SPEC_TEXT``.  The matcher
-searches hosts for it, and this module builds from the same spec each
-reducible entry's generic instance: the forbidden structure with nothing
+Each configuration is stated once, as a spec in ``SPEC_TEXT``, and the two
+structural entries that have no fixed shape add one predicate each in
+``PREDICATES``.  The matcher compiles both into one search and one check
+per entry, and this module builds from the same spec each reducible
+entry's generic instance: the forbidden structure with nothing
 overlapping and every vertex within distance two of the removed/recolored
 core completed to maximum degree 4.  Farther vertices are left out, since
 only vertices within distance two count in the demands.
@@ -46,16 +48,18 @@ from .plane_graph import MAX_DEGREE, PlaneGraph, build_from_rotation
 
 # A spec is a list of clauses separated by ``;``:
 #
-# - ``role NAME [DEGREE]``: a vertex, of exactly that degree if one is given;
-# - ``face NAME LENGTH``: a witness face of exactly that length;
+# - ``role NAME [DEGREE]``: a vertex, of exactly that degree (1..MAX_DEGREE)
+#   if one is given;
+# - ``face NAME LENGTH``: a witness face of exactly that length (at least 3);
 # - ``edge A B`` / ``nonedge A B``: roles A and B are adjacent, or not;
 # - ``on R F`` / ``off R F``: role R lies on face F, or not;
 # - ``share F G A B``: the edge between roles A and B lies on faces F and G;
 # - ``meet F G R``: faces F and G have exactly the vertex R in common;
 # - ``lt X Y``: a tie-break, the id of X is below that of Y.
 #
-# Roles are distinct vertices and faces are distinct faces.  The order of
-# the entries is the catalog order, which is also the matcher's scan order.
+# No name is declared twice.  Roles are distinct vertices and faces are
+# distinct faces.  The order of the entries is the catalog order, which is
+# also the matcher's scan order.
 SPEC_TEXT = {
     "conn": "",
     "no1v": "role leaf 1",
@@ -91,6 +95,28 @@ SPEC_TEXT = {
     " edge near_end middle; edge middle deg2; off middle fa; off middle fb;"
     " off deg2 fa; off deg2 fb",
 }
+
+
+def _disconnected(g: PlaneGraph, faces: tuple) -> Optional[tuple]:
+    """conn: the host itself is the match when it is disconnected."""
+    return None if g.is_connected() else ()
+
+
+def _three_face_partners(g: PlaneGraph, faces: tuple) -> Optional[tuple]:
+    """no333f: the other 3-faces across the edges of 3-face ``faces[0]``,
+    one per shared edge and sorted, when there are at least two."""
+    fi = faces[0]
+    partners = sorted(
+        fj
+        for fj in map(g.opposite_face, g.faces[fi])
+        if fj != fi and g.face_length(fj) == 3
+    )
+    return tuple(partners) if len(partners) >= 2 else None
+
+
+# Per entry without a fixed shape, a predicate over a host and the faces its
+# spec binds: a match's trailing faces, or None when there is no match.
+PREDICATES = {"conn": _disconnected, "no333f": _three_face_partners}
 
 # Per reducible entry, by role name: the removed set X, the recolored set R,
 # the role pair that Y drops besides every edge at X, and the demand of each
@@ -133,6 +159,9 @@ _ARGUMENTS = {
     "meet": ("face", "face", "role"),
 }
 
+# Per declaration, how many sizes may follow its name, and their range.
+_SIZES = {"role": ((0, 1), 1, MAX_DEGREE), "face": ((1,), 3, float("inf"))}
+
 
 def _split(text: str) -> list[list[str]]:
     return [c.split() for c in text.split(";") if c.strip()]
@@ -141,20 +170,27 @@ def _split(text: str) -> list[list[str]]:
 def spec_clauses(config_id: str, extra: str = "") -> list[list[str]]:
     """The clauses of a configuration's spec and then those of ``extra``,
     each split into its words.  Raises BadSpecClause at the first clause
-    that names a role or face no earlier clause declares, or names one
-    where the other kind belongs."""
+    that declares a name twice or with a size the grammar does not allow,
+    names a role or face no earlier clause declares, or names one where
+    the other kind belongs."""
     clauses = _split(SPEC_TEXT[config_id] + ";" + extra)
     kinds: dict[str, str] = {}
     for clause in clauses:
         keyword, *args = clause
-        if keyword in ("role", "face") and args:
-            kinds[args[0]] = keyword
-            continue
-        if keyword == "lt" and args:
-            want = 2 * (kinds.get(args[0], "role"),)
+        if keyword in _SIZES:
+            counts, least, most = _SIZES[keyword]
+            ok = args and args[0] not in kinds and len(args) - 1 in counts and all(
+                s.isdecimal() and least <= int(s) <= most for s in args[1:]
+            )
+            if ok:
+                kinds[args[0]] = keyword
         else:
-            want = _ARGUMENTS.get(keyword, ())
-        if not args or len(args) != len(want) or any(map(ne, map(kinds.get, args), want)):
+            if keyword == "lt" and args:
+                want = 2 * (kinds.get(args[0], "role"),)
+            else:
+                want = _ARGUMENTS.get(keyword, ())
+            ok = len(args) == len(want) > 0 and not any(map(ne, map(kinds.get, args), want))
+        if not ok:
             raise BadSpecClause(config_id, " ".join(clause))
     return clauses
 

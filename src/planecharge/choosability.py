@@ -125,12 +125,13 @@ def l_coloring(
     if found is None:
         return None
     # Each vertex reports the color from its own list (1 and True are one
-    # color but print differently).
+    # color but print differently); the check below runs under -O too.
     coloring = {v: next(c for c in lists[v] if rank[c] == found[v]) for v in range(n)}
     for v in range(n):
-        assert coloring[v] in lists[v]
-        for u in graph._adjacency[v]:
-            assert coloring[u] != coloring[v]
+        if coloring[v] not in lists[v] or any(
+            coloring[u] == coloring[v] for u in graph._adjacency[v]
+        ):
+            raise AssertionError(f"improper color {coloring[v]!r} at vertex {v}")
     return coloring
 
 

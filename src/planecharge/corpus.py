@@ -374,7 +374,8 @@ def iter_planar_embeddings(adjacency: Sequence[frozenset[int]]) -> Iterator[Plan
                     yield from assign(i + 1, faces, halves)
                 else:
                     graph = build_from_rotation(rotations)
-                    assert graph.face_count == target_faces
+                    if graph.face_count != target_faces:
+                        raise AssertionError(f"{graph.face_count} faces, not {target_faces}")
                     yield graph
 
     yield from assign(0, 0, 0)

@@ -280,7 +280,8 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
     0..face_count-1.  ``final_audit`` and ``reconcile_face`` build the same
     audit without its transfers."""
     audit = _audit_face(graph, face, ledger=True)
-    assert audit.conserved()
+    if not audit.conserved():  # checked under ``python -O`` too
+        raise AssertionError(f"the audit of face {face} does not conserve charge")
     return audit
 
 

@@ -96,9 +96,10 @@ class UnknownConfig(GraphError):
 
 
 class BadSpecClause(ValueError):
-    """A clause of a catalog spec that names a role or face no earlier
-    clause declares, names one where the other kind belongs, or is not a
-    clause of the spec grammar: a fault in the catalog, not in any input."""
+    """A clause of a catalog spec that declares a name twice or with a
+    size the grammar does not allow, names a role or face no earlier clause
+    declares, names one where the other kind belongs, or is not a clause of
+    the spec grammar: a fault in the catalog, not in any input."""
 
     def __init__(self, config_id: str, clause: str):
         super().__init__(f"spec of {config_id!r}: bad clause {clause!r}")

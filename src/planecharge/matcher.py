@@ -8,7 +8,8 @@ a search, with one nested ``for`` loop per role or face and each test
 written inline at the slot that completes it, and a check, one conjunction
 of every test the spec states.  ``find_configuration`` runs the search,
 then the check on every binding it found, and raises if one fails;
-``validate_embedding`` runs the same check on a reported embedding.
+``validate_embedding`` runs the same check on a reported embedding.  No
+configuration is named here: every per-entry fact comes from the catalog.
 Degree requirements follow the forbidden structures' statements, with
 derived degrees (for example the degree-4 middle of a 2-2 path) required
 exactly; the degenerate variants those requirements exclude are owned by
@@ -24,15 +25,17 @@ beside an edge), else from every vertex or face; so a spec that lists a
 the slot's candidates all satisfy (``edge`` over a role's neighbours,
 ``on`` over a face's vertices or a vertex's faces) is left out of the
 search, but never out of the check.
-The two structural entries that have no fixed shape add one predicate each,
-which returns the report's trailing faces, or None when there is no match.
+An entry's predicate in ``catalog.PREDICATES`` is written into both: the
+search keeps a binding, with the predicate's faces appended, only when the
+predicate gives faces rather than None, and the check requires exactly
+those faces after the spec's, where any other entry lists no more.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional
 
-from .catalog import CATALOG_ORDER, spec_clauses
+from .catalog import CATALOG_ORDER, PREDICATES, spec_clauses
 from .errors import UnknownConfig
 from .plane_graph import PlaneGraph
 
@@ -41,29 +44,6 @@ class MatchEmbedding(NamedTuple):
     config_id: str
     roles: tuple[tuple[str, int], ...]  # role name -> host vertex, sorted by name
     faces: tuple[int, ...]  # witness face indices
-
-    def role(self, name: str) -> int:
-        return dict(self.roles)[name]
-
-
-def _disconnected(g: PlaneGraph, faces: tuple) -> Optional[tuple]:
-    """conn: the host itself is the match when it is disconnected."""
-    return None if g.is_connected() else ()
-
-
-def _three_face_partners(g: PlaneGraph, faces: tuple) -> Optional[tuple]:
-    """no333f: the other 3-faces across the edges of 3-face ``faces[0]``,
-    one per shared edge and sorted, when there are at least two."""
-    fi = faces[0]
-    partners = sorted(
-        fj
-        for fj in map(g.opposite_face, g.faces[fi])
-        if fj != fi and g.face_length(fj) == 3
-    )
-    return tuple(partners) if len(partners) >= 2 else None
-
-
-_PREDICATES = {"conn": _disconnected, "no333f": _three_face_partners}
 
 
 # -- spec compilation ----------------------------------------------------------
@@ -105,12 +85,6 @@ def _name(slot: tuple) -> str:
     return ("f%d" if slot[0] else "r%d") % slot[1]
 
 
-def _test(kind: str, slots: list) -> str:
-    if kind not in _TESTS:
-        raise ValueError(f"unknown spec clause {kind!r}")
-    return _TESTS[kind].format(*map(_name, slots))
-
-
 def _source(kind: str, slots: list, slot: tuple, bound: list) -> Optional[tuple]:
     """Candidates for ``slot`` that one constraint implies from its bound
     slots (every host element that can satisfy the constraint is among
@@ -137,10 +111,8 @@ def _tuple(names: list[str]) -> str:
 
 class _Spec(NamedTuple):
     names: tuple[str, ...]  # role names, sorted as in a report
-    face_count: int
-    search: Callable  # g -> every (roles, faces) binding, trailing faces left out
+    search: Callable  # g -> every (roles, faces) binding
     check: Callable  # (g, bindings) -> whether every binding passes every test
-    predicate: Optional[Callable]
 
 
 def _compile(clauses: list[list[str]], predicate: Optional[Callable]) -> _Spec:
@@ -148,8 +120,8 @@ def _compile(clauses: list[list[str]], predicate: Optional[Callable]) -> _Spec:
     roles are indexed in name order, faces in the order they are listed.
     At each slot the search skips a candidate of the wrong size, one
     already bound, and one that fails a constraint the slot completes.  The
-    check tests every id's range, distinctness, every size and every
-    constraint."""
+    check tests the number of faces, every id's range, distinctness, every
+    size and every constraint, and then the predicate's faces."""
     declared = [c for c in clauses if c[0] in ("role", "face")]
     names = sorted(c[1] for c in declared if c[0] == "role")
     face_names = [c[1] for c in declared if c[0] == "face"]
@@ -160,7 +132,7 @@ def _compile(clauses: list[list[str]], predicate: Optional[Callable]) -> _Spec:
         for c in clauses
         if c[0] not in ("role", "face")
     ]
-    tests = [_test(kind, s) for kind, s in constraints]
+    tests = [_TESTS[kind].format(*map(_name, s)) for kind, s in constraints]
     roles = [_name((False, i)) for i in range(len(names))]
     faces = [_name((True, i)) for i in range(len(face_names))]
     search = ["def search(g):", _HOST, "    found = []"]
@@ -192,47 +164,44 @@ def _compile(clauses: list[list[str]], predicate: Optional[Callable]) -> _Spec:
             search.append(f"{indent}    if {' or '.join(rejects)}:")
             search.append(f"{indent}        continue")
     innermost = "    " * (len(declared) + 1)
-    search.append(f"{innermost}found.append(({_tuple(roles)}, {_tuple(faces)}))")
+    binding = f"{_tuple(roles)}, {_tuple(faces)}"
+    if predicate:
+        search.append(f"{innermost}tail = pred(g, {_tuple(faces)})")
+        search.append(f"{innermost}if tail is not None:")
+        search.append(f"{innermost}    found.append(({binding} + tail))")
+    else:
+        search.append(f"{innermost}found.append(({binding}))")
     search.append("    return found")
 
+    count = len(faces)
     terms = [f"0 <= {v} < V" for v in roles] + [f"0 <= {v} < F" for v in faces]
     for group in (roles, faces):
         terms += [f"{a} != {b}" for i, a in enumerate(group) for b in group[i + 1 :]]
+    if predicate:
+        tests.append(f"pred(g, f[:{count}]) == f[{count}:]")
     check = ["def check(g, bindings):", _HOST, "    V = len(rot); F = len(faces)"]
     check.append("    for r, f in bindings:")
+    check.append(f"        if len(f) {'<' if predicate else '!='} {count}:")
+    check.append("            return False")
     if roles:
         check.append(f"        {_tuple(roles)} = r")
     if faces:
-        check.append(f"        {_tuple(faces)} = f[:{len(faces)}]")
+        check.append(f"        {_tuple(faces)} = f[:{count}]")
     check.append(f"        if not ({' and '.join(terms + sizes + tests) or 'True'}):")
     check.append("            return False")
     check.append("    return True")
 
-    namespace = {"_flank": _flank, "_shares": _shares}
+    namespace = {"_flank": _flank, "_shares": _shares, "pred": predicate}
     exec(compile("\n".join(search + check) + "\n", "<spec>", "exec"), namespace)
-    return _Spec(
-        tuple(names), len(faces), namespace["search"], namespace["check"], predicate
-    )
+    return _Spec(tuple(names), namespace["search"], namespace["check"])
 
 
 _SPECS = {
-    cid: _compile(spec_clauses(cid), _PREDICATES.get(cid)) for cid in CATALOG_ORDER
+    cid: _compile(spec_clauses(cid), PREDICATES.get(cid)) for cid in CATALOG_ORDER
 }
 
 
 # -- search and validation -----------------------------------------------------
-
-
-def _bindings(g: PlaneGraph, spec: _Spec) -> list[tuple[tuple, tuple]]:
-    """All (roles, faces) bindings of a spec, trailing faces included."""
-    found = spec.search(g)
-    if spec.predicate is None:
-        return found
-    return [
-        (roles, faces + tail)
-        for roles, faces in found
-        if (tail := spec.predicate(g, faces)) is not None
-    ]
 
 
 def _spec_of(config_id: str) -> _Spec:
@@ -242,33 +211,17 @@ def _spec_of(config_id: str) -> _Spec:
         raise UnknownConfig(config_id) from None
 
 
-def _holds(g: PlaneGraph, spec: _Spec, bindings: list) -> bool:
-    """Whether every binding passes the spec's check and carries exactly
-    the trailing faces its predicate gives."""
-    if not spec.check(g, bindings):
-        return False
-    if spec.predicate is None:
-        return True
-    count = spec.face_count
-    return all(spec.predicate(g, faces) == faces[count:] for _, faces in bindings)
-
-
 def validate_embedding(g: PlaneGraph, emb: MatchEmbedding) -> bool:
     """Re-check a reported embedding against the host: its role names are
-    the spec's, it lists the spec's faces and only a predicate's trailing
-    ones, every id is an int, and the spec's check and predicate hold with
-    each role and face fixed to the report's."""
+    the spec's, every id is an int, and the spec's check holds with each
+    role and face fixed to the report's."""
     spec = _spec_of(emb.config_id)
     roles = tuple(v for _, v in emb.roles)
-    faces = emb.faces
-    if (
-        tuple(name for name, _ in emb.roles) != spec.names
-        or len(faces) < spec.face_count
-        or (spec.predicate is None and len(faces) > spec.face_count)
-        or any(type(x) is not int for x in roles + faces)
+    if tuple(name for name, _ in emb.roles) != spec.names or any(
+        type(x) is not int for x in roles + emb.faces
     ):
         return False
-    return _holds(g, spec, [(roles, faces)])
+    return spec.check(g, [(roles, emb.faces)])
 
 
 # -- public API --------------------------------------------------------------
@@ -280,9 +233,9 @@ def find_configuration(g: PlaneGraph, config_id: str) -> list[MatchEmbedding]:
     spec = _spec_of(config_id)
     # Roles are indexed in name order, so raw bindings sort as the reports
     # do; no candidate source repeats an element, so no binding repeats.
-    bindings = sorted(_bindings(g, spec))
-    if not _holds(g, spec, bindings):
-        bad = next(b for b in bindings if not _holds(g, spec, [b]))
+    bindings = sorted(spec.search(g))
+    if not spec.check(g, bindings):
+        bad = next(b for b in bindings if not spec.check(g, [b]))
         raise AssertionError(f"unsound {config_id} match {bad}")
     names = spec.names
     return [

@@ -585,6 +585,31 @@ for demand, lists in (((1, 1), [[0], [1]]), ((2, 1), [[0], [0]])):
 """
 
 
+_WRONG_COLORING = """
+from planecharge import choosability
+from planecharge.choosability import ListAssignment, l_coloring
+from planecharge.square import SimpleGraph
+
+# A search that gives both ends of an edge the first color.
+choosability._color_bits = lambda adjacency, lists, vertices: [0] * len(lists)
+try:
+    l_coloring(SimpleGraph(2, [(0, 1)]), ListAssignment.from_lists([[0, 1], [0, 1]]))
+except AssertionError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_improper_coloring_is_caught_under_optimize():
+    """l_coloring re-checks what its search returns by a test that
+    ``python -O`` keeps: a search that colors K2's ends alike raises."""
+    env = dict(os.environ, PYTHONPATH=str(Path(planecharge.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_COLORING],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout == "False improper color 0 at vertex 0\n"
+
+
 def test_false_witness_is_caught_under_optimize():
     """A negative verdict's witness is re-verified by tests that
     ``python -O`` keeps: lists that K2 can color, and lists of other sizes

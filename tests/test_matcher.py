@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 import planecharge
 from oracles import brute_force_matches, rescanned_cells, rotation_from_layout
+from planecharge import matcher
 from planecharge.catalog import CATALOG_ORDER, REDUCIBLE_IDS, get_configuration
 from planecharge.corpus import named_examples, random_class_member
 from planecharge.errors import UnknownConfig
@@ -254,10 +256,49 @@ def test_validator_takes_only_int_ids():
 
 
 def test_validator_refuses_extra_faces():
+    """A report validates only with the spec's faces and then exactly the
+    faces its predicate gives: no2v4f's face repeated or left out, a
+    no333f partner face dropped, repeated or appended, a conn report that
+    lists a face, and a conn report on a connected host are all refused."""
     c4 = build_from_rotation([[3, 1], [0, 2], [1, 3], [2, 0]])
+    k4 = build_from_rotation([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    two_k2 = build_from_rotation([[1], [0], [3], [2]])
     emb = find_configuration(c4, "no2v4f")[0]
-    assert not validate_embedding(c4, emb._replace(faces=emb.faces * 2))
-    assert not validate_embedding(c4, emb._replace(faces=()))
+    partners = find_configuration(k4, "no333f")
+    conn = find_configuration(two_k2, "conn")
+    assert len(partners) == 4 and conn == [MatchEmbedding("conn", (), ())]
+    refused = [
+        (c4, emb._replace(faces=emb.faces * 2)),
+        (c4, emb._replace(faces=())),
+        (two_k2, conn[0]._replace(faces=(0,))),
+        (c4, conn[0]),
+    ]
+    for match in partners:
+        face, *rest = match.faces
+        refused += [
+            (k4, match._replace(faces=(face, *rest[:k], *rest[k + 1 :])))
+            for k in range(len(rest))
+        ]
+        refused += [
+            (k4, match._replace(faces=(face, *rest, rest[-1]))),
+            (k4, match._replace(faces=(face, rest[0], *rest))),
+            (k4, match._replace(faces=(face, *rest, 0))),
+            (k4, match._replace(faces=(face,))),
+        ]
+    for g, report in refused:
+        assert not validate_embedding(g, report), report
+
+
+def test_matcher_names_no_configuration():
+    """Every per-entry fact is stated in the catalog: no string literal in
+    the matcher's source is a catalog id."""
+    tree = ast.parse(Path(matcher.__file__).read_text())
+    literals = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert not literals & set(CATALOG_ORDER)
 
 
 _WRONG_SEARCH = """

@@ -27,7 +27,7 @@ from planecharge.errors import (
     UnknownConfig,
     UnknownEdgeInY,
 )
-from planecharge.matcher import _bindings, _compile, find_configuration
+from planecharge.matcher import _compile, find_configuration
 from planecharge.plane_graph import build_from_rotation
 from planecharge.reducibility import (
     _reducible_result,
@@ -206,7 +206,7 @@ def test_patches_are_their_case_specs(config_id):
         assert find_configuration(case.patch, config_id)
         spec = _compile(spec_clauses(config_id, extra), None)
         want = tuple(case.roles[name] for name in spec.names)
-        faces = [f for roles, f in _bindings(case.patch, spec) if roles == want]
+        faces = [f for roles, f in spec.search(case.patch) if roles == want]
         assert faces and all(set(f) <= case.witness for f in faces)
 
 
@@ -250,6 +250,20 @@ def test_dropping_the_second_shared_edge_fails_no34f(monkeypatch):
         ("; share f h v ww", "share f h v ww"),
         # k is used before its face clause: a bare KeyError used to follow.
         ("; role x; on x k; face k 4", "on x k"),
+        # A face without its length: the search used to drop the length and
+        # the fragment to raise a bare IndexError.
+        ("; face k", "face k"),
+        # u is declared again: the fragment used to number it twice.
+        ("; role u 3", "role u 3"),
+        ("; face u 3", "face u 3"),
+        # Extra words used to be ignored.
+        ("; face k 3 4", "face k 3 4"),
+        ("; role x 3 3", "role x 3 3"),
+        # A size that is no int, or out of its range, used to pass here.
+        ("; role x two", "role x two"),
+        ("; role x 0", "role x 0"),
+        ("; role x 5", "role x 5"),
+        ("; face k 2", "face k 2"),
     ],
 )
 def test_spec_typos_name_the_entry_and_clause(monkeypatch, typo, clause):
