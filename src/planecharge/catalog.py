@@ -104,13 +104,9 @@ def _disconnected(g: PlaneGraph, faces: tuple) -> Optional[tuple]:
 
 def _three_face_partners(g: PlaneGraph, faces: tuple) -> Optional[tuple]:
     """no333f: the other 3-faces across the edges of 3-face ``faces[0]``,
-    one per shared edge and sorted, when there are at least two."""
-    fi = faces[0]
-    partners = sorted(
-        fj
-        for fj in map(g.opposite_face, g.faces[fi])
-        if fj != fi and g.face_length(fj) == 3
-    )
+    one per shared edge (``PlaneGraph.three_face_edges``) and sorted, when
+    there are at least two."""
+    partners = sorted(map(g.opposite_face, g.three_face_edges(faces[0])))
     return tuple(partners) if len(partners) >= 2 else None
 
 

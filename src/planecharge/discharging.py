@@ -69,18 +69,11 @@ def initial_charges(graph: PlaneGraph) -> ChargeState:
         vertex_charge={v: ONE * (len(nbrs) - 4) for v, nbrs in enumerate(graph.rotation)},
         face_charge={i: ONE * (len(walk) - 4) for i, walk in enumerate(graph.faces)},
     )
-    assert state.total() == TOTAL_TWELFTHS
+    if state.total() != TOTAL_TWELFTHS:  # checked under ``python -O`` too
+        raise AssertionError(
+            f"balanced charging sums to {state.total()} twelfths, not {TOTAL_TWELFTHS}"
+        )
     return state
-
-
-def _touches_three_face(graph: PlaneGraph, i: int) -> bool:
-    """Face i shares an edge with some other 3-face."""
-    faces, face_of, twin = graph.faces, graph.face_of, graph.twin
-    for h in faces[i]:
-        j = face_of[twin[h]]
-        if j != i and len(faces[j]) == 3:
-            return True
-    return False
 
 
 _VERTEX_DRAWS = {2: ("R1", ONE), 3: ("R2", HALF)}  # by vertex degree
@@ -91,13 +84,14 @@ def _rule_draw(graph: PlaneGraph, sink: ElementKey) -> Optional[tuple[str, int]]
     incidence: R1 = 1 for a degree-2 vertex and R2 = 1/2 for a degree-3
     vertex, per occurrence on the face's walk; R3 = 1/2 for a 3-face that
     touches another 3-face and R4 = 1/3 for any other 3-face, per shared
-    edge.  None when the element draws nothing."""
+    edge; ``PlaneGraph.three_face_edges`` tells the two apart.  None when
+    the element draws nothing."""
     kind, key = sink
     if kind == "vertex":
         return _VERTEX_DRAWS.get(len(graph.rotation[key]))
     if len(graph.faces[key]) != 3:
         return None
-    return ("R3", HALF) if _touches_three_face(graph, key) else ("R4", THIRD)
+    return ("R3", HALF) if graph.three_face_edges(key) else ("R4", THIRD)
 
 
 def rule_transfers(graph: PlaneGraph) -> list[Transfer]:
@@ -134,7 +128,8 @@ def apply_rules(graph: PlaneGraph, state: ChargeState) -> ChargeState:
     transfers = rule_transfers(graph)
     for t in transfers:
         kind, key = t.source
-        assert kind == "face"
+        if kind != "face":  # checked under ``python -O`` too
+            raise AssertionError(f"rule {t.rule} draws from {t.source}, not from a face")
         face_charge[key] -= t.amount
         kind, key = t.sink
         if kind == "vertex":
@@ -247,12 +242,9 @@ def _audit_face(graph: PlaneGraph, face: int, ledger: bool = False) -> FaceAudit
         g3 = across[pos]
         sink = ("face", g3)
         pulls = [_SUBR1]
-        # A triangle's half-edge on the shared edge is twin[h]; the face
-        # across each of its other two edges is never the triangle itself.
-        back = twin[h]
-        for hg in faces[g3]:
-            if hg != back and len(faces[face_of[twin[hg]]]) == 3:
-                pulls.append(_SUBR2_BEFORE if origin[hg] == v else _SUBR2_AFTER)
+        # The shared edge is not listed: its far side is this big face.
+        for hg in graph.three_face_edges(g3):
+            pulls.append(_SUBR2_BEFORE if origin[hg] == v else _SUBR2_AFTER)
         for rule, offset, amount in pulls:
             p = (pos + offset) % length
             taken[p] += amount

@@ -231,6 +231,14 @@ class PlaneGraph(SimpleGraph):
         """Face on the other side of half-edge h's underlying edge."""
         return self.face_of[self.twin[h]]
 
+    def three_face_edges(self, i: int) -> tuple[int, ...]:
+        """The half-edges of face i whose far side is another 3-face, in walk
+        order: the one statement of the face adjacency that R3/R4, SubR2
+        and no333f read.  A 3-face never lies across its own edge: a walk
+        of length 3 through both sides of an edge would need a loop."""
+        faces, face_of, twin = self.faces, self.face_of, self.twin
+        return tuple(h for h in faces[i] if len(faces[face_of[twin[h]]]) == 3)
+
     def components(self) -> list[frozenset[int]]:
         seen = [False] * self.vertex_count
         comps = []

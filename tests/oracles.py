@@ -572,6 +572,17 @@ def _face_sets(g):
     return verts, edges
 
 
+def edge_set_three_face_edges(g, i):
+    """The half-edges of face i, in walk order, whose edge lies on a 3-face
+    other than i, read off the faces' edge sets and not off ``twin``."""
+    _, edges = _face_sets(g)
+    others = set()
+    for j, walk in enumerate(g.faces):
+        if j != i and len(walk) == 3:
+            others |= edges[j]
+    return tuple(h for h in g.faces[i] if frozenset((g.origin[h], g.target[h])) in others)
+
+
 def brute_force_matches(g, config_id):
     n = g.vertex_count
     faces = range(g.face_count)

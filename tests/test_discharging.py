@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planecharge
 from oracles import closure_edge_level_audit, rotation_from_layout
 from planecharge import discharging
 from planecharge.corpus import random_class_member
@@ -384,3 +389,36 @@ def test_audits_equal_those_rebuilt_from_edge_level_audit(named, class_members_7
     assert mismatched_hosts
     assert faces > 400
     assert edge_negative_count > 1000
+
+
+_BROKEN_INVARIANTS = """
+from planecharge import discharging
+from planecharge.discharging import Transfer, apply_rules, initial_charges
+from planecharge.plane_graph import build_from_rotation
+
+c6 = build_from_rotation([[5, 1], [0, 2], [1, 3], [2, 4], [3, 5], [4, 0]])
+state = initial_charges(c6)
+# A rule that draws from a vertex, then an identity that no charging meets.
+discharging.rule_transfers = lambda graph: [Transfer("R1", ("vertex", 0), ("vertex", 1), 12)]
+discharging.TOTAL_TWELFTHS = 0
+for step in (lambda: apply_rules(c6, state), lambda: initial_charges(c6)):
+    try:
+        step()
+    except AssertionError as exc:
+        print(__debug__, exc)
+"""
+
+
+def test_charge_invariants_are_checked_under_optimize():
+    """initial_charges' sum and apply_rules' face sources are checked by
+    tests that ``python -O`` keeps: a rule transfer out of a vertex, and a
+    balanced charging that misses TOTAL_TWELFTHS, both raise."""
+    env = dict(os.environ, PYTHONPATH=str(Path(planecharge.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.splitlines() == [
+        "False rule R1 draws from ('vertex', 0), not from a face",
+        "False balanced charging sums to -96 twelfths, not 0",
+    ]

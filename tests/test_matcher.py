@@ -81,6 +81,13 @@ def test_k4_structural_faces():
     assert find_configuration(k4, "no3v_33f")
 
 
+def test_plane_k3_lists_one_partner_per_shared_edge():
+    """Both faces of plane K3 are 3-faces that share all three edges, so
+    each is a no333f match with the other as its partner three times."""
+    k3 = build_from_rotation([[1, 2], [2, 0], [0, 1]])
+    assert [m.faces for m in find_configuration(k3, "no333f")] == [(0, 1, 1, 1), (1, 0, 0, 0)]
+
+
 def test_triangle_in_quad_no34f():
     g = build_from_rotation(rotation_from_layout(
         [(0, 0), (1, 0.6), (2, 0), (1, 2)],

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EagerPlaneGraph, naive_has_cycle, per_component_euler
+from oracles import (
+    EagerPlaneGraph,
+    edge_set_three_face_edges,
+    naive_has_cycle,
+    per_component_euler,
+)
 from planecharge.catalog import catalog
-from planecharge.corpus import enumerate_class, planar_embeddings, random_class_member
+from planecharge.corpus import (
+    enumerate_class,
+    iter_planar_embeddings,
+    planar_embeddings,
+    random_class_member,
+)
 from planecharge.discharging import BIG_FACE, edge_level_audit, final_audit, reconcile_face
 from planecharge.errors import (
     AsymmetricAdjacency,
@@ -267,6 +277,27 @@ def test_plane_graph_is_a_simple_graph(named, class_members_7):
         assert g != simple and simple != g
 
 
+def test_three_face_edges_match_edge_set_oracle(class_members_7):
+    """three_face_edges equals the oracle read off face edge sets on every
+    embedding of every class member up to 7 vertices, and on plane K3 and
+    plane K4, where every face lists its whole walk."""
+    k3 = build_from_rotation(cycle_rotation(3))
+    k4 = build_from_rotation([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+    for g in (k3, k4):
+        assert [g.three_face_edges(i) for i in range(g.face_count)] == list(g.faces)
+    hosts = [k3, k4]
+    for g in class_members_7:
+        adjacency = tuple(g.neighbors(v) for v in range(g.vertex_count))
+        hosts += iter_planar_embeddings(adjacency)
+    listed = 0
+    for g in hosts:
+        for i in range(g.face_count):
+            edges = g.three_face_edges(i)
+            assert edges == edge_set_three_face_edges(g, i), (g.rotation, i)
+            listed += len(edges)
+    assert len(hosts) > 600 and listed > 0
+
+
 def test_two_embeddings_of_one_graph_are_unequal(class_members_7):
     pairs = 0
     for g in class_members_7:
@@ -361,6 +392,7 @@ def assert_agrees_with_eager(rotation):
         assert g.neighbors(v) == eager.neighbors(v)
     for i in range(g.face_count):
         assert g.face_vertex_set(i) == eager.face_vertex_set(i)
+        assert g.three_face_edges(i) == edge_set_three_face_edges(g, i)
     assert g.components() == eager.components()
 
 
