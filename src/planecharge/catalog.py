@@ -28,8 +28,8 @@ vertices right after the last of its roles, then the pads of each vertex in
 id order.  ``_REDUCTIONS`` gives the rest of an entry by role name.
 
 Structural entries (disconnectedness and the two face-adjacency bans) have
-no generic instance; they record derivation cases that lean on other
-entries or on the forbidden 5-cycle, each with a concrete forced patch
+no generic instance; they record derivation cases, each of which leans on
+one other entry or on the forbidden 5-cycle, with a concrete forced patch
 where one can be built.  A case states its structure as the clauses it adds
 to its entry's spec, and its patch is that spec's fragment, embedded as an
 instance is but with no pads.
@@ -200,15 +200,16 @@ class StructuralCase(NamedTuple):
 
     The forced ``patch`` is built from the entry's spec and the case's
     clauses; ``roles`` gives its named roles' ids and ``witness`` the
-    indices of its witness faces.  The patch must contain a labelled match
-    of the first cited entry, one that binds only named roles and witness
-    faces, or, when the case cites none, a 5-cycle (so the structure cannot
+    indices of its witness faces.  A case that cites an entry closes on it:
+    that entry must pass, and the patch must contain a labelled match of
+    it, one that binds only named roles and witness faces.  A case that
+    cites none closes on a 5-cycle in its patch (so the structure cannot
     occur in a 5-cycle-free graph).  A case without a patch is pure
-    induction.
+    induction.  ``reducibility.verify_entry`` checks the cases of one entry.
     """
 
     description: str
-    cites: tuple[str, ...] = ()
+    cite: Optional[str] = None
     patch: Optional[PlaneGraph] = None
     roles: Mapping[str, int] = _NO_ROLES
     witness: frozenset[int] = frozenset()
@@ -367,47 +368,48 @@ def _reducible(config_id: str) -> Configuration:
     )
 
 
-# Per structural entry, its derivation cases: (description, cited entries,
-# the clauses the case adds to the entry's own spec, or None for a case that
-# has no patch).  A patch is the fragment of the entry's spec and the case's
-# clauses, embedded with its witness cycles as faces and left unpadded.
+# Per structural entry, its derivation cases: (description, the one cited
+# entry or None, the clauses the case adds to the entry's own spec, or None
+# for a case that has no patch).  A patch is the fragment of the entry's spec
+# and the case's clauses, embedded with its witness cycles as faces and left
+# unpadded.
 _STRUCTURAL = {
     # The proof's one fact: a disconnected graph's square has no edge between
     # components, so list colorings of the components' squares combine.
     "conn": (
         ("components are strictly smaller graphs and can be colored one at a"
-         " time without interaction", (), None),
+         " time without interaction", None, None),
     ),
     "no333f": (
         ("two edges shared with a single 3-face force a degree-2 vertex on a"
-         " 3-face", ("no2v3f",),
+         " 3-face", "no2v3f",
          "role u; role wedge; role w; face g 3; share f g u wedge; share f g wedge w"),
         ("two distinct non-adjacent 3-faces leave a 5-cycle around the three"
-         " faces", (),
+         " faces", None,
          "role u; role v; role w; face g 3; face h 3; share f g u v; share f h v w"),
         ("two distinct adjacent 3-faces force a 3-vertex on two 3-faces",
-         ("no3v_33f",),
+         "no3v_33f",
          "role u; role v; role w; face g 3; face h 3; share f g u v; share f h v w;"
          " role x; share g h v x"),
     ),
     "no34f": (
         ("two edges shared with the same 4-face force a degree-2 vertex on a"
-         " 3-face", ("no2v3f",), "role wedge; share f g shared_v wedge"),
-        ("a single shared edge leaves a 5-cycle around the two faces", (), ""),
+         " 3-face", "no2v3f", "role wedge; share f g shared_v wedge"),
+        ("a single shared edge leaves a 5-cycle around the two faces", None, ""),
     ),
 }
 
 
 def _structural(config_id: str) -> Configuration:
     cases = []
-    for description, cites, extra in _STRUCTURAL[config_id]:
+    for description, cite, extra in _STRUCTURAL[config_id]:
         if extra is None:
-            cases.append(StructuralCase(description, cites))
+            cases.append(StructuralCase(description, cite))
             continue
         ids, _, cycles, adjacency = _fragment(spec_clauses(config_id, extra))
         patch, witness = _embed(adjacency, cycles)
         cases.append(
-            StructuralCase(description, cites, patch, ids, frozenset(witness))
+            StructuralCase(description, cite, patch, ids, frozenset(witness))
         )
     return Configuration(
         config_id=config_id, kind="structural", pattern=None, cases=tuple(cases)

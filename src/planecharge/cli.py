@@ -240,21 +240,13 @@ def _transfer_list(transfers, names: dict) -> list:
 
 def _cmd_inspect(args) -> tuple[str, dict]:
     g = _load(args.graph)
-    report = class_membership(g)
     payload = {
         "vertices": g.vertex_count,
         "edges": g.edge_count,
         "faces": g.face_count,
         "degrees": list(map(len, g.rotation)),
         "face_lengths": sorted(g.face_lengths()),
-        "class": {
-            "is_simple": report.is_simple,
-            "is_connected": report.is_connected,
-            "max_degree": report.max_degree,
-            "has_5_cycle": report.has_5_cycle,
-            "euler_ok": report.euler_ok,
-            "in_class": report.in_class,
-        },
+        "class": class_membership(g)._asdict(),
     }
     return "info", payload
 

@@ -68,75 +68,43 @@ class NamedGraph(NamedTuple):
     provenance: str
 
 
-def _sharpness9() -> PlaneGraph:
-    # A plus 0-1, 0-2, 0-3, 0-4 inside the 4-cycle of corners 5-6-8-7;
-    # each corner joins the two arms beside it.
-    return build_from_rotation([
-        [3, 2, 1, 4], [0, 5, 7], [6, 5, 0], [6, 0, 8], [0, 7, 8],
-        [6, 7, 1, 2], [5, 2, 3, 8], [8, 4, 1, 5], [6, 3, 4, 7],
-    ])
-
-
-def _k24() -> PlaneGraph:
-    # Hubs 4 and 5 on either side of the column 0, 1, 2, 3.
-    return build_from_rotation([
-        [4, 5], [4, 5], [5, 4], [5, 4], [1, 0, 3, 2], [0, 1, 2, 3],
-    ])
-
-
-def _c6() -> PlaneGraph:
-    return build_from_rotation([[1, 5], [2, 0], [1, 3], [2, 4], [3, 5], [4, 0]])
-
-
-def _q3() -> PlaneGraph:
-    # Outer 4-cycle 0-3, inner 4-cycle 4-7, spokes k-(4+k).
-    return build_from_rotation([
-        [1, 3, 4], [0, 5, 2], [1, 6, 3], [2, 7, 0],
-        [5, 0, 7], [1, 4, 6], [5, 7, 2], [6, 4, 3],
-    ])
-
-
-def _grid3x3() -> PlaneGraph:
-    # Vertex i sits at column i % 3 and row i // 3.
-    return build_from_rotation([
-        [3, 1], [0, 4, 2], [1, 5], [6, 4, 0], [3, 7, 5, 1],
-        [4, 8, 2], [7, 3], [6, 8, 4], [7, 5],
-    ])
-
-
-def _hexprism() -> PlaneGraph:
-    # Outer 6-cycle 0-5, inner 6-cycle 6-11, spokes k-(6+k).
-    return build_from_rotation([
-        [6, 1, 5], [2, 0, 7], [1, 8, 3], [2, 9, 4], [3, 10, 5], [4, 11, 0],
-        [7, 0, 11], [8, 1, 6], [2, 7, 9], [3, 8, 10], [9, 11, 4], [10, 6, 5],
-    ])
+# The named examples, in order: (name, provenance, rotation), each drawing
+# described beside its rotation.
+_EXAMPLES = (
+    ("sharpness9",
+     "9-vertex max-degree-4 plane graph whose square is the complete"
+     " graph K9 (plus-shaped core inside a 4-cycle of corners)",
+     # A plus 0-1, 0-2, 0-3, 0-4 inside the 4-cycle of corners 5-6-8-7;
+     # each corner joins the two arms beside it.
+     [[3, 2, 1, 4], [0, 5, 7], [6, 5, 0], [6, 0, 8], [0, 7, 8],
+      [6, 7, 1, 2], [5, 2, 3, 8], [8, 4, 1, 5], [6, 3, 4, 7]]),
+    ("k24",
+     "complete bipartite graph on 2+4 vertices; 2-colorable but not"
+     " 2-choosable",
+     # Hubs 4 and 5 on either side of the column 0, 1, 2, 3.
+     [[4, 5], [4, 5], [5, 4], [5, 4], [1, 0, 3, 2], [0, 1, 2, 3]]),
+    ("c6", "6-cycle; adjacent 2-vertices on two 6-faces",
+     [[1, 5], [2, 0], [1, 3], [2, 4], [3, 5], [4, 0]]),
+    ("q3", "3-cube; 3-regular with six 4-faces",
+     # Outer 4-cycle 0-3, inner 4-cycle 4-7, spokes k-(4+k).
+     [[1, 3, 4], [0, 5, 2], [1, 6, 3], [2, 7, 0],
+      [5, 0, 7], [1, 4, 6], [5, 7, 2], [6, 4, 3]]),
+    ("grid3x3", "3x3 square-grid patch with an 8-face rim",
+     # Vertex i sits at column i % 3 and row i // 3.
+     [[3, 1], [0, 4, 2], [1, 5], [6, 4, 0], [3, 7, 5, 1],
+      [4, 8, 2], [7, 3], [6, 8, 4], [7, 5]]),
+    ("hexprism", "hexagonal prism; 3-regular with two 6-faces",
+     # Outer 6-cycle 0-5, inner 6-cycle 6-11, spokes k-(6+k).
+     [[6, 1, 5], [2, 0, 7], [1, 8, 3], [2, 9, 4], [3, 10, 5], [4, 11, 0],
+      [7, 0, 11], [8, 1, 6], [2, 7, 9], [3, 8, 10], [9, 11, 4], [10, 6, 5]]),
+)
 
 
 def named_examples() -> list[NamedGraph]:
     """The named example graphs used throughout the test corpus."""
     return [
-        NamedGraph(
-            "sharpness9",
-            _sharpness9(),
-            "9-vertex max-degree-4 plane graph whose square is the complete"
-            " graph K9 (plus-shaped core inside a 4-cycle of corners)",
-        ),
-        NamedGraph(
-            "k24",
-            _k24(),
-            "complete bipartite graph on 2+4 vertices; 2-colorable but not"
-            " 2-choosable",
-        ),
-        NamedGraph("c6", _c6(), "6-cycle; adjacent 2-vertices on two 6-faces"),
-        NamedGraph("q3", _q3(), "3-cube; 3-regular with six 4-faces"),
-        NamedGraph(
-            "grid3x3", _grid3x3(), "3x3 square-grid patch with an 8-face rim"
-        ),
-        NamedGraph(
-            "hexprism",
-            _hexprism(),
-            "hexagonal prism; 3-regular with two 6-faces",
-        ),
+        NamedGraph(name, build_from_rotation(rotation), provenance)
+        for name, provenance, rotation in _EXAMPLES
     ]
 
 
@@ -387,8 +355,10 @@ def iter_planar_embeddings(adjacency: Sequence[frozenset[int]]) -> Iterator[Plan
 def _closes_5_cycle(
     parent: Sequence[frozenset[int]], chosen: Sequence[int]
 ) -> bool:
-    """Whether a new vertex joined to ``chosen`` lies on a 5-cycle: some two
-    chosen vertices a, b end a path a-c-d-b of three edges in the parent."""
+    """Whether a new vertex joined to ``chosen`` lies on a 5-cycle, the
+    class's ``FORBIDDEN_CYCLE``: some two chosen vertices a, b end a path
+    a-c-d-b of three edges in the parent.  The path test is written for
+    that length alone."""
     for a, b in itertools.combinations(chosen, 2):
         for c in parent[a]:
             if c != b and (parent[c] & parent[b]) - {a}:

@@ -82,7 +82,8 @@ class OverlappingRoles(GraphError):
 class UnknownEdgeInY(GraphError):
     """An entry of Y that is not an edge of the graph: a non-edge, not
     exactly two distinct vertices, or not iterable at all.  ``entry`` is the
-    entry as a tuple, or as given when it is not iterable."""
+    entry as a tuple, or as given when it is not iterable.  (An entry that
+    names an id outside the vertex range raises UnknownVertex.)"""
 
     def __init__(self, entry: object):
         super().__init__(f"entry {entry} in Y is not an edge of the graph")

@@ -35,6 +35,9 @@ RotationSpec = Sequence[Sequence[int]]
 # The class's degree bound: no vertex of a member has more neighbours.
 MAX_DEGREE = 4
 
+# The class's forbidden cycle length: no member has a cycle of this length.
+FORBIDDEN_CYCLE = 5
+
 # The cycle lengths adjacency_has_cycle_of_length searches for.
 CYCLE_LENGTHS = range(3, 9)
 
@@ -419,7 +422,7 @@ def class_membership(graph: PlaneGraph) -> ClassReport:
     the sum reaches that bound exactly when every genus is 0.
     """
     max_deg = max(map(len, graph.rotation), default=0)
-    has5 = has_cycle_of_length(graph, 5)
+    has5 = has_cycle_of_length(graph, FORBIDDEN_CYCLE)
     components = len(graph.components())
     euler_ok = (
         graph.vertex_count - graph.edge_count + graph.face_count

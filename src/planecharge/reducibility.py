@@ -23,14 +23,14 @@ verdict holds in every host graph that contains the configuration:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .catalog import Configuration, StructuralCase, catalog, get_configuration
 from .catalog import spec_clauses, spec_degrees
 from .choosability import MAX_DEMAND, clique_f_choosable
 from .errors import OverlappingRoles, UnknownEdgeInY
 from .matcher import MatchEmbedding, find_configuration
-from .plane_graph import SimpleGraph, check_vertex, has_cycle_of_length
+from .plane_graph import FORBIDDEN_CYCLE, SimpleGraph, check_vertex, has_cycle_of_length
 from .square import induced_subgraph, neighbors_within2, square
 
 
@@ -132,26 +132,17 @@ def verify_reduction(
     )
 
 
-def verify_configuration(config: Union[str, Configuration]) -> ReductionReport:
-    """Verify a reducible entry on its generic instance."""
-    if isinstance(config, str):
-        config = get_configuration(config)
-    if config.kind != "reducible":
-        raise ValueError(f"{config.config_id} is structural; it has no generic instance")
-    return verify_reduction(
+def _reducible_result(config: Configuration) -> CatalogEntryResult:
+    """A reducible entry passes when its report passes on the generic
+    instance and every core vertex and every neighbour of the core there
+    has its spec degree."""
+    report = verify_reduction(
         config.pattern,
         config.removed,
         config.recolored,
         config.dropped_edges,
         expected_f=config.expected_f_by_vertex(),
     )
-
-
-def _reducible_result(config: Configuration) -> CatalogEntryResult:
-    """A reducible entry passes when its report passes on the generic
-    instance and every core vertex and every neighbour of the core there
-    has its spec degree."""
-    report = verify_configuration(config)
     notes = []
     if report.choosable and not report.induced_square.is_complete():
         notes.append("choosable with the missing core pair added")
@@ -178,30 +169,32 @@ def labelled_matches(case: StructuralCase, config_id: str) -> list[MatchEmbeddin
 def _structural_result(
     config: Configuration, reducible: Mapping[str, CatalogEntryResult]
 ) -> CatalogEntryResult:
-    """A structural entry passes when every case's cited reducible entries
-    (looked up in ``reducible``) pass and its forced patch, if it has one,
-    contains a labelled match of the first cited entry or, citing none, a
-    5-cycle."""
+    """A structural entry passes when each case's cited reducible entry, if
+    it has one (looked up in ``reducible``), passes and its forced patch, if
+    it has one, contains a labelled match of that entry or, citing none, a
+    cycle of length ``FORBIDDEN_CYCLE``."""
     notes = []
     ok = True
     for case in config.cases:
-        case_ok = all(c in reducible and reducible[c].passed for c in case.cites)
-        if case.patch is not None and case.cites:
-            case_ok = case_ok and bool(labelled_matches(case, case.cites[0]))
-        elif case.patch is not None:
-            case_ok = case_ok and has_cycle_of_length(case.patch, 5)
+        if case.cite is not None:
+            case_ok = case.cite in reducible and reducible[case.cite].passed
+            if case.patch is not None:
+                case_ok = case_ok and bool(labelled_matches(case, case.cite))
+        else:
+            case_ok = case.patch is None or has_cycle_of_length(case.patch, FORBIDDEN_CYCLE)
         ok = ok and case_ok
         notes.append(f"{'ok' if case_ok else 'FAIL'}: {case.description}")
     return CatalogEntryResult(config.config_id, config.kind, ok, None, tuple(notes))
 
 
 def verify_entry(config_id: str) -> CatalogEntryResult:
-    """Verify one catalog entry: a reducible entry on its own, a structural
-    entry together with the reducible entries its cases cite."""
+    """Verify one catalog entry, the one per-entry path: a reducible entry
+    on its generic instance, a structural entry together with the reducible
+    entries its cases cite."""
     config = get_configuration(config_id)
     if config.kind == "reducible":
         return _reducible_result(config)
-    cited = dict.fromkeys(c for case in config.cases for c in case.cites)
+    cited = dict.fromkeys(case.cite for case in config.cases if case.cite is not None)
     return _structural_result(
         config, {c: _reducible_result(get_configuration(c)) for c in cited}
     )

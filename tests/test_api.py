@@ -107,6 +107,18 @@ def test_no_module_imports_dataclasses():
     assert not [(file, top) for file, top in _absolute_imports() if top == "dataclasses"]
 
 
+def test_no_assert_statements():
+    """Every invariant in the package raises explicitly, so it still runs
+    under python -O, which strips assert statements."""
+    asserts = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts
+
+
 def _choosability_imports(path):
     """The names a source file imports from ``choosability``, with
     "choosability" itself among them when it imports the module whole."""

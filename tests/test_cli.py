@@ -353,6 +353,39 @@ def test_examples_report_digest():
     )
 
 
+# The SHA-256 of each named example's inspect report, read from "<name>.graph".
+INSPECT_DIGESTS = {
+    "sharpness9": "c65ece45b8f843497cb51186c46e62566718edcf6daac1e275cb40939da9e8d5",
+    "k24": "2de674095d083326f23d6476e7aec9419a56a9af78362b8ca908868a7ff95426",
+    "c6": "b33c2a450dff5c6d3cabab17d078d3c236037fe9b097b649fb886cf22ff9d2e1",
+    "q3": "5b350adca5d27df9b6d1d2a6558ba27be73aa236f29eed61d5ae2f4f0cb34ee5",
+    "grid3x3": "192105eaa495080e1148816c8ad42c373f6b34747184599c31c031217d9fc9e2",
+    "hexprism": "75ce126b88a6fb5079f574189f2346f4931fa1f9016e44528d07ed1aedcbe913",
+}
+
+
+def test_inspect_reports_digest(tmp_path, monkeypatch, class_members_7):
+    """Each named example's inspect report, and those of every class member
+    up to 7 vertices in enumeration order, keep every byte, the class
+    flags included."""
+    monkeypatch.chdir(tmp_path)  # relative paths keep the reports free of temp dirs
+    digests = {}
+    for ng in named_examples():
+        dump_graph_file(ng.graph, f"{ng.name}.graph")
+        text = run(["inspect", f"{ng.name}.graph"]).to_json()
+        digests[ng.name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == INSPECT_DIGESTS
+    texts = []
+    for k, g in enumerate(class_members_7):
+        name = f"m{k:03d}.graph"
+        dump_graph_file(g, name)
+        texts.append(run(["inspect", name]).to_json())
+    assert len(texts) == 151
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "27699a2376c4e71cd3a596b4c333adfcb828eb5b69f9addb38e541635f6b5c47"
+    )
+
+
 def test_verify_reports_digest():
     """The verify-catalog report and every entry's verify-lemma report, in
     catalog order, keep every byte."""

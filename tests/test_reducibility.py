@@ -26,6 +26,7 @@ from planecharge.errors import (
     OverlappingRoles,
     UnknownConfig,
     UnknownEdgeInY,
+    UnknownVertex,
 )
 from planecharge.matcher import _compile, find_configuration
 from planecharge.plane_graph import build_from_rotation
@@ -35,7 +36,7 @@ from planecharge.reducibility import (
     labelled_matches,
     f_values,
     verify_catalog,
-    verify_configuration,
+    verify_entry,
     verify_reduction,
 )
 from planecharge.square import SimpleGraph, induced_subgraph, square
@@ -81,19 +82,19 @@ def test_each_id_in_exactly_one_table():
 
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
 def test_expected_f_values(config_id):
-    report = verify_configuration(config_id)
+    report = verify_entry(config_id).report
     assert report.f_matches_expected
     assert report.passed
 
 
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
 def test_computed_f_by_vertex_id(config_id):
-    assert verify_configuration(config_id).computed_f == PINNED_F[config_id]
+    assert verify_entry(config_id).report.computed_f == PINNED_F[config_id]
 
 
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
 def test_induced_square_nearly_complete(config_id):
-    report = verify_configuration(config_id)
+    report = verify_entry(config_id).report
     n = report.induced_square.vertex_count
     missing = n * (n - 1) // 2 - report.induced_square.edge_count
     assert missing == (1 if config_id == "no2v__m3f3f" else 0)
@@ -104,7 +105,7 @@ def test_clique_criterion_agrees_where_complete(config_id):
     """Hall's rule decides each entry; the kernel and the pattern oracle
     cross-check it on the completed core square with the entry's demands,
     which reach (7, 7) and (8), beyond the demand-6 clique grid."""
-    report = verify_configuration(config_id)
+    report = verify_entry(config_id).report
     f = tuple(report.computed_f.values())
     n = len(f)
     kn = SimpleGraph(n, itertools.combinations(range(n), 2))
@@ -142,8 +143,7 @@ def test_missing_pad_around_the_core_fails(config_id):
 
 def test_structural_entries_have_no_instance():
     for config_id in STRUCTURAL_IDS:
-        with pytest.raises(ValueError):
-            verify_configuration(config_id)
+        assert verify_entry(config_id).report is None
 
 
 def test_verify_catalog_all_pass():
@@ -176,7 +176,7 @@ def _patched_cases(config_id):
 
 
 def _cited_results(config):
-    cited = {c for case in config.cases for c in case.cites}
+    cited = {case.cite for case in config.cases if case.cite is not None}
     return {c: _reducible_result(get_configuration(c)) for c in cited}
 
 
@@ -220,7 +220,7 @@ def test_labelled_match_counts():
         return [
             (len(labelled_matches(c, cited)), len(find_configuration(c.patch, cited)))
             for c in _patched_cases(config_id)
-            for cited in [c.cites[0] if c.cites else "no2v3f"]
+            for cited in [c.cite or "no2v3f"]
         ]
 
     assert counts("no333f") == [(6, 6), (0, 2), (6, 12)]
@@ -231,8 +231,8 @@ def test_dropping_the_second_shared_edge_fails_no34f(monkeypatch):
     """Without its second shared edge the first no34f case's patch is the
     3-face beside a 4-face: its only no2v3f match is the free apex, which
     is no labelled match, so the case fails though a match exists."""
-    (description, cites, _), rest = _STRUCTURAL["no34f"][0], _STRUCTURAL["no34f"][1:]
-    monkeypatch.setitem(_STRUCTURAL, "no34f", ((description, cites, ""), *rest))
+    (description, cite, _), rest = _STRUCTURAL["no34f"][0], _STRUCTURAL["no34f"][1:]
+    monkeypatch.setitem(_STRUCTURAL, "no34f", ((description, cite, ""), *rest))
     config = _structural("no34f")
     assert find_configuration(config.cases[0].patch, "no2v3f")
     result = _structural_result(config, _cited_results(config))
@@ -267,9 +267,9 @@ def test_dropping_the_second_shared_edge_fails_no34f(monkeypatch):
     ],
 )
 def test_spec_typos_name_the_entry_and_clause(monkeypatch, typo, clause):
-    description, cites, extra = _STRUCTURAL["no333f"][1]
+    description, cite, extra = _STRUCTURAL["no333f"][1]
     cases = list(_STRUCTURAL["no333f"])
-    cases[1] = (description, cites, extra + typo)
+    cases[1] = (description, cite, extra + typo)
     monkeypatch.setitem(_STRUCTURAL, "no333f", tuple(cases))
     with pytest.raises(BadSpecClause) as info:
         _structural("no333f")
@@ -282,7 +282,7 @@ def test_spec_typos_name_the_entry_and_clause(monkeypatch, typo, clause):
 
 def test_citing_an_entry_the_patch_lacks_fails():
     config = get_configuration("no333f")
-    k4_case = config.cases[2]._replace(cites=("no22v",))
+    k4_case = config.cases[2]._replace(cite="no22v")
     assert not find_configuration(k4_case.patch, "no22v")
     broken = config._replace(cases=(*config.cases[:2], k4_case))
     result = _structural_result(broken, _cited_results(broken))
@@ -372,12 +372,15 @@ def test_role_validation():
     with pytest.raises(UnknownEdgeInY, match="entry 5 in Y") as err:
         verify_reduction(g, set(), {0}, y=[5])
     assert err.value.entry == 5
+    # An entry naming an id outside the vertex range is an unknown vertex.
+    with pytest.raises(UnknownVertex):
+        verify_reduction(g, {0}, set(), y=[(0, 5)])
 
 
 def test_f_values_match_direct_count():
     config = get_configuration("no23v")
     fv = f_values(config.pattern, config.removed, config.recolored)
-    assert fv == verify_configuration(config).computed_f
+    assert fv == verify_entry("no23v").report.computed_f
 
 
 @pytest.mark.parametrize("config_id", REDUCIBLE_IDS)
