@@ -15,22 +15,18 @@ to induced subgraphs G[M]:
   one of its atoms holds a vertex u with no neighbor in the atom.  Color
   G[M - u] from its lists (it is f-choosable), then give u the atom's
   color, which no neighbor of u holds.  Such a pattern is still counted;
-* isomorphic twin: an induced subgraph G[M] whose singleton-free
-  patterns all passed, in this query or an earlier one in the process,
-  settles every later G[M'] that is isomorphic to it by a map keeping the
-  demands (a colored ``corpus.canonical_form``).  G[M'] reaches that
-  stage only once its own greedy-last check and every G[M' - v] have
-  passed, facts of the demand-colored shape alone, and an isomorphism
+* isomorphic twin: within one query, a proper induced subgraph G[M] whose
+  singleton-free patterns all passed settles every later G[M'] that is
+  isomorphic to it by a map keeping the demands (a colored
+  ``corpus.canonical_form``).  G[M'] reaches that stage only once its own
+  greedy-last check and every G[M' - v] have passed, and an isomorphism
   maps its singleton-free patterns one to one onto those of G[M] and
   colorings onto colorings, so its stage would pass after exactly as many
-  patterns; they are added to the count.  A failing stage ends its query
-  and is never kept, so every verdict, witness and count is the one the
-  full enumeration gives, whatever ran before.  The store holds at most
-  one entry per distinct passed demand-colored shape of four to six
-  vertices.  Threads may share it: a race can only build an equal key
-  twice or append an equal entry.  Queries on a complete graph, and
-  sub-masks of fewer than four vertices, skip it: their stages are cheap,
-  and keying them costs more than it saves.
+  patterns; they are added to the count.  A failing stage ends the query
+  and is never reused, so every verdict, witness and count is the one the
+  full enumeration gives.  Queries on a complete graph, and sub-masks of
+  fewer than four vertices, skip it: their stages are cheap, and keying
+  them costs more than it saves.
 
 Within one stage every coloring the search finds is proper on G[M], and
 only the lists change from pattern to pattern, so a pattern whose lists
@@ -62,11 +58,6 @@ MAX_DEMAND = 12
 # Below this many vertices a singleton-free stage has demands of at most 2
 # and a handful of patterns, fewer than keying it by shape would cost.
 _TWIN_MIN_VERTICES = 4
-# Passed singleton-free stages of every query in the process (the fourth
-# reduction), bucketed by their sorted (demand, degree) pairs; each entry
-# is [adjacency bitmasks, demands, members, shape key or None until a
-# second stage lands in the bucket, patterns counted].
-_PASSED: dict[tuple, list[list]] = {}
 
 
 class ListAssignment(NamedTuple):
@@ -233,10 +224,9 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
     and tested with one fresh instantiation, except that a pattern with a
     free atom is colorable untested (the third reduction in the module
     docstring), so is one that the stage's last coloring still fits, and
-    a G[M] isomorphic to one passed earlier, in this call or any earlier
-    one in the process, is not enumerated again (the fourth);
-    ``patterns_checked`` counts them all over all subproblems, twins
-    included, so it does not depend on what ran before.
+    a G[M] isomorphic to an earlier passed one is not enumerated again
+    (the fourth); ``patterns_checked`` counts them all over all
+    subproblems, twins included.
     A failing sub-witness is lifted by giving the dropped vertex f(v)
     fresh colors, and the final witness is re-verified.
     """
@@ -255,6 +245,10 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
     # as one color bitmask per vertex (0 outside the mask).
     memo: dict[int, Optional[list[int]]] = {}
     checked = 0
+    # Passed singleton-free stages of proper sub-masks, bucketed by their
+    # sorted (demand, degree) pairs; each entry is [members, shape key or
+    # None until a second mask lands in the bucket, patterns counted].
+    passed: dict[tuple, list[list]] = {}
 
     def solve(mask: int) -> Optional[list[int]]:
         if mask not in memo:
@@ -278,25 +272,25 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
         if greedy:
             return None
         # Reuse a passed stage of an isomorphic twin (the fourth reduction
-        # in the module docstring); small or complete graphs' stages are
-        # left to the search.
-        if not sparse or len(members) < _TWIN_MIN_VERTICES:
+        # in the module docstring).  The whole graph is never revisited,
+        # and small or complete graphs' stages are left to the search.
+        if not sparse or not _TWIN_MIN_VERTICES <= len(members) < n:
             return singleton_free_failure(mask, members)
         profile = sorted((f[v], (adjacency[v] & mask).bit_count()) for v in members)
-        bucket = _PASSED.setdefault(tuple(profile), [])
+        bucket = passed.setdefault(tuple(profile), [])
         key = None
         if bucket:
             key = _shape(adjacency, f, members)
             for entry in bucket:
-                if entry[3] is None:
-                    entry[3] = _shape(*entry[:3])
-                if entry[3] == key:
-                    checked += entry[4]
+                if entry[1] is None:
+                    entry[1] = _shape(adjacency, f, entry[0])
+                if entry[1] == key:
+                    checked += entry[2]
                     return None
         before = checked
         bad = singleton_free_failure(mask, members)
         if bad is None:
-            bucket.append([adjacency, f, members, key, checked - before])
+            bucket.append([members, key, checked - before])
         return bad
 
     def singleton_free_failure(mask: int, members: list[int]) -> Optional[list[int]]:

@@ -61,20 +61,6 @@ def k33():
 K24_BAD_LISTS = [[1, 2], [3, 4], [1, 3], [1, 4], [2, 3], [2, 4]]
 
 
-@pytest.fixture(autouse=True)
-def clear_passed_stages():
-    # The kernel keeps passed stages for the whole process, so a test that
-    # counts searches would otherwise depend on the queries run before it.
-    choosability._PASSED.clear()
-
-
-def count_searches(monkeypatch):
-    calls = []
-    search = choosability._color_bits
-    monkeypatch.setattr(choosability, "_color_bits", lambda *a: calls.append(1) or search(*a))
-    return calls
-
-
 def test_l_coloring_k3():
     k3 = complete(3)
     assert l_coloring(k3, ListAssignment.from_lists([[1, 2], [1, 2], [1, 2]])) is None
@@ -323,44 +309,28 @@ SPARSE_SIX = {
 }
 
 
-SPARSE_MIXED = [
-    ("p6", (1, 2, 2, 2, 1, 3)),
-    ("p6", (1, 3, 1, 3, 1, 2)),
-    ("star", (2, 1, 1, 2, 2, 2)),
-    ("c6", (2, 2, 1, 2, 2, 2)),
-    ("c6", (2, 1, 2, 2, 2, 2)),
-    ("k24", (3, 2, 1, 2, 2, 2)),
-    ("k24", (3, 3, 1, 1, 2, 2)),
-    ("k33", (3, 2, 2, 1, 3, 3)),
-]
-
-
-@pytest.mark.parametrize("name,f", SPARSE_MIXED)
+@pytest.mark.parametrize(
+    "name,f",
+    [
+        ("p6", (1, 2, 2, 2, 1, 3)),
+        ("p6", (1, 3, 1, 3, 1, 2)),
+        ("star", (2, 1, 1, 2, 2, 2)),
+        ("c6", (2, 2, 1, 2, 2, 2)),
+        ("c6", (2, 1, 2, 2, 2, 2)),
+        ("k24", (3, 2, 1, 2, 2, 2)),
+        ("k24", (3, 3, 1, 1, 2, 2)),
+        ("k33", (3, 2, 2, 1, 3, 3)),
+        ("p6", (1, 2, 2, 2, 3, 1)),
+    ],
+)
 def test_sparse_mixed_demands_agree_with_pattern_oracle(name, f):
     # Bipartite and acyclic graphs, where most atoms are free.  A positive
-    # answer makes the oracle walk every pattern, so all cases but one are
-    # negative; the kernel reaches most of them after many free patterns.
+    # answer makes the oracle walk every pattern (about 0.15 s for the last
+    # case), so all cases but two are negative; the kernel reaches most of
+    # them after many free patterns, and passes the positive ones after
+    # patterns that a stage's last coloring fits.
     g = SPARSE_SIX[name]
     assert is_f_choosable(g, DemandFunction(f)).choosable == pattern_f_choosable(g, f)
-
-
-def test_positive_answers_after_a_warm_store_agree_with_pattern_oracle(monkeypatch):
-    # Positive answers are what the process-wide store settles.  After the
-    # sparse queries above, a relabelled C_6 at k = 2 is settled whole from
-    # the store, with no search; the oracle walks every one of its patterns
-    # (about 0.6 s), and those of a mixed-demand P_6 positive (about 0.15 s).
-    for name, f in SPARSE_MIXED:
-        is_f_choosable(SPARSE_SIX[name], DemandFunction(f))
-    for g in SPARSE_SIX.values():
-        is_f_choosable(g, DemandFunction((2,) * 6))
-    calls = count_searches(monkeypatch)
-    woven = SimpleGraph(6, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 5), (5, 0)])
-    verdict = is_f_choosable(woven, DemandFunction((2,) * 6))
-    assert verdict.choosable and verdict.patterns_checked == 2692 and not calls
-    assert pattern_f_choosable(woven, (2,) * 6)
-    f = (1, 2, 2, 2, 3, 1)
-    assert is_f_choosable(SPARSE_SIX["p6"], DemandFunction(f)).choosable
-    assert pattern_f_choosable(SPARSE_SIX["p6"], f)
 
 
 def test_random_graphs_agree_with_pattern_oracle():
@@ -423,7 +393,7 @@ def prism():
 SYMMETRIC_PIN = "c39338e4c6fa0833c7a61896140130b11bfe46638b0e6cab52b7c85b640053d5"
 
 
-def symmetric_queries():
+def test_symmetric_sparse_verdicts_pinned():
     graphs = [
         SimpleGraph(5, [(i, j) for i in range(2) for j in range(2, 5)]),
         k24(),
@@ -441,41 +411,22 @@ def symmetric_queries():
         f[rng.randrange(n)] = 1
         return tuple(f)
 
-    return [
-        (g, f)
-        for g in graphs
-        for f in [(2,) * g.vertex_count] + [mixed(g.vertex_count) for _ in range(6)]
-    ]
-
-
-def verdict_record(g, f):
-    verdict = is_f_choosable(g, DemandFunction(f))
-    witness = verdict.bad_assignment
-    return [
-        f,
-        verdict.choosable,
-        verdict.patterns_checked,
-        None if witness is None else [sorted(s) for s in witness.lists],
-    ]
-
-
-def test_symmetric_sparse_verdicts_pinned():
-    verdicts = [verdict_record(g, f) for g, f in symmetric_queries()]
+    verdicts = []
+    for g in graphs:
+        n = g.vertex_count
+        for f in [(2,) * n] + [mixed(n) for _ in range(6)]:
+            verdict = is_f_choosable(g, DemandFunction(f))
+            witness = verdict.bad_assignment
+            verdicts.append(
+                [
+                    f,
+                    verdict.choosable,
+                    verdict.patterns_checked,
+                    None if witness is None else [sorted(s) for s in witness.lists],
+                ]
+            )
     text = json.dumps(verdicts, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SYMMETRIC_PIN
-
-
-def test_verdicts_do_not_depend_on_earlier_queries():
-    # Passed stages are kept for the whole process: each query must answer
-    # alike after every other query, after none, and in either order.
-    queries = symmetric_queries()
-    forward = [verdict_record(g, f) for g, f in queries]
-    backward = [verdict_record(g, f) for g, f in reversed(queries)][::-1]
-    alone = []
-    for g, f in queries:
-        choosability._PASSED.clear()
-        alone.append(verdict_record(g, f))
-    assert forward == backward == alone
 
 
 def test_twin_stages_skip_the_coloring_search(monkeypatch):
@@ -484,25 +435,12 @@ def test_twin_stages_skip_the_coloring_search(monkeypatch):
     # its nine 4-cycles and of its six K_{2,3}s are settled by twins, and
     # fewer once a pattern that the stage's last coloring fits is not
     # searched.
-    calls = count_searches(monkeypatch)
+    calls = []
+    search = choosability._color_bits
+    monkeypatch.setattr(choosability, "_color_bits", lambda *a: calls.append(1) or search(*a))
     verdict = is_f_choosable(k33(), DemandFunction((2,) * 6))
     assert not verdict.choosable and verdict.patterns_checked == 1486
     assert len(calls) < 205
-
-
-def test_stages_passed_by_an_earlier_query_are_reused(monkeypatch):
-    # K_{2,4} passes the K_{2,3} and 4-cycle stages that K_{3,3} meets.
-    calls = count_searches(monkeypatch)
-    verdicts = []
-    for warm in (False, True):
-        choosability._PASSED.clear()
-        if warm:
-            is_f_choosable(k24(), DemandFunction((2,) * 6))
-        del calls[:]
-        verdicts.append((is_f_choosable(k33(), DemandFunction((2,) * 6)), len(calls)))
-    (cold, cold_calls), (warm, warm_calls) = verdicts
-    assert cold == warm and cold.patterns_checked == 1486
-    assert warm_calls < cold_calls
 
 
 def test_empty_mask_counts_its_pattern_without_a_search(monkeypatch):
