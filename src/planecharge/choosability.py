@@ -24,9 +24,12 @@ to induced subgraphs G[M]:
   colorings onto colorings, so its stage would pass after exactly as many
   patterns; they are added to the count.  A failing stage ends the query
   and is never reused, so every verdict, witness and count is the one the
-  full enumeration gives.  Queries on a complete graph, and sub-masks of
-  fewer than four vertices, skip it: their stages are cheap, and keying
-  them costs more than it saves.
+  full enumeration gives.  Sub-masks of fewer than four vertices skip
+  it: their stages are cheap, and keying them costs more than it saves.
+  No clique's stage passes: with no greedy-last vertex every f(v) in a
+  complete G[M] is at most |M| - 1, which fails Hall's rule
+  (``clique_f_choosable``), so a query on a complete graph keys at most
+  the one stage that ends it.
 
 Within one stage every coloring the search finds is proper on G[M], and
 only the lists change from pattern to pattern, so a pattern whose lists
@@ -115,10 +118,7 @@ def l_coloring(
     """
     n = graph.vertex_count
     lists = assignment.lists
-    if len(lists) < n:
-        raise MissingList(len(lists))
-    if len(lists) > n:
-        raise SurplusDemands(len(lists), n)
+    _check_count(len(lists), n)
     # Bit i stands for the i-th smallest color, so the search tries each
     # vertex's colors in the order sorted() puts them.
     palette = sorted(set().union(*lists), key=_color_key)
@@ -139,6 +139,14 @@ def l_coloring(
         ):
             raise AssertionError(f"improper color {coloring[v]!r} at vertex {v}")
     return coloring
+
+
+def _check_count(given: int, n: int) -> None:
+    # One list or demand per vertex, no more and no fewer.
+    if given < n:
+        raise MissingList(given)
+    if given > n:
+        raise SurplusDemands(given, n)
 
 
 def _color_key(color: object) -> tuple:
@@ -224,8 +232,8 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
     and tested with one fresh instantiation, except that a pattern with a
     free atom is colorable untested (the third reduction in the module
     docstring), so is one that the stage's last coloring still fits, and
-    a G[M] isomorphic to an earlier passed one is not enumerated again
-    (the fourth); ``patterns_checked`` counts them all over all
+    a G[M] whose demand-colored shape already passed is not enumerated
+    again (the fourth); ``patterns_checked`` counts them all over all
     subproblems, twins included.
     A failing sub-witness is lifted by giving the dropped vertex f(v)
     fresh colors, and the final witness is re-verified.
@@ -233,22 +241,18 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
     n = graph.vertex_count
     if n > MAX_CHOOSABILITY_VERTICES:
         raise TooManyVertices(n, MAX_CHOOSABILITY_VERTICES)
-    if len(demand.values) < n:
-        raise MissingList(len(demand.values))
-    if len(demand.values) > n:
-        raise SurplusDemands(len(demand.values), n)
+    _check_count(len(demand.values), n)
     f = demand.values
     adjacency = [_bits(graph._adjacency[v]) for v in range(n)]
-    # No atom of a complete graph is free, so cliques skip that test.
+    # No atom of a complete graph is free, so cliques skip the free-atom test.
     sparse = sum(map(int.bit_count, adjacency)) < n * (n - 1)
     # Per mask: None if G[mask] is f-choosable, else a failing assignment
     # as one color bitmask per vertex (0 outside the mask).
     memo: dict[int, Optional[list[int]]] = {}
     checked = 0
-    # Passed singleton-free stages of proper sub-masks, bucketed by their
-    # sorted (demand, degree) pairs; each entry is [members, shape key or
-    # None until a second mask lands in the bucket, patterns counted].
-    passed: dict[tuple, list[list]] = {}
+    # Passed singleton-free stages of proper sub-masks: shape key -> the
+    # patterns they counted.
+    passed: dict[tuple, int] = {}
 
     def solve(mask: int) -> Optional[list[int]]:
         if mask not in memo:
@@ -273,24 +277,17 @@ def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVe
             return None
         # Reuse a passed stage of an isomorphic twin (the fourth reduction
         # in the module docstring).  The whole graph is never revisited,
-        # and small or complete graphs' stages are left to the search.
-        if not sparse or not _TWIN_MIN_VERTICES <= len(members) < n:
+        # and small stages are left to the search.
+        if not _TWIN_MIN_VERTICES <= len(members) < n:
             return singleton_free_failure(mask, members)
-        profile = sorted((f[v], (adjacency[v] & mask).bit_count()) for v in members)
-        bucket = passed.setdefault(tuple(profile), [])
-        key = None
-        if bucket:
-            key = _shape(adjacency, f, members)
-            for entry in bucket:
-                if entry[1] is None:
-                    entry[1] = _shape(adjacency, f, entry[0])
-                if entry[1] == key:
-                    checked += entry[2]
-                    return None
+        key = _shape(adjacency, f, members)
+        if key in passed:
+            checked += passed[key]
+            return None
         before = checked
         bad = singleton_free_failure(mask, members)
         if bad is None:
-            bucket.append([members, key, checked - before])
+            passed[key] = checked - before
         return bad
 
     def singleton_free_failure(mask: int, members: list[int]) -> Optional[list[int]]:

@@ -186,9 +186,11 @@ def test_clique_criterion_examples():
 
 
 def test_clique_criterion_against_enumeration():
-    for n in range(1, 4):
+    # Any demand of n or more is greedy-last on K_n, so 0..n covers every
+    # case.  K_5 and K_6 reach the shape-keyed stages of 4 and 5 vertices.
+    for n in range(1, 7):
         kn = complete(n)
-        for f in itertools.combinations_with_replacement(range(5), n):
+        for f in itertools.combinations_with_replacement(range(n + 1), n):
             assert clique_f_choosable(f) == is_f_choosable(kn, DemandFunction(f)).choosable
 
 
@@ -441,6 +443,30 @@ def test_twin_stages_skip_the_coloring_search(monkeypatch):
     verdict = is_f_choosable(k33(), DemandFunction((2,) * 6))
     assert not verdict.choosable and verdict.patterns_checked == 1486
     assert len(calls) < 205
+
+
+def test_twin_stages_keep_verdicts_counts_and_witnesses(monkeypatch):
+    # Every query gives the same verdict with the fourth reduction off (no
+    # sub-mask large enough to be keyed).  In the two named cases a passed
+    # stage has an isomorphic twin with other demands, so a shape key that
+    # dropped the demands would count 55 and 64 patterns.
+    cases = [
+        (SimpleGraph(5, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)]), (1, 2, 2, 2, 2)),
+        (SimpleGraph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 4)]), (2, 1, 2, 2, 2)),
+    ]
+    rng = random.Random(30)
+    for _ in range(100):
+        n = rng.randint(5, 6)
+        g = SimpleGraph(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        )
+        cases.append((g, tuple(rng.randint(1, 3) for _ in range(n))))
+    with_twins = [is_f_choosable(g, DemandFunction(f)) for g, f in cases]
+    assert [v.patterns_checked for v in with_twins[:2]] == [19, 23]
+    monkeypatch.setattr(
+        choosability, "_TWIN_MIN_VERTICES", choosability.MAX_CHOOSABILITY_VERTICES + 1
+    )
+    assert [is_f_choosable(g, DemandFunction(f)) for g, f in cases] == with_twins
 
 
 def test_empty_mask_counts_its_pattern_without_a_search(monkeypatch):
