@@ -347,7 +347,7 @@ def _cmd_verify_catalog(args) -> tuple[str, dict]:
 
 
 def _cmd_match(args) -> tuple[str, dict]:
-    from .matcher import find_configuration
+    from .matcher import find_configuration, match_summary
 
     g = _load(args.graph)
     if args.config is not None:
@@ -358,12 +358,10 @@ def _cmd_match(args) -> tuple[str, dict]:
             "count": len(matches),
         }
     else:
-        found = {cid: find_configuration(g, cid) for cid in CATALOG_ORDER}
-        # the first match over the catalog order, as find_any_reducible gives it
-        first = next((m[0] for m in found.values() if m), None)
+        counts, first = match_summary(g)
         payload = {
             "first_reducible": None if first is None else _match_dict(first),
-            "counts": {cid: len(m) for cid, m in found.items()},
+            "counts": counts,
         }
     return "info", payload
 

@@ -13,7 +13,7 @@ builds it with one ``Transfer`` record per sub-rule draw.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 from .errors import Disconnected, GraphError, NotBigFace, UnknownFace
 from .plane_graph import PlaneGraph
@@ -76,48 +76,46 @@ def initial_charges(graph: PlaneGraph) -> ChargeState:
     return state
 
 
-_VERTEX_DRAWS = {2: ("R1", ONE), 3: ("R2", HALF)}  # by vertex degree
+# The rule and amount by which a vertex of each degree draws from a 6+-face,
+# per occurrence on the face's walk: R1 = 1 for a degree-2 vertex and R2 = 1/2
+# for a degree-3 vertex; a vertex of any other degree draws nothing.
+_VERTEX_DRAWS = {2: ("R1", ONE), 3: ("R2", HALF)}
 
 
-def _rule_draw(graph: PlaneGraph, sink: ElementKey) -> Optional[tuple[str, int]]:
-    """The rule and amount by which ``sink`` draws from a 6+-face, per
-    incidence: R1 = 1 for a degree-2 vertex and R2 = 1/2 for a degree-3
-    vertex, per occurrence on the face's walk; R3 = 1/2 for a 3-face that
-    touches another 3-face and R4 = 1/3 for any other 3-face, per shared
-    edge; ``PlaneGraph.three_face_edges`` tells the two apart.  None when
-    the element draws nothing."""
-    kind, key = sink
-    if kind == "vertex":
-        return _VERTEX_DRAWS.get(len(graph.rotation[key]))
-    if len(graph.faces[key]) != 3:
-        return None
-    return ("R3", HALF) if graph.three_face_edges(key) else ("R4", THIRD)
+def _rule_draw(graph: PlaneGraph, face: int) -> tuple[str, int]:
+    """The rule and amount by which 3-face ``face`` draws from a 6+-face,
+    per shared edge: R3 = 1/2 when it touches another 3-face and R4 = 1/3
+    otherwise; ``PlaneGraph.three_face_edges`` tells the two apart."""
+    return ("R3", HALF) if graph.three_face_edges(face) else ("R4", THIRD)
 
 
 def rule_transfers(graph: PlaneGraph) -> list[Transfer]:
     """The four global rules, computed from the incidence structure alone:
     first the vertex draws of each big face along its walk, then the draws
-    of each 3-face from the big faces across its edges (see ``_rule_draw``)."""
-    faces, face_of, twin, origin = graph.faces, graph.face_of, graph.twin, graph.origin
+    of each 3-face from the big faces across its edges (see
+    ``_VERTEX_DRAWS`` and ``_rule_draw``)."""
+    faces, face_of, twin = graph.faces, graph.face_of, graph.twin
+    origin, rotation = graph.origin, graph.rotation
+    vertex_draw = _VERTEX_DRAWS.get
     transfers: list[Transfer] = []
     for i, walk in enumerate(faces):
         if len(walk) < BIG_FACE:
             continue
         source = ("face", i)
         for h in walk:
-            sink = ("vertex", origin[h])
-            draw = _rule_draw(graph, sink)
+            v = origin[h]
+            draw = vertex_draw(len(rotation[v]))
             if draw is not None:
-                transfers.append(Transfer(draw[0], source, sink, draw[1]))
+                transfers.append(Transfer(draw[0], source, ("vertex", v), draw[1]))
     for i, walk in enumerate(faces):
-        sink = ("face", i)
-        draw = _rule_draw(graph, sink)
-        if draw is None:
+        if len(walk) != 3:
             continue
+        rule, amount = _rule_draw(graph, i)
+        sink = ("face", i)
         for h in walk:
             j = face_of[twin[h]]
             if len(faces[j]) >= BIG_FACE:
-                transfers.append(Transfer(draw[0], ("face", j), sink, draw[1]))
+                transfers.append(Transfer(rule, ("face", j), sink, amount))
     return transfers
 
 
@@ -291,13 +289,20 @@ def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
     """Check that what each sink collects from the face's edges under the
     sub-rules equals what it draws from the face under the global rules."""
     received = _audit_face(graph, face).sink_received
-    face_of, twin, origin = graph.face_of, graph.twin, graph.origin
+    faces, face_of, twin = graph.faces, graph.face_of, graph.twin
+    origin, rotation = graph.origin, graph.rotation
+    vertex_draw = _VERTEX_DRAWS.get
     draws: dict[ElementKey, int] = {}
-    for h in graph.faces[face]:
-        for sink in (("vertex", origin[h]), ("face", face_of[twin[h]])):
-            draw = _rule_draw(graph, sink)
-            if draw is not None:
-                draws[sink] = draws.get(sink, 0) + draw[1]
+    for h in faces[face]:
+        v = origin[h]
+        draw = vertex_draw(len(rotation[v]))
+        if draw is not None:
+            sink = ("vertex", v)
+            draws[sink] = draws.get(sink, 0) + draw[1]
+        j = face_of[twin[h]]
+        if len(faces[j]) == 3:
+            sink = ("face", j)
+            draws[sink] = draws.get(sink, 0) + _rule_draw(graph, j)[1]
     keys = set(received) | set(draws)
     mismatched = tuple(
         sorted(k for k in keys if received.get(k, 0) != draws.get(k, 0))

@@ -6,10 +6,15 @@ builds each generic instance from the same spec.  When this module is
 imported, each spec is compiled into the source of two Python functions:
 a search, with one nested ``for`` loop per role or face and each test
 written inline at the slot that completes it, and a check, one conjunction
-of every test the spec states.  ``find_configuration`` runs the search,
-then the check on every binding it found, and raises if one fails;
-``validate_embedding`` runs the same check on a reported embedding.  No
-configuration is named here: every per-entry fact comes from the catalog.
+of every test the spec states.  One private step, ``_checked``, runs an
+entry's search, then its check on every binding found, and raises if one
+fails, also under ``python -O``.  Three readers share it:
+``find_configuration`` sorts and wraps every binding, ``find_any_reducible``
+stops at the first entry with a binding and wraps only the least, and
+``match_summary`` counts every entry's bindings and wraps only the first
+match.  ``validate_embedding`` runs the same check on a reported
+embedding.  No configuration is named here: every per-entry fact comes from
+the catalog.
 Degree requirements follow the forbidden structures' statements, with
 derived degrees (for example the degree-4 middle of a 2-2 path) required
 exactly; the degenerate variants those requirements exclude are owned by
@@ -54,10 +59,14 @@ class MatchEmbedding(NamedTuple):
 
 
 def _flank(g: PlaneGraph, u: int, w: int) -> tuple[int, ...]:
-    """The faces on the two sides of edge uw, or none if uw is no edge."""
-    if w not in g.rotation[u]:
+    """The faces on the two sides of edge uw, or none if uw is no edge.  The
+    compiled search and check pass only vertex ids already in range, so the
+    half-edge is read off the layout ``PlaneGraph`` documents, without
+    ``half_edge``'s argument checks."""
+    nbrs = g.rotation[u]
+    if w not in nbrs:
         return ()
-    h = g.half_edge(u, w)
+    h = g._first[u] + nbrs.index(w)
     sides = (g.face_of[h], g.opposite_face(h))
     return sides[:1] if sides[0] == sides[1] else sides
 
@@ -211,6 +220,25 @@ def _spec_of(config_id: str) -> _Spec:
         raise UnknownConfig(config_id) from None
 
 
+def _checked(g: PlaneGraph, config_id: str) -> list[tuple]:
+    """The one checked step every reader runs: the spec's search, then its
+    check on every binding found, also under ``python -O``.  The bindings
+    come unsorted; roles are indexed in name order, so raw bindings sort as
+    the reports do, and no candidate source repeats an element, so no
+    binding repeats."""
+    spec = _SPECS[config_id]
+    bindings = spec.search(g)
+    if not spec.check(g, bindings):
+        bad = min(b for b in bindings if not spec.check(g, [b]))
+        raise AssertionError(f"unsound {config_id} match {bad}")
+    return bindings
+
+
+def _embedding(config_id: str, binding: tuple) -> MatchEmbedding:
+    roles, faces = binding
+    return MatchEmbedding(config_id, tuple(zip(_SPECS[config_id].names, roles)), faces)
+
+
 def validate_embedding(g: PlaneGraph, emb: MatchEmbedding) -> bool:
     """Re-check a reported embedding against the host: its role names are
     the spec's, every id is an int, and the spec's check holds with each
@@ -230,24 +258,31 @@ def validate_embedding(g: PlaneGraph, emb: MatchEmbedding) -> bool:
 def find_configuration(g: PlaneGraph, config_id: str) -> list[MatchEmbedding]:
     """All embeddings of one configuration, canonically ordered.  Every
     binding the search finds is re-checked, also under ``python -O``."""
-    spec = _spec_of(config_id)
-    # Roles are indexed in name order, so raw bindings sort as the reports
-    # do; no candidate source repeats an element, so no binding repeats.
-    bindings = sorted(spec.search(g))
-    if not spec.check(g, bindings):
-        bad = next(b for b in bindings if not spec.check(g, [b]))
-        raise AssertionError(f"unsound {config_id} match {bad}")
-    names = spec.names
+    names = _spec_of(config_id).names
     return [
         MatchEmbedding(config_id, tuple(zip(names, roles)), faces)
-        for roles, faces in bindings
+        for roles, faces in sorted(_checked(g, config_id))
     ]
 
 
 def find_any_reducible(g: PlaneGraph) -> Optional[MatchEmbedding]:
-    """First match over the fixed catalog order, or None."""
+    """First match over the fixed catalog order, or None: the least match
+    of the first entry that has one, every binding of which is re-checked."""
     for config_id in CATALOG_ORDER:
-        matches = find_configuration(g, config_id)
-        if matches:
-            return matches[0]
+        bindings = _checked(g, config_id)
+        if bindings:
+            return _embedding(config_id, min(bindings))
     return None
+
+
+def match_summary(g: PlaneGraph) -> tuple[dict[str, int], Optional[MatchEmbedding]]:
+    """Every entry's match count, in catalog order, and the match that
+    ``find_any_reducible`` gives; every binding counted is re-checked."""
+    counts = {}
+    first = None
+    for config_id in CATALOG_ORDER:
+        bindings = _checked(g, config_id)
+        counts[config_id] = len(bindings)
+        if first is None and bindings:
+            first = _embedding(config_id, min(bindings))
+    return counts, first

@@ -12,8 +12,9 @@ every connected max-degree-4 graph rather than class members only,
 class members grown with every child tried (no twin skip), lattice
 patches drawn with the frontier rebuilt at every step,
 rotations read off straight-line drawings by angle, Euler's formula
-checked component by component, each big face's sub-rule ledger built
-one closure call per draw, and plane graphs built with twins looked up in
+checked component by component, the global rules R1-R4 restated with
+literal twelfths, each big face's sub-rule ledger built one closure call
+per draw, and plane graphs built with twins looked up in
 a (u, v)-keyed dict, every rotation validated id by id and every view
 built eagerly.
 """
@@ -767,6 +768,40 @@ def brute_force_matches(g, config_id):
     else:
         raise ValueError(config_id)
     return out
+
+
+# -- global rules R1-R4, one incidence at a time ---------------------------------
+
+
+def incidence_rule_transfers(g):
+    """The global rule transfers restated with literal twelfths, in ledger
+    order.  Each 6+-face gives 12 (R1) to a degree-2 vertex and 6 (R2) to a
+    degree-3 vertex per occurrence on its walk, in walk order; then each
+    3-face, in face order, takes 6 (R3) when one of its edges lies on
+    another 3-face and 4 (R4) otherwise, from the 6+-face across each of
+    its edges.  The R3/R4 split and the face across an edge are read off
+    the faces' edge sets, not off ``twin``."""
+    _, edges = _face_sets(g)
+    transfers = []
+    for i, walk in enumerate(g.faces):
+        if len(walk) < 6:
+            continue
+        for h in walk:
+            v = g.origin[h]
+            if g.degree(v) == 2:
+                transfers.append(Transfer("R1", ("face", i), ("vertex", v), 12))
+            elif g.degree(v) == 3:
+                transfers.append(Transfer("R2", ("face", i), ("vertex", v), 6))
+    for i, walk in enumerate(g.faces):
+        if len(walk) != 3:
+            continue
+        rule, amount = ("R3", 6) if edge_set_three_face_edges(g, i) else ("R4", 4)
+        for h in walk:
+            edge = frozenset((g.origin[h], g.target[h]))
+            (j,) = [k for k in range(len(edges)) if k != i and edge in edges[k]]
+            if len(g.faces[j]) >= 6:
+                transfers.append(Transfer(rule, ("face", j), ("face", i), amount))
+    return transfers
 
 
 # -- edge-level audit, one take() call per sub-rule draw ------------------------

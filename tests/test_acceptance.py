@@ -32,6 +32,7 @@ from planecharge.discharging import (
     reconcile_face,
 )
 from planecharge.matcher import find_any_reducible, find_configuration
+from planecharge.plane_graph import class_membership
 from planecharge.reducibility import verify_catalog
 from planecharge.square import SimpleGraph, square
 
@@ -255,6 +256,8 @@ def test_criterion_8_contrapositive_audit(named, class_members_7):
     graphs = [g for g in named.values() if g.is_connected()]
     graphs += class_members_7
     graphs += list(_lattice_members())
+    # The criterion speaks of class members: sharpness9 has a 5-cycle.
+    graphs = [g for g in graphs if class_membership(g).in_class]
     for g in graphs:
         audit = final_audit(g)
         checked += 1

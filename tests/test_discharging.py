@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planecharge
-from oracles import closure_edge_level_audit, rotation_from_layout
+from oracles import closure_edge_level_audit, incidence_rule_transfers, rotation_from_layout
 from planecharge import discharging
 from planecharge.corpus import random_class_member
 from planecharge.discharging import (
@@ -157,6 +157,13 @@ def hex_with_triangle_fans():
     return build_from_rotation(rotation_from_layout(points, edges))
 
 
+def sampled_hosts(named, class_members_7):
+    """The named examples, every class member on 7 vertices, the hexagon
+    with triangle fans and 200 seeded lattice members of 8-47 vertices."""
+    hosts = list(named.values()) + class_members_7 + [hex_with_triangle_fans()]
+    return hosts + [random_class_member(seed, 8 + seed % 40) for seed in range(200)]
+
+
 def test_audit_subrules_fire_and_reconcile():
     g = hex_with_triangle_fans()
     for face in big_faces(g):
@@ -281,6 +288,17 @@ def test_reconcile_draws_match_rule_transfers(named, class_members_7):
     assert failing
 
 
+def test_rule_transfers_equal_incidence_oracle(named, class_members_7):
+    """The global rule transfers, in ledger order, equal R1-R4 restated with
+    literal twelfths, with the R3/R4 split read off the faces' edge sets."""
+    rules = set()
+    for g in sampled_hosts(named, class_members_7):
+        expected = incidence_rule_transfers(g)
+        assert rule_transfers(g) == expected
+        rules.update(t.rule for t in expected)
+    assert rules == {"R1", "R2", "R3", "R4"}
+
+
 def _audit_fields(audit):
     return {
         "face": audit.face,
@@ -296,8 +314,7 @@ def _audit_fields(audit):
 def test_audit_equals_closure_oracle(named, class_members_7):
     """Every field of every big face's audit, the transfers in ledger order,
     equals the one-closure-call-per-draw oracle."""
-    hosts = list(named.values()) + class_members_7 + [hex_with_triangle_fans()]
-    hosts += [random_class_member(seed, 8 + seed % 40) for seed in range(200)]
+    hosts = sampled_hosts(named, class_members_7)
     rules = set()
     audits = 0
     for g in hosts:
@@ -370,8 +387,7 @@ def test_audits_equal_those_rebuilt_from_edge_level_audit(named, class_members_7
     """final_audit and reconcile_face run the per-face pass without its
     draws; what they report equals what edge_level_audit's ledgers give,
     including on the hosts where reconciliation fails."""
-    hosts = list(named.values()) + class_members_7 + [hex_with_triangle_fans()]
-    hosts += [random_class_member(seed, 8 + seed % 40) for seed in range(200)]
+    hosts = sampled_hosts(named, class_members_7)
     mismatched_hosts = faces = edge_negative_count = 0
     for g in hosts:
         if not g.is_connected():

@@ -17,9 +17,11 @@ from planecharge.matcher import (
     MatchEmbedding,
     find_any_reducible,
     find_configuration,
+    match_summary,
     validate_embedding,
 )
 from planecharge.plane_graph import build_from_rotation
+from test_discharging import sampled_hosts
 
 
 def path_graph(n):
@@ -308,25 +310,56 @@ def test_matcher_names_no_configuration():
     assert not literals & set(CATALOG_ORDER)
 
 
-_WRONG_SEARCH = """
+def test_readers_agree(named, class_members_7):
+    """match_summary counts what find_configuration lists, entry by entry in
+    catalog order, and its first match is find_any_reducible's: the first
+    match of the first entry that has one."""
+    firsts = set()
+    for g in sampled_hosts(named, class_members_7):
+        found = {cid: find_configuration(g, cid) for cid in CATALOG_ORDER}
+        counts, first = match_summary(g)
+        assert list(counts.items()) == [(cid, len(m)) for cid, m in found.items()]
+        assert first == find_any_reducible(g) == next(m[0] for m in found.values() if m)
+        firsts.add(first.config_id)
+    assert len(firsts) >= 4
+
+
+# A path 0-1-2-3 whose no1v search also reports its degree-2 vertex 1 as a
+# leaf, after the two true leaves: the least binding is still sound.
+_BOGUS_BINDING = """
 from planecharge import matcher
 from planecharge.plane_graph import build_from_rotation
 
 spec = matcher._SPECS["no1v"]
-matcher._SPECS["no1v"] = spec._replace(search=lambda g: [((0,), ())])
-try:
-    matcher.find_configuration(build_from_rotation([[1, 2], [0], [0]]), "no1v")
-except AssertionError as exc:
-    print(__debug__, exc)
+matcher._SPECS["no1v"] = spec._replace(search=lambda g: spec.search(g) + [((1,), ())])
+path = build_from_rotation([[1], [0, 2], [1, 3], [2]])
+for read in (
+    lambda: matcher.find_configuration(path, "no1v"),
+    lambda: matcher.find_any_reducible(path),
+    lambda: matcher.match_summary(path),
+):
+    try:
+        read()
+    except AssertionError as exc:
+        print(__debug__, exc)
 """
 
 
+def test_every_reader_rechecks_every_binding(monkeypatch, capsys):
+    """A bogus binding after sound ones makes each reader raise, though
+    find_any_reducible and match_summary wrap only the least binding."""
+    monkeypatch.setitem(_SPECS, "no1v", _SPECS["no1v"])  # restored afterwards
+    exec(_BOGUS_BINDING, {})
+    assert capsys.readouterr().out.splitlines() == ["True unsound no1v match ((1,), ())"] * 3
+
+
 def test_unsound_search_is_caught_under_optimize():
-    """Each binding is re-checked by a test that ``python -O`` keeps: a
-    search that reports the degree-2 middle of a path as a leaf raises."""
+    """Each binding is re-checked by a test that ``python -O`` keeps: every
+    reader raises on a search that reports the degree-2 vertex of a path
+    as a leaf."""
     env = dict(os.environ, PYTHONPATH=str(Path(planecharge.__file__).parent.parent))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _WRONG_SEARCH],
+        [sys.executable, "-O", "-c", _BOGUS_BINDING],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout == "False unsound no1v match ((0,), ())\n"
+    assert proc.stdout.splitlines() == ["False unsound no1v match ((1,), ())"] * 3
