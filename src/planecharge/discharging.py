@@ -5,10 +5,14 @@ Amounts are plain ints counting twelfths of a unit charge; every constant
 the rules use (1, 1/2, 1/3, 1/4, 1/6) is a whole number of twelfths, so the
 ledger is exact and every audit is bit-reproducible.
 
-The sub-rules of one big face are applied by one pass over its walk,
-``_audit_face``, which returns a ``FaceAudit``.  ``final_audit`` and
-``reconcile_face`` build it for the amounts alone; ``edge_level_audit``
-builds it with one ``Transfer`` record per sub-rule draw.
+Which sub-rule rows a walk vertex pulls is stated once, in the table
+``_VERTEX_PULLS``, keyed by the vertex's degree and by whether a 3-face
+lies across the walk edge after it and before it.  Three per-face readers
+look their rows up there, and each builds only what it returns:
+``edge_level_audit`` a ``FaceAudit`` with one ``Transfer`` per sub-rule
+draw, ``reconcile_face`` each sink's total, and ``final_audit`` the amount
+taken at each walk position, naming an edge only where it may end
+negative.
 """
 
 from __future__ import annotations
@@ -164,12 +168,52 @@ _SUBR2_BEFORE = ("SubR2", -1, SIXTH)
 _SUBR2_AFTER = ("SubR2", 1, SIXTH)
 
 
+def _vertex_pull_table() -> dict[tuple[int, bool, bool], tuple[int, tuple]]:
+    """The rows a walk vertex pulls, with their total, keyed by (its degree,
+    whether a 3-face lies across the walk edge after it, whether one lies
+    across the walk edge before it): SubR5 at a 2-vertex; at a 3-vertex
+    SubR3 towards a 3-face after it, else before it, else SubR4.  A vertex
+    of any other degree pulls nothing and has no key."""
+    table = {}
+    for after in (False, True):
+        for before in (False, True):
+            subr3 = _SUBR3_AFTER if after else _SUBR3_BEFORE if before else _SUBR4
+            for degree, rows in ((2, _SUBR5), (3, subr3)):
+                table[degree, after, before] = (sum(row[2] for row in rows), rows)
+    return table
+
+
+_VERTEX_PULLS = _vertex_pull_table()
+
+
+def _three_face_pulls(graph: PlaneGraph, g3: int, v: int) -> tuple:
+    """The rows 3-face ``g3`` pulls from the walk edge across from it, whose
+    first vertex is ``v``: SubR1, and SubR2 for each 3-face flanking it."""
+    origin = graph.origin
+    return (_SUBR1,) + tuple(
+        _SUBR2_BEFORE if origin[hg] == v else _SUBR2_AFTER
+        for hg in graph.three_face_edges(g3)  # the shared edge is not listed
+    )
+
+
+def _big_face_walk(graph: PlaneGraph, face: int) -> list[int]:
+    """The walk of big face ``face``.  UnknownFace (an IndexError) unless
+    ``face`` is an int in 0..face_count-1, NotBigFace when the face is
+    shorter than ``BIG_FACE``."""
+    if type(face) is not int or not 0 <= face < graph.face_count:
+        raise UnknownFace(face)
+    walk = graph.faces[face]
+    if len(walk) < BIG_FACE:
+        raise NotBigFace(face, len(walk), BIG_FACE)
+    return walk
+
+
 class FaceAudit(NamedTuple):
     """Scratch ledger for one 6+-face: each edge occurrence on the walk is
     seeded with 1/3, the sub-rules move edge charge to the 2-vertices,
     3-vertices, and 3-faces around the face, and the face keeps the
     residual 2l/3 - 4.  ``transfers`` holds one ``Transfer`` per sub-rule
-    draw when the audit is built with its ledger, and is empty otherwise."""
+    draw."""
 
     face: int
     length: int
@@ -189,21 +233,15 @@ class FaceAudit(NamedTuple):
         return kept == sum(self.edge_seed.values())
 
 
-def _audit_face(graph: PlaneGraph, face: int, ledger: bool = False) -> FaceAudit:
-    """The one pass over the walk of big face ``face`` that applies the pull
-    tables above.  With ``ledger`` it also builds one ``Transfer`` per pull:
-    the vertex draws of every walk position first, then the 3-face draws,
-    each in walk order.  UnknownFace (an IndexError) unless ``face`` is an
-    int in 0..face_count-1, NotBigFace when the face is shorter than
-    ``BIG_FACE``."""
-    if type(face) is not int or not 0 <= face < graph.face_count:
-        raise UnknownFace(face)
+def _audit_face(graph: PlaneGraph, face: int) -> FaceAudit:
+    """The sub-rule ledger of big face ``face``, one ``Transfer`` per pull:
+    the vertex pulls of every walk position first, then the 3-face pulls,
+    each in walk order."""
+    walk = _big_face_walk(graph, face)
     faces, face_of, twin = graph.faces, graph.face_of, graph.twin
     origin, target, rotation = graph.origin, graph.target, graph.rotation
-    walk = faces[face]
+    vertex_pulls = _VERTEX_PULLS.get
     length = len(walk)
-    if length < BIG_FACE:
-        raise NotBigFace(face, length, BIG_FACE)
     # edges[pos] is the walk edge at position pos, as (low, high).
     edges = tuple(
         (origin[h], target[h]) if origin[h] < target[h] else (target[h], origin[h])
@@ -220,34 +258,20 @@ def _audit_face(graph: PlaneGraph, face: int, ledger: bool = False) -> FaceAudit
     face_transfers: list[Transfer] = []
     for pos, h in enumerate(walk):
         v = origin[h]
-        d = len(rotation[v])
-        if d == 2:
-            pulls = _SUBR5
-        elif d == 3:
-            pulls = _SUBR3_AFTER if three[pos] else _SUBR3_BEFORE if three[pos - 1] else _SUBR4
-        else:
-            pulls = ()
-        if pulls:
+        pull = vertex_pulls((len(rotation[v]), three[pos], three[pos - 1]))
+        if pull is not None:
             sink = ("vertex", v)
-            for rule, offset, amount in pulls:
+            received[sink] = received.get(sink, 0) + pull[0]
+            for rule, offset, amount in pull[1]:
+                p = (pos + offset) % length
+                taken[p] += amount
+                transfers.append(Transfer(rule, ("edge", edges[p]), sink, amount))
+        if three[pos]:
+            sink = ("face", across[pos])
+            for rule, offset, amount in _three_face_pulls(graph, across[pos], v):
                 p = (pos + offset) % length
                 taken[p] += amount
                 received[sink] = received.get(sink, 0) + amount
-                if ledger:
-                    transfers.append(Transfer(rule, ("edge", edges[p]), sink, amount))
-        if not three[pos]:
-            continue
-        g3 = across[pos]
-        sink = ("face", g3)
-        pulls = [_SUBR1]
-        # The shared edge is not listed: its far side is this big face.
-        for hg in graph.three_face_edges(g3):
-            pulls.append(_SUBR2_BEFORE if origin[hg] == v else _SUBR2_AFTER)
-        for rule, offset, amount in pulls:
-            p = (pos + offset) % length
-            taken[p] += amount
-            received[sink] = received.get(sink, 0) + amount
-            if ledger:
                 face_transfers.append(Transfer(rule, ("edge", edges[p]), sink, amount))
     transfers += face_transfers
 
@@ -267,9 +291,9 @@ def _audit_face(graph: PlaneGraph, face: int, ledger: bool = False) -> FaceAudit
 def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
     """The sub-rule ledger of big face ``face``, one ``Transfer`` per draw;
     UnknownFace (an IndexError) unless ``face`` is an int in
-    0..face_count-1.  ``final_audit`` and ``reconcile_face`` build the same
-    audit without its transfers."""
-    audit = _audit_face(graph, face, ledger=True)
+    0..face_count-1, NotBigFace when the face is shorter than
+    ``BIG_FACE``."""
+    audit = _audit_face(graph, face)
     if not audit.conserved():  # checked under ``python -O`` too
         raise AssertionError(f"the audit of face {face} does not conserve charge")
     return audit
@@ -287,21 +311,33 @@ class FaceReconciliation(NamedTuple):
 
 def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
     """Check that what each sink collects from the face's edges under the
-    sub-rules equals what it draws from the face under the global rules."""
-    received = _audit_face(graph, face).sink_received
+    sub-rules equals what it draws from the face under the global rules.
+    Each sink's receipts are the sums of its pull rows, looked up as
+    ``edge_level_audit`` looks them up; no edge is named."""
+    walk = _big_face_walk(graph, face)
     faces, face_of, twin = graph.faces, graph.face_of, graph.twin
     origin, rotation = graph.origin, graph.rotation
-    vertex_draw = _VERTEX_DRAWS.get
+    vertex_pulls, vertex_draw = _VERTEX_PULLS.get, _VERTEX_DRAWS.get
+    across = [face_of[twin[h]] for h in walk]
+    three = [len(faces[j]) == 3 for j in across]
+    received: dict[ElementKey, int] = {}
     draws: dict[ElementKey, int] = {}
-    for h in faces[face]:
+    for pos, h in enumerate(walk):
         v = origin[h]
-        draw = vertex_draw(len(rotation[v]))
+        d = len(rotation[v])
+        pull = vertex_pulls((d, three[pos], three[pos - 1]))
+        if pull is not None:
+            sink = ("vertex", v)
+            received[sink] = received.get(sink, 0) + pull[0]
+        draw = vertex_draw(d)
         if draw is not None:
             sink = ("vertex", v)
             draws[sink] = draws.get(sink, 0) + draw[1]
-        j = face_of[twin[h]]
-        if len(faces[j]) == 3:
+        if three[pos]:
+            j = across[pos]
             sink = ("face", j)
+            pulled = sum(row[2] for row in _three_face_pulls(graph, j, v))
+            received[sink] = received.get(sink, 0) + pulled
             draws[sink] = draws.get(sink, 0) + _rule_draw(graph, j)[1]
     keys = set(received) | set(draws)
     mismatched = tuple(
@@ -331,13 +367,39 @@ class FinalAudit(NamedTuple):
     state: ChargeState
 
 
+def _face_taken(graph: PlaneGraph, walk: list[int], across: list[int]) -> tuple[list[int], int]:
+    """What the sub-rules take from each walk position of a big face, and
+    the total they pull; ``across[pos]`` is the face across walk edge pos."""
+    faces, origin, rotation = graph.faces, graph.origin, graph.rotation
+    vertex_pulls = _VERTEX_PULLS.get
+    three = [len(faces[j]) == 3 for j in across]
+    length = len(walk)
+    taken = [0] * length
+    pulled = 0
+    for pos, h in enumerate(walk):
+        v = origin[h]
+        pull = vertex_pulls((len(rotation[v]), three[pos], three[pos - 1]))
+        if pull is not None:
+            pulled += pull[0]
+            for _, offset, amount in pull[1]:
+                taken[(pos + offset) % length] += amount
+        if three[pos]:
+            for _, offset, amount in _three_face_pulls(graph, across[pos], v):
+                taken[(pos + offset) % length] += amount
+                pulled += amount
+    return taken, pulled
+
+
 def final_audit(graph: PlaneGraph) -> FinalAudit:
     """Run the whole pipeline and report everything that ends negative.
 
     The reconciliation flag asserts conservation: the vertex+face total is
-    still exactly -8 after the rules, each audited face's edge ledger
-    conserves its seeded l/3, and each residual 2l/3 - 4 (nonnegative for
-    l >= 6) is what the face keeps of its initial charge after seeding.
+    still exactly -8 after the rules, what the sub-rules take from each
+    audited face's walk is what they pull, and each residual 2l/3 - 4
+    (nonnegative for l >= 6) is what the face keeps of its initial charge
+    after seeding 1/3 on each walk edge.  The edge ledger is read per walk
+    position: only an edge that gives away more than its seed, or a bridge
+    (both sides on the face, so seeded twice), is named.
     """
     state = apply_rules(graph, initial_charges(graph))
     negatives: list[NegativeElement] = []
@@ -348,19 +410,29 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
         if c < 0:
             negatives.append(NegativeElement("face", i, c))
 
+    faces, face_of, twin = graph.faces, graph.face_of, graph.twin
+    origin, target = graph.origin, graph.target
     reconciliation_ok = state.total() == TOTAL_TWELFTHS
-    for i, walk in enumerate(graph.faces):
-        if len(walk) < BIG_FACE:
+    for i, walk in enumerate(faces):
+        length = len(walk)
+        if length < BIG_FACE:
             continue
-        audit = _audit_face(graph, i)
-        reconciliation_ok = (
-            reconciliation_ok
-            and audit.conserved()
-            and audit.residual == ONE * (audit.length - 4) - sum(audit.edge_seed.values())
-            and audit.residual >= 0
-        )
-        for e, c in audit.negative_edges():
-            negatives.append(NegativeElement("edge", (i, e), c))
+        across = [face_of[twin[h]] for h in walk]
+        taken, pulled = _face_taken(graph, walk, across)
+        residual = ONE * (length - 4) - THIRD * length
+        reconciliation_ok = reconciliation_ok and sum(taken) == pulled and residual >= 0
+        # An edge ends with 1/3 per occurrence on the walk, less what is
+        # taken there; only a bridge occurs twice.
+        final: dict[tuple[int, int], int] = {}
+        for pos, t in enumerate(taken):
+            if t > THIRD or across[pos] == i:
+                h = walk[pos]
+                u, w = origin[h], target[h]
+                e = (u, w) if u < w else (w, u)
+                final[e] = final.get(e, 0) + THIRD - t
+        for e, c in sorted(final.items()):
+            if c < 0:
+                negatives.append(NegativeElement("edge", (i, e), c))
     return FinalAudit(
         negatives=tuple(negatives),
         reconciliation_ok=reconciliation_ok,

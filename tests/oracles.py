@@ -812,6 +812,16 @@ def closure_edge_level_audit(graph, face):
     ``FaceAudit`` fields, ``transfers`` included: each draw goes through one
     ``take`` closure that builds its ``Transfer`` on the spot, and the walk
     is read twice, vertex draws first."""
+    return _closure_ledger(graph, face)[0]
+
+
+def closure_walk_taken(graph, face):
+    """What the sub-rules take from each walk position of big face ``face``,
+    in walk order, as ``closure_edge_level_audit`` takes it."""
+    return _closure_ledger(graph, face)[1]
+
+
+def _closure_ledger(graph, face):
     if not 0 <= face < graph.face_count:
         raise IndexError(f"no face with index {face}")
     walk = graph.faces[face]
@@ -890,7 +900,7 @@ def closure_edge_level_audit(graph, face):
     for e, t in zip(edges, taken):
         edge_final[e] -= t
 
-    return {
+    fields = {
         "face": face,
         "length": length,
         "residual": ONE * (length - 4) - THIRD * length,
@@ -899,6 +909,7 @@ def closure_edge_level_audit(graph, face):
         "sink_received": received,
         "transfers": tuple(transfers),
     }
+    return fields, taken
 
 
 def rotation_from_layout(

@@ -9,13 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planecharge
-from oracles import closure_edge_level_audit, incidence_rule_transfers, rotation_from_layout
+from oracles import (
+    closure_edge_level_audit,
+    closure_walk_taken,
+    incidence_rule_transfers,
+    rotation_from_layout,
+)
 from planecharge import discharging
 from planecharge.corpus import random_class_member
 from planecharge.discharging import (
     BIG_FACE,
     HALF,
     ONE,
+    QUARTER,
+    SIXTH,
     THIRD,
     TOTAL_TWELFTHS,
     FaceReconciliation,
@@ -330,26 +337,37 @@ def test_audit_equals_closure_oracle(named, class_members_7):
 def test_transfers_are_built_only_when_read(monkeypatch):
     """final_audit builds the global rule transfers and no sub-rule ones;
     reconcile_face builds none; edge_level_audit builds one per sub-rule
-    draw."""
+    draw.  Only edge_level_audit builds a FaceAudit, one per call."""
     built = []
-    real = discharging.Transfer
+    audits = []
+    real_transfer = discharging.Transfer
+    real_audit = discharging.FaceAudit
 
     def counting_transfer(*args):
         built.append(args[0])
-        return real(*args)
+        return real_transfer(*args)
+
+    def counting_audit(*args):
+        audits.append(args[0])
+        return real_audit(*args)
 
     monkeypatch.setattr(discharging, "Transfer", counting_transfer)
+    monkeypatch.setattr(discharging, "FaceAudit", counting_audit)
     for g in (hex_with_triangle_fans(), random_class_member(7, 60)):
         expected = len(rule_transfers(g))
         built.clear()
         final_audit(g)
         assert len(built) == expected
+        assert not audits
         built.clear()
         for i in big_faces(g):
             reconcile_face(g, i)
         assert not built
+        assert not audits
         audit = edge_level_audit(g, big_faces(g)[0])
         assert built and sorted(built) == sorted(t.rule for t in audit.transfers)
+        assert audits == [big_faces(g)[0]]
+        audits.clear()
 
 
 def _rebuilt_final_audit(g):
@@ -383,12 +401,38 @@ def _rebuilt_reconciliation(g, i, transfers):
     return FaceReconciliation(i, not mismatched, received, draws, mismatched)
 
 
+def _bridge_cases(g):
+    """Per bridge of a big face (an edge with both sides on that face, so
+    on its walk twice): whether one occurrence alone takes more than 1/3,
+    and the edge's final charge.  The amounts come from the oracle."""
+    cases = []
+    for i in big_faces(g):
+        walk = g.faces[i]
+        bridges = [pos for pos, h in enumerate(walk) if g.face_of[g.twin[h]] == i]
+        if not bridges:
+            continue
+        taken = closure_walk_taken(g, i)
+        final = closure_edge_level_audit(g, i)["edge_final"]
+        per_edge = {}
+        for pos in bridges:
+            e = tuple(sorted((g.origin[walk[pos]], g.target[walk[pos]])))
+            per_edge.setdefault(e, []).append(taken[pos])
+        for e, amounts in per_edge.items():
+            assert len(amounts) == 2
+            cases.append((max(amounts) > THIRD, final[e]))
+    return cases
+
+
 def test_audits_equal_those_rebuilt_from_edge_level_audit(named, class_members_7):
-    """final_audit and reconcile_face run the per-face pass without its
-    draws; what they report equals what edge_level_audit's ledgers give,
-    including on the hosts where reconciliation fails."""
+    """final_audit and reconcile_face read the pull table without building
+    a FaceAudit; what they report equals what edge_level_audit's ledgers
+    give, including on the hosts where reconciliation fails.  The hosts
+    hold bridges where one occurrence alone takes more than 1/3 but the
+    two together leave the edge nonnegative, and bridges that end
+    negative, so the edge negatives test the sum over both occurrences."""
     hosts = sampled_hosts(named, class_members_7)
     mismatched_hosts = faces = edge_negative_count = 0
+    heavy_nonnegative_bridges = negative_bridges = 0
     for g in hosts:
         if not g.is_connected():
             continue
@@ -397,6 +441,9 @@ def test_audits_equal_those_rebuilt_from_edge_level_audit(named, class_members_7
         assert [n for n in audit.negatives if n.kind == "edge"] == edge_negatives
         assert audit.reconciliation_ok == ok
         edge_negative_count += len(edge_negatives)
+        for heavy, charge in _bridge_cases(g):
+            heavy_nonnegative_bridges += heavy and charge >= 0
+            negative_bridges += charge < 0
         transfers = rule_transfers(g)
         recs = [reconcile_face(g, i) for i in big_faces(g)]
         assert recs == [_rebuilt_reconciliation(g, i, transfers) for i in big_faces(g)]
@@ -405,6 +452,40 @@ def test_audits_equal_those_rebuilt_from_edge_level_audit(named, class_members_7
     assert mismatched_hosts
     assert faces > 400
     assert edge_negative_count > 1000
+    assert heavy_nonnegative_bridges > 100  # 287 on these hosts
+    assert negative_bridges > 1000  # 1,602 on these hosts
+
+
+def test_one_pull_row_reaches_every_reader(monkeypatch):
+    """SubR5's 1/6 rows raised to 1/4, with the pull table rebuilt by the
+    module's own builder, reach all three per-face readers: each big face's
+    2-vertices, and nothing else, receive more than they draw; the receipts
+    of edge_level_audit change on exactly the faces with a 2-vertex; and
+    final_audit's edge negatives change."""
+    hosts = [hex_with_triangle_fans(), random_class_member(7, 60)]
+    before = [
+        (
+            [n for n in final_audit(g).negatives if n.kind == "edge"],
+            {i: edge_level_audit(g, i).sink_received for i in big_faces(g)},
+        )
+        for g in hosts
+    ]
+    subr5 = tuple(
+        (rule, offset, QUARTER if amount == SIXTH else amount)
+        for rule, offset, amount in discharging._SUBR5
+    )
+    assert subr5 != discharging._SUBR5
+    monkeypatch.setattr(discharging, "_SUBR5", subr5)
+    monkeypatch.setattr(discharging, "_VERTEX_PULLS", discharging._vertex_pull_table())
+    for g, (edge_negatives, received) in zip(hosts, before):
+        faces_with_twos = 0
+        for i in big_faces(g):
+            twos = sorted({("vertex", v) for v in g.face_vertices(i) if g.degree(v) == 2})
+            faces_with_twos += bool(twos)
+            assert reconcile_face(g, i).mismatched == tuple(twos)
+            assert (edge_level_audit(g, i).sink_received != received[i]) == bool(twos)
+        assert faces_with_twos
+        assert [n for n in final_audit(g).negatives if n.kind == "edge"] != edge_negatives
 
 
 _BROKEN_INVARIANTS = """
