@@ -7,12 +7,13 @@ ledger is exact and every audit is bit-reproducible.
 
 Which sub-rule rows a walk vertex pulls is stated once, in the table
 ``_VERTEX_PULLS``, keyed by the vertex's degree and by whether a 3-face
-lies across the walk edge after it and before it.  Three per-face readers
-look their rows up there, and each builds only what it returns:
-``edge_level_audit`` a ``FaceAudit`` with one ``Transfer`` per sub-rule
-draw, ``reconcile_face`` each sink's total, and ``final_audit`` the amount
-taken at each walk position, naming an edge only where it may end
-negative.
+lies across the walk edge after it and before it.  One walk,
+``_face_pulls``, lists every element that pulls from a big face's edges
+with its rows, and the three per-face readers fold that list:
+``edge_level_audit`` into a ``FaceAudit`` with one ``Transfer`` per
+sub-rule draw, ``reconcile_face`` into each sink's total, and
+``final_audit`` into the amount taken at each walk position, naming an
+edge only where it may end negative.
 """
 
 from __future__ import annotations
@@ -186,14 +187,35 @@ def _vertex_pull_table() -> dict[tuple[int, bool, bool], tuple[int, tuple]]:
 _VERTEX_PULLS = _vertex_pull_table()
 
 
-def _three_face_pulls(graph: PlaneGraph, g3: int, v: int) -> tuple:
-    """The rows 3-face ``g3`` pulls from the walk edge across from it, whose
-    first vertex is ``v``: SubR1, and SubR2 for each 3-face flanking it."""
-    origin = graph.origin
-    return (_SUBR1,) + tuple(
-        _SUBR2_BEFORE if origin[hg] == v else _SUBR2_AFTER
-        for hg in graph.three_face_edges(g3)  # the shared edge is not listed
-    )
+def _face_pulls(graph: PlaneGraph, face: int) -> tuple[list[int], list[tuple]]:
+    """The face across each walk edge of big face ``face``, and every
+    element that pulls from the walk's edges, in walk order: at position
+    pos the walk vertex (its ``_VERTEX_PULLS`` entry), then the 3-face
+    across walk edge pos (SubR1, and SubR2 for each 3-face flanking it).
+    Each entry is (pos, kind, ident, total, rows), its sink being (kind,
+    ident); a row (rule, offset, amount) pulls from walk edge pos + offset."""
+    walk = graph.faces[face]
+    face_of, twin = graph.face_of, graph.twin
+    origin, rotation = graph.origin, graph.rotation
+    vertex_pulls = _VERTEX_PULLS.get
+    across = [face_of[twin[h]] for h in walk]
+    # Whether a 3-face lies across each walk edge.
+    threes = graph.three_face_edges(face)
+    three = [h in threes for h in walk] if threes else [False] * len(walk)
+    pulls: list[tuple] = []
+    for pos, h in enumerate(walk):
+        v = origin[h]
+        pull = vertex_pulls((len(rotation[v]), three[pos], three[pos - 1]))
+        if pull is not None:
+            pulls.append((pos, "vertex", v, pull[0], pull[1]))
+        if three[pos]:
+            j = across[pos]
+            rows = (_SUBR1,) + tuple(
+                _SUBR2_BEFORE if origin[hg] == v else _SUBR2_AFTER
+                for hg in graph.three_face_edges(j)  # the shared edge is not listed
+            )
+            pulls.append((pos, "face", j, sum(row[2] for row in rows), rows))
+    return across, pulls
 
 
 def _big_face_walk(graph: PlaneGraph, face: int) -> list[int]:
@@ -233,46 +255,32 @@ class FaceAudit(NamedTuple):
         return kept == sum(self.edge_seed.values())
 
 
-def _audit_face(graph: PlaneGraph, face: int) -> FaceAudit:
-    """The sub-rule ledger of big face ``face``, one ``Transfer`` per pull:
+def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
+    """The sub-rule ledger of big face ``face``, one ``Transfer`` per draw:
     the vertex pulls of every walk position first, then the 3-face pulls,
-    each in walk order."""
+    each in walk order.  UnknownFace (an IndexError) unless ``face`` is an
+    int in 0..face_count-1, NotBigFace when the face is shorter than
+    ``BIG_FACE``."""
     walk = _big_face_walk(graph, face)
-    faces, face_of, twin = graph.faces, graph.face_of, graph.twin
-    origin, target, rotation = graph.origin, graph.target, graph.rotation
-    vertex_pulls = _VERTEX_PULLS.get
+    origin, target = graph.origin, graph.target
     length = len(walk)
     # edges[pos] is the walk edge at position pos, as (low, high).
     edges = tuple(
         (origin[h], target[h]) if origin[h] < target[h] else (target[h], origin[h])
         for h in walk
     )
-    # The face across each walk edge, and whether it is a 3-face (a 3-face
-    # is never the big face itself).
-    across = [face_of[twin[h]] for h in walk]
-    three = [len(faces[j]) == 3 for j in across]
-
     taken = [0] * length
     received: dict[ElementKey, int] = {}
     transfers: list[Transfer] = []
     face_transfers: list[Transfer] = []
-    for pos, h in enumerate(walk):
-        v = origin[h]
-        pull = vertex_pulls((len(rotation[v]), three[pos], three[pos - 1]))
-        if pull is not None:
-            sink = ("vertex", v)
-            received[sink] = received.get(sink, 0) + pull[0]
-            for rule, offset, amount in pull[1]:
-                p = (pos + offset) % length
-                taken[p] += amount
-                transfers.append(Transfer(rule, ("edge", edges[p]), sink, amount))
-        if three[pos]:
-            sink = ("face", across[pos])
-            for rule, offset, amount in _three_face_pulls(graph, across[pos], v):
-                p = (pos + offset) % length
-                taken[p] += amount
-                received[sink] = received.get(sink, 0) + amount
-                face_transfers.append(Transfer(rule, ("edge", edges[p]), sink, amount))
+    for pos, kind, ident, total, rows in _face_pulls(graph, face)[1]:
+        sink = (kind, ident)
+        received[sink] = received.get(sink, 0) + total
+        out = transfers if kind == "vertex" else face_transfers
+        for rule, offset, amount in rows:
+            p = (pos + offset) % length
+            taken[p] += amount
+            out.append(Transfer(rule, ("edge", edges[p]), sink, amount))
     transfers += face_transfers
 
     # Each distinct walk edge's seed is 1/3 per occurrence on the walk; its
@@ -285,15 +293,7 @@ def _audit_face(graph: PlaneGraph, face: int) -> FaceAudit:
     for e, t in zip(edges, taken):
         final[e] -= t
     residual = ONE * (length - 4) - THIRD * length
-    return FaceAudit(face, length, residual, seed, final, received, tuple(transfers))
-
-
-def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
-    """The sub-rule ledger of big face ``face``, one ``Transfer`` per draw;
-    UnknownFace (an IndexError) unless ``face`` is an int in
-    0..face_count-1, NotBigFace when the face is shorter than
-    ``BIG_FACE``."""
-    audit = _audit_face(graph, face)
+    audit = FaceAudit(face, length, residual, seed, final, received, tuple(transfers))
     if not audit.conserved():  # checked under ``python -O`` too
         raise AssertionError(f"the audit of face {face} does not conserve charge")
     return audit
@@ -312,37 +312,32 @@ class FaceReconciliation(NamedTuple):
 def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
     """Check that what each sink collects from the face's edges under the
     sub-rules equals what it draws from the face under the global rules.
-    Each sink's receipts are the sums of its pull rows, looked up as
-    ``edge_level_audit`` looks them up; no edge is named."""
+    Each sink's receipts are the totals of its pulls; the draws walk the
+    face again under R1-R4, so an element that draws but pulls nothing
+    still shows as a mismatch."""
     walk = _big_face_walk(graph, face)
-    faces, face_of, twin = graph.faces, graph.face_of, graph.twin
     origin, rotation = graph.origin, graph.rotation
-    vertex_pulls, vertex_draw = _VERTEX_PULLS.get, _VERTEX_DRAWS.get
-    across = [face_of[twin[h]] for h in walk]
-    three = [len(faces[j]) == 3 for j in across]
+    vertex_draw = _VERTEX_DRAWS.get
+    across, pulls = _face_pulls(graph, face)
     received: dict[ElementKey, int] = {}
+    for _, kind, ident, total, _ in pulls:
+        sink = (kind, ident)
+        received[sink] = received.get(sink, 0) + total
+    threes = graph.three_face_edges(face)
     draws: dict[ElementKey, int] = {}
-    for pos, h in enumerate(walk):
+    for h, j in zip(walk, across):
         v = origin[h]
-        d = len(rotation[v])
-        pull = vertex_pulls((d, three[pos], three[pos - 1]))
-        if pull is not None:
-            sink = ("vertex", v)
-            received[sink] = received.get(sink, 0) + pull[0]
-        draw = vertex_draw(d)
+        draw = vertex_draw(len(rotation[v]))
         if draw is not None:
             sink = ("vertex", v)
             draws[sink] = draws.get(sink, 0) + draw[1]
-        if three[pos]:
-            j = across[pos]
+        if h in threes:
             sink = ("face", j)
-            pulled = sum(row[2] for row in _three_face_pulls(graph, j, v))
-            received[sink] = received.get(sink, 0) + pulled
             draws[sink] = draws.get(sink, 0) + _rule_draw(graph, j)[1]
-    keys = set(received) | set(draws)
-    mismatched = tuple(
-        sorted(k for k in keys if received.get(k, 0) != draws.get(k, 0))
-    )
+    mismatched = ()
+    if received != draws:
+        keys = received.keys() | draws.keys()
+        mismatched = tuple(sorted(k for k in keys if received.get(k, 0) != draws.get(k, 0)))
     return FaceReconciliation(
         face=face,
         ok=not mismatched,
@@ -367,37 +362,15 @@ class FinalAudit(NamedTuple):
     state: ChargeState
 
 
-def _face_taken(graph: PlaneGraph, walk: list[int], across: list[int]) -> tuple[list[int], int]:
-    """What the sub-rules take from each walk position of a big face, and
-    the total they pull; ``across[pos]`` is the face across walk edge pos."""
-    faces, origin, rotation = graph.faces, graph.origin, graph.rotation
-    vertex_pulls = _VERTEX_PULLS.get
-    three = [len(faces[j]) == 3 for j in across]
-    length = len(walk)
-    taken = [0] * length
-    pulled = 0
-    for pos, h in enumerate(walk):
-        v = origin[h]
-        pull = vertex_pulls((len(rotation[v]), three[pos], three[pos - 1]))
-        if pull is not None:
-            pulled += pull[0]
-            for _, offset, amount in pull[1]:
-                taken[(pos + offset) % length] += amount
-        if three[pos]:
-            for _, offset, amount in _three_face_pulls(graph, across[pos], v):
-                taken[(pos + offset) % length] += amount
-                pulled += amount
-    return taken, pulled
-
-
 def final_audit(graph: PlaneGraph) -> FinalAudit:
     """Run the whole pipeline and report everything that ends negative.
 
     The reconciliation flag asserts conservation: the vertex+face total is
-    still exactly -8 after the rules, what the sub-rules take from each
-    audited face's walk is what they pull, and each residual 2l/3 - 4
-    (nonnegative for l >= 6) is what the face keeps of its initial charge
-    after seeding 1/3 on each walk edge.  The edge ledger is read per walk
+    still exactly -8 after the rules, and each audited face keeps a
+    residual 2l/3 - 4 (nonnegative for l >= 6) of its initial charge after
+    seeding 1/3 on each walk edge.  Both hold by construction on every
+    graph that gets this far; whether the sub-rules pay each rule draw is
+    ``reconcile_face``'s check.  The edge ledger is read per walk
     position: only an edge that gives away more than its seed, or a bridge
     (both sides on the face, so seeded twice), is named.
     """
@@ -410,17 +383,19 @@ def final_audit(graph: PlaneGraph) -> FinalAudit:
         if c < 0:
             negatives.append(NegativeElement("face", i, c))
 
-    faces, face_of, twin = graph.faces, graph.face_of, graph.twin
     origin, target = graph.origin, graph.target
     reconciliation_ok = state.total() == TOTAL_TWELFTHS
-    for i, walk in enumerate(faces):
+    for i, walk in enumerate(graph.faces):
         length = len(walk)
         if length < BIG_FACE:
             continue
-        across = [face_of[twin[h]] for h in walk]
-        taken, pulled = _face_taken(graph, walk, across)
+        across, pulls = _face_pulls(graph, i)
+        taken = [0] * length
+        for pos, _, _, _, rows in pulls:
+            for _, offset, amount in rows:
+                taken[(pos + offset) % length] += amount
         residual = ONE * (length - 4) - THIRD * length
-        reconciliation_ok = reconciliation_ok and sum(taken) == pulled and residual >= 0
+        reconciliation_ok = reconciliation_ok and residual >= 0
         # An edge ends with 1/3 per occurrence on the walk, less what is
         # taken there; only a bridge occurs twice.
         final: dict[tuple[int, int], int] = {}

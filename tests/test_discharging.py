@@ -337,11 +337,15 @@ def test_audit_equals_closure_oracle(named, class_members_7):
 def test_transfers_are_built_only_when_read(monkeypatch):
     """final_audit builds the global rule transfers and no sub-rule ones;
     reconcile_face builds none; edge_level_audit builds one per sub-rule
-    draw.  Only edge_level_audit builds a FaceAudit, one per call."""
+    draw.  Only edge_level_audit builds a FaceAudit, one per call.  Every
+    reader walks a big face's pulls once: final_audit once per big face,
+    reconcile_face and edge_level_audit once per call."""
     built = []
     audits = []
+    walks = []
     real_transfer = discharging.Transfer
     real_audit = discharging.FaceAudit
+    real_pulls = discharging._face_pulls
 
     def counting_transfer(*args):
         built.append(args[0])
@@ -351,22 +355,33 @@ def test_transfers_are_built_only_when_read(monkeypatch):
         audits.append(args[0])
         return real_audit(*args)
 
+    def counting_pulls(graph, face):
+        walks.append(face)
+        return real_pulls(graph, face)
+
     monkeypatch.setattr(discharging, "Transfer", counting_transfer)
     monkeypatch.setattr(discharging, "FaceAudit", counting_audit)
+    monkeypatch.setattr(discharging, "_face_pulls", counting_pulls)
     for g in (hex_with_triangle_fans(), random_class_member(7, 60)):
         expected = len(rule_transfers(g))
         built.clear()
+        walks.clear()
         final_audit(g)
         assert len(built) == expected
         assert not audits
+        assert walks == big_faces(g)
         built.clear()
         for i in big_faces(g):
+            walks.clear()
             reconcile_face(g, i)
+            assert walks == [i]
         assert not built
         assert not audits
+        walks.clear()
         audit = edge_level_audit(g, big_faces(g)[0])
         assert built and sorted(built) == sorted(t.rule for t in audit.transfers)
         assert audits == [big_faces(g)[0]]
+        assert walks == [big_faces(g)[0]]
         audits.clear()
 
 
@@ -486,6 +501,29 @@ def test_one_pull_row_reaches_every_reader(monkeypatch):
             assert (edge_level_audit(g, i).sink_received != received[i]) == bool(twos)
         assert faces_with_twos
         assert [n for n in final_audit(g).negatives if n.kind == "edge"] != edge_negatives
+
+
+def test_one_pull_walk_feeds_every_reader(monkeypatch):
+    """With the 3-face entries dropped from the shared pull walk, all three
+    readers lose them on the hexagon with triangle fans: edge_level_audit
+    its SubR1 and SubR2 transfers, reconcile_face mismatches exactly the
+    3-faces across each big face, and final_audit's edge negatives change."""
+    g = hex_with_triangle_fans()
+    edge_negatives = [n for n in final_audit(g).negatives if n.kind == "edge"]
+    rules = {i: {t.rule for t in edge_level_audit(g, i).transfers} for i in big_faces(g)}
+    assert set().union(*rules.values()) >= {"SubR1", "SubR2"}
+    real_pulls = discharging._face_pulls
+
+    def vertex_pulls_only(graph, face):
+        across, pulls = real_pulls(graph, face)
+        return across, [entry for entry in pulls if entry[1] != "face"]
+
+    monkeypatch.setattr(discharging, "_face_pulls", vertex_pulls_only)
+    for i in big_faces(g):
+        assert {t.rule for t in edge_level_audit(g, i).transfers} == rules[i] - {"SubR1", "SubR2"}
+        threes = sorted({("face", g.opposite_face(h)) for h in g.three_face_edges(i)})
+        assert reconcile_face(g, i).mismatched == tuple(threes)
+    assert [n for n in final_audit(g).negatives if n.kind == "edge"] != edge_negatives
 
 
 _BROKEN_INVARIANTS = """
