@@ -4,9 +4,11 @@ Every command reads graphs from JSON files ({"n": ..., "rot": [[...], ...]}),
 prints one deterministic JSON report to stdout, and exits 0 for successful
 queries (pass or info), 1 when a verification fails, and 2 on usage or
 input errors.  Report bytes equal ``json.dumps(body, sort_keys=True,
-indent=2)`` of the report body.  Each ``_cmd_*`` handler returns its
-outcome and payload; ``run`` builds the report, whose inputs are the parsed
-arguments, and reports every GraphError a handler raises as bad input.
+indent=2)`` of the report body; ``_dumps`` writes each list of flat records
+(a ledger's transfers and negatives) with one C encoder call and one
+%-template.  Each ``_cmd_*`` handler returns its outcome and payload;
+``run`` builds the report, whose inputs are the parsed arguments, and
+reports every GraphError a handler raises as bad input.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import os
 import sys
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 # What every command needs; each handler imports its own library module, so
@@ -86,9 +89,9 @@ def _dumps(value, newline: str = "\n") -> str:
     keys are all str.  Any indent sends ``json.dumps`` to its pure-Python
     encoder; this builds each container with one join instead, and each of
     these with one call to the C encoder: a list of scalars, a dict of
-    scalars (see ``_dumps_flat``) and a list of flat records (see
-    ``_flat_records``).  ``newline`` is a line break plus the indent of the
-    enclosing level."""
+    scalars (see ``_dumps_flat``) and a list of flat records, whose values
+    one %-template per key set then lays out (see ``_dumps_records``).
+    ``newline`` is a line break plus the indent of the enclosing level."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -106,10 +109,10 @@ def _dumps(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         if c_make_encoder is not None:
-            if set(map(type, value)) <= _SCALAR_TYPES:
+            if (types := set(map(type, value))) <= _SCALAR_TYPES:
                 return _dumps_flat(value, newline)
-            if _flat_records(value):
-                return _dumps_records(value, newline)
+            if types == {dict} and (text := _dumps_records(value, newline)) is not None:
+                return text
         items = [_dumps(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
@@ -140,42 +143,39 @@ def _encoder(item_separator: str):
 def _dumps_flat(value, newline: str) -> str:
     """``_dumps`` at indent ``newline`` of a non-empty list or tuple of
     scalars, or of a non-empty dict with str keys and scalar values (exact
-    types, as in ``_flat_records``).  One C encoder call writes each item
-    separator as a comma plus the item line's indent; only the brackets'
-    own line breaks are added.  An encoded string escapes every line
-    break, so no value can hold a raw one."""
+    types; a subclass takes the recursive path).  One C encoder call writes
+    each item separator as a comma plus the item line's indent; only the
+    brackets' own line breaks are added.  An encoded string escapes every
+    line break, so no value can hold a raw one."""
     inner = newline + "  "
     text = "".join(_encoder("," + inner)(value, 0))
     return text[0] + inner + text[1:-1] + newline + text[-1]
 
 
-def _flat_records(records) -> bool:
-    """Whether a non-empty list or tuple holds only non-empty dicts whose
-    values are str, int, float, bool or None (exact types; subclasses take
-    the recursive path).  Each pass runs in C: a report's ledgers hold tens
-    of thousands of records."""
-    return (
-        set(map(type, records)) == {dict}
-        and all(records)
-        and set(map(type, chain.from_iterable(map(dict.values, records)))) <= _SCALAR_TYPES
-    )
-
-
-def _dumps_records(records, newline: str) -> str:
-    """``_dumps`` of flat records (see ``_flat_records``) at indent
-    ``newline``.  The C encoder writes every field separator as a comma
-    plus the field line's indent but puts no line break inside braces;
-    the braces are then set on lines of their own by one replace.  That
-    replace is exact: an encoded string escapes every line break, so each
-    raw line break in the text is a separator, and the one between two
-    records is the only separator with a brace on both sides (keys are
-    written quoted, scalar values end in no brace, and no record is
-    empty)."""
+def _dumps_records(records, newline: str) -> Optional[str]:
+    """``_dumps`` at indent ``newline`` of a non-empty list or tuple of
+    dicts, or None unless every record has the first one's keys (at least
+    one, all str) and only scalar values (exact types).  One C encoder call
+    writes every value, with NUL between them, which is exact: an encoded
+    string escapes every control character, and no number or literal holds
+    one.  One %-template per record, keys in sorted order, lays them out."""
+    keys = sorted(records[0])
+    if set(map(type, keys)) != {str} or set(map(len, records)) != {len(keys)}:
+        return None
+    try:
+        rows = list(map(itemgetter(*keys), records))  # one key: bare values
+    except KeyError:
+        return None
+    values = list(chain.from_iterable(rows)) if len(keys) > 1 else rows
+    if not set(map(type, values)) <= _SCALAR_TYPES:
+        return None
     inner = newline + "  "
     fields = inner + "  "
-    text = "".join(_encoder("," + fields)(records, 0))  # '[{' ... '},' + fields + '{' ... '}]'
-    body = text[2:-2].replace("}," + fields + "{", inner + "}," + inner + "{" + fields)
-    return "[" + inner + "{" + fields + body + inner + "}" + newline + "]"
+    quoted = [encode_basestring_ascii(k).replace("%", "%%") for k in keys]
+    record = ("," + fields).join(k + ": %s" for k in quoted)
+    body = ("," + inner).join(["{" + fields + record + inner + "}"] * len(records))
+    text = "".join(_encoder("\x00")(values, 0))
+    return "[" + inner + body % tuple(text[1:-1].split("\x00")) + newline + "]"
 
 
 def _load(path: str) -> PlaneGraph:

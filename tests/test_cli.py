@@ -4,6 +4,7 @@ import io
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -486,6 +487,10 @@ def test_every_command_report_equals_json_dumps(graph_dir, tmp_path):
         for i in range(g.face_count):
             if g.face_length(i) >= BIG_FACE:
                 argvs.append(["discharge", path, "--face", str(i), "--ledger"])
+    # A lattice host whose ledgers hold hundreds of records, not tens.
+    lattice = str(tmp_path / "lattice.graph")
+    dump_graph_file(random_class_member(1, 200), lattice)
+    argvs += [["match", lattice], ["discharge", lattice, "--ledger"]]
     for argv in argvs:
         report = run(argv)
         assert report.to_json() == _stdlib_json(report), argv
@@ -511,9 +516,10 @@ _values = st.recursive(
     max_leaves=20,
 )
 # Lists of flat records, the shape _dumps encodes in bulk: keys and values
-# that hold the separators and braces the bulk path splices on, empty
-# records among full ones, and a nested value among scalar ones.
-_record_text = st.text(st.sampled_from('}{,\n" :\u2028a'), max_size=5)
+# that hold the separators, braces, template fields and NUL the bulk path
+# splices on, empty records among full ones, and a nested value among
+# scalar ones.
+_record_text = st.text(st.sampled_from('}{,\n" :\u2028a%s\x00'), max_size=5)
 _records = st.lists(
     st.dictionaries(_record_text, _scalars | _record_text, min_size=1, max_size=4)
     | st.just({})
@@ -528,15 +534,34 @@ _records = st.lists(
 )
 
 
+_dumps_inputs = (
+    _values | _records | _records.map(tuple) | st.dictionaries(_text, _records, max_size=3)
+)
+
+
 @settings(max_examples=400, deadline=None)
-@given(_values | _records | _records.map(tuple) | st.dictionaries(_text, _records, max_size=3))
+@given(_dumps_inputs)
 @example([{"a": "},\n      {"}, {"b": 1}])
 @example([{"x": True}, {"x": 1}, {"x": float("nan")}])
 @example([{"a": 1}, {}, {"a": 2}])
 @example(({"a": 1}, {"b": [1, 2]}))
 @example({"k": [{"a": "\u2028", '"': None}], "j": [{"z": -0.0}, {"y": "}{"}]})
+@example([{"%s": "%s"}, {"%s": "%%"}])
+@example([{"a": 1, "b": 2}, {"a": 1, "c": 2}])
+@example([{"a": 1}, {"a": 1, "b": 2}])
+@example([{"k": "\x00"}, {"k": 0}])
+@example([{"k": 1}])
+@example(({"a": 1, "b": "%"}, {"a": None, "b": "\x00s"}))
 def test_dumps_equals_json_dumps(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dumps_inputs)
+@example([{"a": 1, "b": "%s"}, {"a": 2, "b": "\x00"}])
+def test_dumps_without_the_c_encoder_equals_json_dumps(value):
+    with mock.patch.object(cli_module, "c_make_encoder", None):
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 # Flat lists and dicts of scalars, each written by one encoder call, at
@@ -572,7 +597,10 @@ def test_flat_values_take_one_encoder_call(monkeypatch):
 
     monkeypatch.setattr(cli_module, "_encoder", counting)
     charges = {str(v): -12 * (v % 3) for v in range(50)}
-    for value in (charges, list(range(50))):
+    ledger = [
+        {"kind": "edge", "id": f"({i}, ({i}, {i + 1}))", "twelfths": -(i % 5)} for i in range(1000)
+    ]
+    for value in (charges, list(range(50)), ledger):
         calls.clear()
         assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
         assert len(calls) == 1
