@@ -177,10 +177,12 @@ def _color_bits(
     """
     forbidden = [0] * len(lists)
     color = [-1] * len(lists)
-
-    def extend(uncolored: int) -> bool:
-        if not uncolored:
-            return True
+    # The search path, one frame per vertex colored on it: [the vertex, its
+    # untried colors, the vertices uncolored after it, the color bit it
+    # holds, the neighbors that bit was the first to forbid].
+    path: list[list] = []
+    uncolored = vertices
+    while uncolored:
         v, avail, fewest = -1, 0, 0
         rest = uncolored
         while rest:
@@ -189,32 +191,35 @@ def _color_bits(
             options = lists[w] & ~forbidden[w]
             count = options.bit_count()
             if v < 0 or count < fewest:
-                if not count:
-                    return False
                 v, avail, fewest = w, options, count
-                if count == 1:
-                    break  # a forced vertex is always a best pick
+                if count < 2:
+                    break  # forced: always a best pick; no options: a dead end
         uncolored ^= 1 << v
-        nbrs = adjacency[v] & uncolored
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            color[v] = bit.bit_length() - 1
-            marked = []
-            rest = nbrs
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if not forbidden[u] & bit:
-                    forbidden[u] |= bit
-                    marked.append(u)
-            if extend(uncolored):
-                return True
+        frame = [v, avail, uncolored, 0, ()]
+        path.append(frame)
+        # Backtrack to the deepest vertex with an untried color.
+        while True:
+            v, avail, uncolored, bit, marked = frame
             for u in marked:
                 forbidden[u] ^= bit
-        return False
-
-    return color if extend(vertices) else None
+            if avail:
+                break
+            path.pop()
+            if not path:
+                return None
+            frame = path[-1]
+        bit = avail & -avail
+        color[v] = bit.bit_length() - 1
+        marked = []
+        rest = adjacency[v] & uncolored
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not forbidden[u] & bit:
+                forbidden[u] |= bit
+                marked.append(u)
+        frame[1], frame[3], frame[4] = avail ^ bit, bit, marked
+    return color
 
 
 def is_f_choosable(graph: SimpleGraph, demand: DemandFunction) -> ChoosabilityVerdict:

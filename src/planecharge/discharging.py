@@ -81,24 +81,20 @@ def initial_charges(graph: PlaneGraph) -> ChargeState:
     return state
 
 
-# The rule and amount by which a vertex of each degree draws from a 6+-face,
-# per occurrence on the face's walk: R1 = 1 for a degree-2 vertex and R2 = 1/2
-# for a degree-3 vertex; a vertex of any other degree draws nothing.
+# The rule and amount by which an element draws from a 6+-face, by its local
+# type.  Per occurrence on the face's walk, a degree-2 vertex draws R1 = 1 and
+# a degree-3 vertex R2 = 1/2; a vertex of any other degree draws nothing.  Per
+# shared edge, a 3-face draws R3 = 1/2 when it touches another 3-face and
+# R4 = 1/3 otherwise, keyed by ``bool(PlaneGraph.three_face_edges(face))``.
 _VERTEX_DRAWS = {2: ("R1", ONE), 3: ("R2", HALF)}
-
-
-def _rule_draw(graph: PlaneGraph, face: int) -> tuple[str, int]:
-    """The rule and amount by which 3-face ``face`` draws from a 6+-face,
-    per shared edge: R3 = 1/2 when it touches another 3-face and R4 = 1/3
-    otherwise; ``PlaneGraph.three_face_edges`` tells the two apart."""
-    return ("R3", HALF) if graph.three_face_edges(face) else ("R4", THIRD)
+_FACE_DRAWS = {True: ("R3", HALF), False: ("R4", THIRD)}
 
 
 def rule_transfers(graph: PlaneGraph) -> list[Transfer]:
     """The four global rules, computed from the incidence structure alone:
     first the vertex draws of each big face along its walk, then the draws
-    of each 3-face from the big faces across its edges (see
-    ``_VERTEX_DRAWS`` and ``_rule_draw``)."""
+    of each 3-face from the big faces across its edges, each amount read
+    from ``_VERTEX_DRAWS`` or ``_FACE_DRAWS``."""
     faces, face_of, twin = graph.faces, graph.face_of, graph.twin
     origin, rotation = graph.origin, graph.rotation
     vertex_draw = _VERTEX_DRAWS.get
@@ -115,7 +111,7 @@ def rule_transfers(graph: PlaneGraph) -> list[Transfer]:
     for i, walk in enumerate(faces):
         if len(walk) != 3:
             continue
-        rule, amount = _rule_draw(graph, i)
+        rule, amount = _FACE_DRAWS[bool(graph.three_face_edges(i))]
         sink = ("face", i)
         for h in walk:
             j = face_of[twin[h]]
@@ -234,31 +230,29 @@ class FaceAudit(NamedTuple):
     """Scratch ledger for one 6+-face: each edge occurrence on the walk is
     seeded with 1/3, the sub-rules move edge charge to the 2-vertices,
     3-vertices, and 3-faces around the face, and the face keeps the
-    residual 2l/3 - 4.  ``transfers`` holds one ``Transfer`` per sub-rule
-    draw."""
+    residual 2l/3 - 4.  ``edge_final`` holds what each distinct walk edge
+    keeps, ``sink_received`` what each sink collects, and ``transfers``
+    one ``Transfer`` per sub-rule draw."""
 
     face: int
     length: int
     residual: int
-    edge_seed: dict[tuple[int, int], int]
     edge_final: dict[tuple[int, int], int]
     sink_received: dict[ElementKey, int]
     transfers: tuple[Transfer, ...]
 
-    def negative_edges(self) -> list[tuple[tuple[int, int], int]]:
-        """The edges that end negative, with their final amounts, in edge order."""
-        return sorted((e, c) for e, c in self.edge_final.items() if c < 0)
-
     def conserved(self) -> bool:
-        """What the edges keep plus what the sinks receive is what was seeded."""
+        """What the edges keep plus what the sinks receive is 1/3 per walk occurrence."""
         kept = sum(self.edge_final.values()) + sum(self.sink_received.values())
-        return kept == sum(self.edge_seed.values())
+        return kept == THIRD * self.length
 
 
 def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
     """The sub-rule ledger of big face ``face``, one ``Transfer`` per draw:
     the vertex pulls of every walk position first, then the 3-face pulls,
-    each in walk order.  UnknownFace (an IndexError) unless ``face`` is an
+    each in walk order.  Each edge keeps 1/3 per walk occurrence less what
+    is taken there, and ``FaceAudit.conserved()`` is checked under
+    ``python -O`` too.  UnknownFace (an IndexError) unless ``face`` is an
     int in 0..face_count-1, NotBigFace when the face is shorter than
     ``BIG_FACE``."""
     walk = _big_face_walk(graph, face)
@@ -283,17 +277,13 @@ def edge_level_audit(graph: PlaneGraph, face: int) -> FaceAudit:
             out.append(Transfer(rule, ("edge", edges[p]), sink, amount))
     transfers += face_transfers
 
-    # Each distinct walk edge's seed is 1/3 per occurrence on the walk; its
-    # final charge is what is left once the amounts taken at its positions
-    # are gone.
-    seed: dict[tuple[int, int], int] = {}
-    for e in edges:
-        seed[e] = seed.get(e, 0) + THIRD
-    final = dict(seed)
+    # An edge ends with 1/3 per occurrence on the walk, less what is taken
+    # there; only a bridge occurs twice.
+    final: dict[tuple[int, int], int] = {}
     for e, t in zip(edges, taken):
-        final[e] -= t
+        final[e] = final.get(e, 0) + THIRD - t
     residual = ONE * (length - 4) - THIRD * length
-    audit = FaceAudit(face, length, residual, seed, final, received, tuple(transfers))
+    audit = FaceAudit(face, length, residual, final, received, tuple(transfers))
     if not audit.conserved():  # checked under ``python -O`` too
         raise AssertionError(f"the audit of face {face} does not conserve charge")
     return audit
@@ -333,7 +323,7 @@ def reconcile_face(graph: PlaneGraph, face: int) -> FaceReconciliation:
             draws[sink] = draws.get(sink, 0) + draw[1]
         if h in threes:
             sink = ("face", j)
-            draws[sink] = draws.get(sink, 0) + _rule_draw(graph, j)[1]
+            draws[sink] = draws.get(sink, 0) + _FACE_DRAWS[bool(graph.three_face_edges(j))][1]
     mismatched = ()
     if received != draws:
         keys = received.keys() | draws.keys()

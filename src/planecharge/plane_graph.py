@@ -124,8 +124,7 @@ class PlaneGraph(SimpleGraph):
     """Immutable plane graph.
 
     Half-edge ``h`` runs from ``origin[h]`` to ``target[h]``; ``twin[h]`` is the
-    opposite half-edge and ``next_around_origin[h]`` the next half-edge in the
-    rotation at ``origin[h]``.  ``faces[i]`` is the i-th traced face walk as a
+    opposite half-edge.  ``faces[i]`` is the i-th traced face walk as a
     tuple of half-edge ids.  The half-edges out of u are numbered
     consecutively in rotation order from ``_first[u]``, so the half-edge
     from u to v is ``_first[u] + rotation[u].index(v)``.  ``_adjacency`` and
@@ -138,7 +137,6 @@ class PlaneGraph(SimpleGraph):
         "origin",
         "target",
         "twin",
-        "next_around_origin",
         "faces",
         "face_of",
         "_first",
@@ -173,7 +171,6 @@ class PlaneGraph(SimpleGraph):
         self.origin = origin
         self.target = target
         self.twin = tuple(twin)
-        self.next_around_origin = tuple(nxt)
         self._first = tuple(first)
         self.faces, self.face_of = _trace_faces(twin, nxt)
 

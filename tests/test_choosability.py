@@ -30,7 +30,7 @@ from planecharge.choosability import (
     l_coloring,
 )
 from planecharge.cli import run
-from planecharge.corpus import named_examples
+from planecharge.corpus import named_examples, random_class_member
 from planecharge.errors import (
     DemandOutOfRange,
     GraphError,
@@ -88,6 +88,27 @@ def test_l_coloring_respects_lists():
     lists = [[0], [1], [0], [2]]
     got = l_coloring(g, ListAssignment.from_lists(lists))
     assert got == {0: 0, 1: 1, 2: 0, 3: 2}
+
+
+def test_l_coloring_of_a_large_class_member(tmp_path):
+    """The search keeps its path on an explicit stack, not the call stack:
+    a 1,000-vertex lattice member (bipartite) colors from 2-lists, and the
+    color command on it exits 0 without a traceback."""
+    g = random_class_member(1, 1000)
+    lists = [[1, 2]] * 1000
+    coloring = l_coloring(g, ListAssignment.from_lists(lists))
+    assert coloring is not None
+    assert all(coloring[u] != coloring[v] for u, v in g.edges())
+    path = tmp_path / "lattice.graph"
+    dump_graph_file(g, str(path))
+    env = dict(os.environ, PYTHONPATH=str(Path(planecharge.__file__).parent.parent))
+    argv = ["color", str(path), "--lists", json.dumps(lists)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "planecharge.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["payload"]["colorable"] is True
 
 
 def test_l_coloring_reports_each_vertex_its_own_color_value():

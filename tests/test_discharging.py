@@ -253,8 +253,9 @@ def test_pendant_vertex_walk_degeneracy():
     assert sorted(g.face_lengths()) == [6, 8]
     outer = g.face_lengths().index(8)
     assert g.face_vertices(outer).count(0) == 2
-    audit = edge_level_audit(g, outer)
-    assert audit.edge_seed[(0, 6)] == 8  # both occurrences seeded
+    # The oracle seeds both occurrences of the pendant edge.
+    assert closure_edge_level_audit(g, outer)["edge_seed"][(0, 6)] == 8
+    assert edge_level_audit(g, outer).conserved()
     for i in range(g.face_count):
         if g.face_length(i) >= BIG_FACE:
             assert reconcile_face(g, i).ok
@@ -311,7 +312,6 @@ def _audit_fields(audit):
         "face": audit.face,
         "length": audit.length,
         "residual": audit.residual,
-        "edge_seed": audit.edge_seed,
         "edge_final": audit.edge_final,
         "sink_received": audit.sink_received,
         "transfers": audit.transfers,
@@ -327,6 +327,7 @@ def test_audit_equals_closure_oracle(named, class_members_7):
     for g in hosts:
         for i in big_faces(g):
             expected = closure_edge_level_audit(g, i)
+            assert sum(expected.pop("edge_seed").values()) == THIRD * expected["length"]
             assert _audit_fields(edge_level_audit(g, i)) == expected
             rules.update(t.rule for t in expected["transfers"])
             audits += 1
@@ -396,10 +397,12 @@ def _rebuilt_final_audit(g):
         ok = (
             ok
             and audit.conserved()
-            and audit.residual == ONE * (audit.length - 4) - sum(audit.edge_seed.values())
+            and audit.residual == ONE * (audit.length - 4) - THIRD * audit.length
             and audit.residual >= 0
         )
-        edge_negatives += [NegativeElement("edge", (i, e), c) for e, c in audit.negative_edges()]
+        edge_negatives += [
+            NegativeElement("edge", (i, e), c) for e, c in sorted(audit.edge_final.items()) if c < 0
+        ]
     return edge_negatives, ok
 
 
@@ -526,6 +529,33 @@ def test_one_pull_walk_feeds_every_reader(monkeypatch):
     assert [n for n in final_audit(g).negatives if n.kind == "edge"] != edge_negatives
 
 
+def test_face_draw_table_reaches_both_readers(monkeypatch, class_members_7):
+    """R4 lowered to 1/4, then R3 lowered to 1/3, in ``_FACE_DRAWS``: both
+    R1-R4 readers read the new amount.  rule_transfers carries it on every
+    transfer of that rule and changes nothing else; the pulls are unchanged,
+    so each big face's receipts stay and reconcile_face newly mismatches
+    exactly the 3-faces of that rule across it."""
+    hosts = [hex_with_triangle_fans()] + class_members_7
+    before = [(rule_transfers(g), {i: reconcile_face(g, i) for i in big_faces(g)}) for g in hosts]
+    real_draws = discharging._FACE_DRAWS
+    for touching, amount in ((False, QUARTER), (True, THIRD)):
+        rule = real_draws[touching][0]
+        monkeypatch.setattr(discharging, "_FACE_DRAWS", {**real_draws, touching: (rule, amount)})
+        changed = 0
+        for g, (transfers, recs) in zip(hosts, before):
+            assert rule_transfers(g) == [
+                t._replace(amount=amount) if t.rule == rule else t for t in transfers
+            ]
+            for i, rec in recs.items():
+                across = {g.opposite_face(h) for h in g.three_face_edges(i)}
+                affected = {("face", j) for j in across if bool(g.three_face_edges(j)) == touching}
+                patched = reconcile_face(g, i)
+                assert patched.audit_received == rec.audit_received
+                assert patched.mismatched == tuple(sorted(affected | set(rec.mismatched)))
+                changed += bool(affected - set(rec.mismatched))
+        assert changed
+
+
 _BROKEN_INVARIANTS = """
 from planecharge import discharging
 from planecharge.discharging import Transfer, apply_rules, initial_charges
@@ -536,7 +566,15 @@ state = initial_charges(c6)
 # A rule that draws from a vertex, then an identity that no charging meets.
 discharging.rule_transfers = lambda graph: [Transfer("R1", ("vertex", 0), ("vertex", 1), 12)]
 discharging.TOTAL_TWELFTHS = 0
-for step in (lambda: apply_rules(c6, state), lambda: initial_charges(c6)):
+# A 2-vertex pull entry whose total is 1/12 more than its rows pull.
+total, rows = discharging._VERTEX_PULLS[2, False, False]
+discharging._VERTEX_PULLS[2, False, False] = (total + 1, rows)
+steps = (
+    lambda: apply_rules(c6, state),
+    lambda: initial_charges(c6),
+    lambda: discharging.edge_level_audit(c6, 0),
+)
+for step in steps:
     try:
         step()
     except AssertionError as exc:
@@ -545,9 +583,11 @@ for step in (lambda: apply_rules(c6, state), lambda: initial_charges(c6)):
 
 
 def test_charge_invariants_are_checked_under_optimize():
-    """initial_charges' sum and apply_rules' face sources are checked by
-    tests that ``python -O`` keeps: a rule transfer out of a vertex, and a
-    balanced charging that misses TOTAL_TWELFTHS, both raise."""
+    """initial_charges' sum, apply_rules' face sources and
+    edge_level_audit's conservation are checked by tests that ``python -O``
+    keeps: a rule transfer out of a vertex, a balanced charging that misses
+    TOTAL_TWELFTHS, and a pull entry whose total disagrees with its rows
+    all raise."""
     env = dict(os.environ, PYTHONPATH=str(Path(planecharge.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
@@ -556,4 +596,5 @@ def test_charge_invariants_are_checked_under_optimize():
     assert proc.stdout.splitlines() == [
         "False rule R1 draws from ('vertex', 0), not from a face",
         "False balanced charging sums to -96 twelfths, not 0",
+        "False the audit of face 0 does not conserve charge",
     ]

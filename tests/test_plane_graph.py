@@ -368,7 +368,7 @@ def test_euler_matches_oracle_on_any_rotation_system(rotation):
 
 # -- the constructor against the eager, dict-paired oracle ---------------------
 
-ARRAYS = ("origin", "target", "twin", "next_around_origin", "faces", "face_of")
+ARRAYS = ("origin", "target", "twin", "faces", "face_of")
 
 
 def half_edge_or_error(g, u, v):
